@@ -11,17 +11,13 @@
 //!   fig7          Figure 7  (100! throughput heat map)
 //!   table2        Table 2   (3-stage vs 4-stage ± fusion)
 //!   tilesize      §7.3      (throughput vs tile size)
-//!   dominance     scheme gate (C2R decomposition vs coprime / staged /
-//!                 single-stage per shape, incl. shapes where coprime
-//!                 cannot launch; plus planner probes over
-//!                 7919×104729-class prime shapes — exits 1 if C2R loses
-//!                 a contested shape or any probe falls back to coprime
-//!                 cycle-following or the single-stage pass)
+//!   dominance     scheme gate (C2R decomposition vs staged / single-stage
+//!                 per shape, plus planner probes over 7919×104729-class
+//!                 prime shapes — exits 1 if C2R loses any gcd = 1 shape)
 //!   fig8          Figure 8  (tile scatter + pruning heuristic)
 //!   table3        Table 3 / Figure 9 (CPU vs GPU assessment)
 //!   async         §7.6      (Q command queues)
 //!   phi           §7.7      (Xeon Phi)
-//!   primes        extension (coprime decomposition vs prime-dim fallback)
 //!   multigpu      extension (multi-GPU scaling, paper §8 future work)
 //!   ablation      cost-model ablations (which mechanism drives which result)
 //!   serve         extension (batched, plan-cached serving layer: mixed
@@ -128,7 +124,7 @@ fn parse_args() -> Args {
                      [--min-wall-gain X] [--min-staged-wall-gain X] \
                      [--max-overhead-pct P]\n\
                      experiments: fig6 sweep010 sweep100 fig7 table2 tilesize dominance \
-                     fig8 table3 async phi primes multigpu ablation serve soak outofcore \
+                     fig8 table3 async phi multigpu ablation serve soak outofcore \
                      simperf telemetry trace races all"
                 );
                 std::process::exit(0);
@@ -348,7 +344,7 @@ fn main() {
     let args = parse_args();
     let known = [
         "fig6", "sweep010", "sweep100", "fig7", "table2", "tilesize", "dominance", "fig8",
-        "table3", "async", "phi", "primes", "multigpu", "ablation", "serve", "soak",
+        "table3", "async", "phi", "multigpu", "ablation", "serve", "soak",
         "outofcore", "simperf", "telemetry", "trace", "races", "all",
     ];
     if !known.contains(&args.experiment.as_str()) {
@@ -405,13 +401,8 @@ fn main() {
         sink.emit("dominance", &(&rows, &probes, &summary));
         if !summary.passed {
             eprintln!(
-                "[dominance] FAIL: C2R won {}/{} contested shapes (worst ratio x{:.2}); \
-                 {} coprime + {} single-stage planner fallback(s)",
-                summary.c2r_wins,
-                summary.contested,
-                summary.min_speedup_vs_coprime,
-                summary.probe_coprime,
-                summary.probe_single_stage
+                "[dominance] FAIL: C2R won {}/{} gcd=1 shapes",
+                summary.c2r_wins, summary.gcd1_shapes
             );
             dominance_failed = true;
         }
@@ -430,11 +421,6 @@ fn main() {
         let (rows, summary) = ex::asyncq::run(&args.device, args.scale);
         println!("{}", ex::asyncq::render(&rows, &summary));
         sink.emit("async", &(&rows, &summary));
-    }
-    if run("primes") {
-        let rows = ex::primes::run(&args.device);
-        println!("{}", ex::primes::render(&rows));
-        sink.emit("primes", &rows);
     }
     if run("ablation") {
         let rows = ex::ablation::run();

@@ -13,7 +13,6 @@ pub mod fig8;
 pub mod multigpu;
 pub mod outofcore;
 pub mod phi;
-pub mod primes;
 pub mod races;
 pub mod serve;
 pub mod simperf;

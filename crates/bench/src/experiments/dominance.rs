@@ -2,21 +2,16 @@
 //! Keller & Garland) against every rival scheme, per shape.
 //!
 //! The paper's §7.4 limitation is the prime-shape slow path: when no good
-//! tile exists the staged algorithm degrades, and the old planner fell back
-//! to coprime cycle-following (or the single-stage pass) instead. This
-//! experiment is the gate that the C2R scheme actually removed that slow
-//! path:
+//! tile exists the staged algorithm degrades to the single-stage pass. This
+//! experiment is the gate that the C2R scheme removed that slow path:
 //!
-//! * per sweep shape it measures the C2R device pipeline against coprime
-//!   cycle-following (where launchable), the planner's staged plan (where a
-//!   tile exists), and the single-stage `100!` fallback, all
-//!   correctness-asserted;
-//! * it probes the planner over the sweep grid **plus paper-class prime
-//!   shapes** (the 7919×104729 family, far too large to simulate) and
-//!   fails if any prime/near-prime request still resolves to
-//!   [`Scheme::Coprime`] or [`Scheme::SingleStage`];
-//! * `passed` requires C2R to beat coprime on **every** contested
-//!   (gcd = 1, coprime-launchable) shape.
+//! * per sweep shape it measures the C2R device pipeline against the
+//!   planner's staged plan (where a tile exists) and the single-stage
+//!   `100!` fallback, all correctness-asserted;
+//! * it records the planner's decision over the sweep grid **plus
+//!   paper-class prime shapes** (the 7919×104729 family, far too large to
+//!   simulate);
+//! * `passed` requires C2R to win **every** gcd = 1 shape.
 //!
 //! `repro dominance` exits 1 when the gate fails; the committed
 //! `bench_out/dominance.json` baseline additionally gates throughput drift
@@ -26,11 +21,11 @@ use crate::workloads::Scale;
 use gpu_sim::{DeviceSpec, Sim};
 use ipt_core::stages::StagePlan;
 use ipt_core::{decide_scheme, Matrix, Scheme, TileHeuristic};
-use ipt_gpu::coprime::transpose_coprime_on_device;
 use ipt_gpu::opts::GpuOptions;
 use ipt_gpu::pipeline::{plan_flag_words, transpose_on_device};
 use ipt_gpu::{c2r_scratch_words, transpose_c2r_on_device};
 use serde::Serialize;
+use std::collections::BTreeMap;
 
 /// One sweep shape: every rival measured on the simulated device.
 #[derive(Debug, Clone, Serialize)]
@@ -45,9 +40,6 @@ pub struct Row {
     pub planner: String,
     /// C2R decomposition (GB/s) — total over every shape.
     pub c2r_gbps: f64,
-    /// Coprime cycle-following (GB/s); `None` when gcd > 1 or the kernels
-    /// cannot launch (a row longer than the scratchpad).
-    pub coprime_gbps: Option<f64>,
     /// The planner's staged plan (GB/s); `None` when no tile exists.
     pub staged_gbps: Option<f64>,
     /// Single-stage `100!` fallback (GB/s) — the paper's own prime-shape
@@ -73,23 +65,13 @@ pub struct Probe {
 pub struct Summary {
     /// Shapes measured.
     pub shapes: usize,
-    /// Shapes where coprime launched and contested C2R (gcd = 1).
-    pub contested: usize,
-    /// Contested shapes where C2R won.
+    /// Measured shapes with gcd = 1.
+    pub gcd1_shapes: usize,
+    /// gcd = 1 shapes where C2R won.
     pub c2r_wins: usize,
-    /// Worst C2R-over-coprime ratio across contested shapes (> 1 means
-    /// C2R dominated everywhere).
-    pub min_speedup_vs_coprime: f64,
-    /// gcd = 1 shapes where the coprime kernels could not even launch
-    /// (line longer than the scratchpad) while C2R still ran.
-    pub coprime_infeasible: usize,
     /// Planner probes (sweep grid + paper-class prime shapes).
     pub probes: usize,
-    /// Probes that resolved to coprime cycle-following (must be 0).
-    pub probe_coprime: usize,
-    /// Probes that resolved to the single-stage fallback (must be 0).
-    pub probe_single_stage: usize,
-    /// The gate: C2R won every contest and no probe hit a slow path.
+    /// The gate: C2R won every gcd = 1 shape.
     pub passed: bool,
 }
 
@@ -99,8 +81,7 @@ fn gcd(a: usize, b: usize) -> usize {
 
 /// The measured sweep grid: prime / near-prime shapes (the slow path under
 /// test), one composite shape where the staged family is at its best, and
-/// one long-line prime shape that forces the C2R scratch path and defeats
-/// the coprime kernels entirely.
+/// one long-line prime shape that forces the C2R scratch path.
 #[must_use]
 pub fn shapes(scale: Scale) -> Vec<(usize, usize)> {
     let mut v = vec![(1009, 251), (509, 521), (761, 128), (480, 360), (61, 13001)];
@@ -133,21 +114,6 @@ fn measure_c2r(dev: &DeviceSpec, r: usize, c: usize) -> f64 {
     stats.throughput_gbps((r * c * 4) as f64)
 }
 
-/// Measure coprime cycle-following; `None` when gcd > 1 or the launch is
-/// infeasible on this device.
-fn measure_coprime(dev: &DeviceSpec, r: usize, c: usize) -> Option<f64> {
-    if gcd(r, c) != 1 {
-        return None;
-    }
-    let mut sim = Sim::new(dev.clone(), r * c + 8);
-    let buf = sim.alloc(r * c);
-    let mat = Matrix::iota(r, c);
-    sim.upload_u32(buf, mat.as_slice());
-    let stats = transpose_coprime_on_device(&sim, buf, r, c, 256).ok()?;
-    assert_eq!(sim.download_u32(buf), mat.transposed().into_vec(), "device coprime incorrect");
-    Some(stats.throughput_gbps((r * c * 4) as f64))
-}
-
 /// Measure a staged plan (3-stage where the planner has a tile, otherwise
 /// `None`); `transpose_on_device` verifies the permutation internally.
 fn measure_plan(dev: &DeviceSpec, r: usize, c: usize, plan: &StagePlan) -> Option<f64> {
@@ -167,7 +133,6 @@ pub fn run(dev: &DeviceSpec, scale: Scale) -> (Vec<Row>, Vec<Probe>, Summary) {
         .map(|(r, c)| {
             let decision = decide_scheme(r, c, &heuristic);
             let c2r_gbps = measure_c2r(dev, r, c);
-            let coprime_gbps = measure_coprime(dev, r, c);
             let staged_gbps = match decision.scheme {
                 Scheme::Staged | Scheme::GcdTiled | Scheme::SquareTiled => decision
                     .staged_plan(r, c)
@@ -176,7 +141,6 @@ pub fn run(dev: &DeviceSpec, scale: Scale) -> (Vec<Row>, Vec<Probe>, Summary) {
             };
             let single_gbps = measure_plan(dev, r, c, &StagePlan::single_stage(r, c));
             let mut candidates = vec![("c2r", c2r_gbps)];
-            candidates.extend(coprime_gbps.map(|g| ("coprime", g)));
             candidates.extend(staged_gbps.map(|g| ("staged", g)));
             candidates.extend(single_gbps.map(|g| ("single-stage", g)));
             let winner = candidates
@@ -190,7 +154,6 @@ pub fn run(dev: &DeviceSpec, scale: Scale) -> (Vec<Row>, Vec<Probe>, Summary) {
                 gcd: gcd(r, c),
                 planner: decision.scheme.name().to_string(),
                 c2r_gbps,
-                coprime_gbps,
                 staged_gbps,
                 single_gbps,
                 winner,
@@ -207,34 +170,14 @@ pub fn run(dev: &DeviceSpec, scale: Scale) -> (Vec<Row>, Vec<Probe>, Summary) {
         })
         .collect();
 
-    let contested: Vec<&Row> = rows.iter().filter(|r| r.coprime_gbps.is_some()).collect();
-    let c2r_wins = contested
-        .iter()
-        .filter(|r| r.coprime_gbps.is_some_and(|g| r.c2r_gbps > g))
-        .count();
-    let min_speedup_vs_coprime = contested
-        .iter()
-        .filter_map(|r| r.coprime_gbps.map(|g| r.c2r_gbps / g))
-        .fold(f64::INFINITY, f64::min);
-    let min_speedup_vs_coprime =
-        if min_speedup_vs_coprime.is_finite() { min_speedup_vs_coprime } else { 0.0 };
-    let coprime_infeasible =
-        rows.iter().filter(|r| r.gcd == 1 && r.coprime_gbps.is_none()).count();
-    let probe_coprime = probes.iter().filter(|p| p.scheme == "coprime").count();
-    let probe_single_stage = probes.iter().filter(|p| p.scheme == "single-stage").count();
+    let gcd1: Vec<&Row> = rows.iter().filter(|r| r.gcd == 1).collect();
+    let c2r_wins = gcd1.iter().filter(|r| r.winner == "c2r").count();
     let summary = Summary {
         shapes: rows.len(),
-        contested: contested.len(),
+        gcd1_shapes: gcd1.len(),
         c2r_wins,
-        min_speedup_vs_coprime,
-        coprime_infeasible,
         probes: probes.len(),
-        probe_coprime,
-        probe_single_stage,
-        passed: !contested.is_empty()
-            && c2r_wins == contested.len()
-            && probe_coprime == 0
-            && probe_single_stage == 0,
+        passed: !gcd1.is_empty() && c2r_wins == gcd1.len(),
     };
     (rows, probes, summary)
 }
@@ -254,7 +197,6 @@ pub fn render(rows: &[Row], probes: &[Probe], summary: &Summary) -> String {
                 r.gcd.to_string(),
                 r.planner.clone(),
                 format!("{:.2}", r.c2r_gbps),
-                opt(r.coprime_gbps),
                 opt(r.staged_gbps),
                 opt(r.single_gbps),
                 r.winner.clone(),
@@ -263,35 +205,23 @@ pub fn render(rows: &[Row], probes: &[Probe], summary: &Summary) -> String {
         .collect();
     let mut out = super::text_table(
         "Dominance: C2R decomposition vs rival schemes per shape (— = not launchable)",
-        &["matrix", "gcd", "planner", "C2R", "coprime", "staged", "1-stage", "winner"],
+        &["matrix", "gcd", "planner", "C2R", "staged", "1-stage", "winner"],
         &table,
     );
+    let mut decided: BTreeMap<&str, usize> = BTreeMap::new();
+    for p in probes {
+        *decided.entry(p.scheme.as_str()).or_default() += 1;
+    }
+    let decided: Vec<String> = decided.iter().map(|(s, n)| format!("{n} {s}")).collect();
     out.push_str(&format!(
-        "\nC2R vs coprime: won {}/{} contested shapes, worst ratio x{:.2}; \
-         {} gcd=1 shape(s) where coprime cannot launch at all\n",
-        summary.c2r_wins, summary.contested, summary.min_speedup_vs_coprime,
-        summary.coprime_infeasible,
-    ));
-    let fallbacks: Vec<String> = probes
-        .iter()
-        .filter(|p| p.scheme == "coprime" || p.scheme == "single-stage")
-        .map(|p| format!("{}x{} -> {}", p.rows, p.cols, p.scheme))
-        .collect();
-    out.push_str(&format!(
-        "planner probes ({} shapes incl. 7919x104729-class): {} coprime, {} single-stage \
-         fallback(s){}\n",
+        "\nC2R won {}/{} gcd=1 shapes\nplanner probes ({} shapes incl. 7919x104729-class): {}\n",
+        summary.c2r_wins,
+        summary.gcd1_shapes,
         summary.probes,
-        summary.probe_coprime,
-        summary.probe_single_stage,
-        if fallbacks.is_empty() {
-            String::new()
-        } else {
-            format!("  [{}]", fallbacks.join(", "))
-        },
+        decided.join(", "),
     ));
     out.push_str(&format!(
-        "gate: {}  [C2R must win every contested shape; no probe may fall back to \
-         coprime or single-stage]\n",
+        "gate: {}  [C2R must win every gcd=1 shape]\n",
         if summary.passed { "PASS" } else { "FAIL" },
     ));
     out
@@ -302,30 +232,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn probe_grid_covers_the_paper_class_shape_and_never_falls_back() {
+    fn probe_grid_covers_the_paper_class_shape() {
         for scale in [Scale::Reduced, Scale::Full] {
             let probes = probe_shapes(scale);
             assert!(probes.contains(&(7919, 104_729)));
-            let heuristic = TileHeuristic::default();
-            for (r, c) in probes {
-                let d = decide_scheme(r, c, &heuristic);
-                assert!(
-                    d.scheme != Scheme::Coprime && d.scheme != Scheme::SingleStage,
-                    "{r}x{c} resolved to the {} slow path",
-                    d.scheme.name()
-                );
-            }
+            let d = decide_scheme(7919, 104_729, &TileHeuristic::default());
+            assert_eq!(d.scheme, Scheme::C2R);
         }
     }
 
     #[test]
-    fn sweep_has_both_contested_and_scratch_shapes() {
+    fn sweep_has_both_gcd1_and_scratch_shapes() {
         let s = shapes(Scale::Reduced);
         assert!(s.iter().any(|&(r, c)| gcd(r, c) == 1));
         assert!(s.iter().any(|&(r, c)| gcd(r, c) > 1));
-        // The long-line shape must overflow the K20 scratchpad for the
-        // coprime row kernel, so the sweep exercises "coprime cannot even
-        // launch" territory.
+        // The long-line shape must overflow the K20 scratchpad, so the
+        // sweep exercises the C2R global-scratch path.
         assert!(s.iter().any(|&(_, c)| c > 12_288));
     }
 }

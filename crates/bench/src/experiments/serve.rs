@@ -2,7 +2,7 @@
 //!
 //! Drives `ipt_gpu::serve` with a deterministic mixed stream of 1000
 //! transpose requests spanning every planning scheme (staged, square,
-//! prime-square, identity, coprime, wide-element), processed in bounded
+//! prime-square, identity, c2r, wide-element), processed in bounded
 //! admission rounds across two simulated devices. Reports per-shape-class
 //! deterministic throughput (DES time — checkable by `repro --check`) plus
 //! the serving economics: plan-cache hit rate, batch occupancy, queue

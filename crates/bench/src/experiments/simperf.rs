@@ -1,7 +1,8 @@
 //! **Engineering** — wall-clock of the simulation engine itself: the
 //! pooled parallel engine vs the serial round-robin engine, on both
-//! work-group-local kernels and the cross-WG-claims `100!` family
-//! (all three variants) plus the full 3-stage pipeline.
+//! work-group-local kernels (BS, `010!`, the C2R passes) and the
+//! cross-WG-claims `100!` family (all three variants) plus the full 3-stage
+//! pipeline.
 //!
 //! Every workload is launched with both engines from identical initial
 //! state; the experiment *asserts* the two runs are bit-identical (memory
@@ -16,14 +17,14 @@
 //! naming — the `wall_` prefix routes them to the wide-tolerance channel.
 
 use crate::workloads::Scale;
-use gpu_sim::{DeviceSpec, EngineMode, KernelStats, Sim};
+use gpu_sim::{DeviceSpec, EngineMode, KernelStats, PipelineStats, Sim};
 use ipt_core::{InstancedTranspose, StagePlan, TileConfig};
 use ipt_gpu::bs::BsKernel;
-use ipt_gpu::coprime::{CoprimeColShuffle, CoprimeRowScramble};
 use ipt_gpu::opts::{FlagLayout, GpuOptions, Variant100};
 use ipt_gpu::pipeline::{plan_flag_words, run_plan};
 use ipt_gpu::pttwac010::Pttwac010;
 use ipt_gpu::pttwac100::Pttwac100;
+use ipt_gpu::{c2r_scratch_words, transpose_c2r_on_device};
 use serde::Serialize;
 
 /// Timed launches per (workload, engine); the minimum wall time is
@@ -129,24 +130,20 @@ fn p010_workload(instances: usize, rows: usize, cols: usize) -> Workload {
     }
 }
 
-fn coprime_workload(rows: usize, cols: usize) -> Workload {
+/// The C2R device pipeline (two or three work-group-local line passes),
+/// with any global scratch it needs on `dev` as extra capacity.
+fn c2r_workload(dev: &DeviceSpec, rows: usize, cols: usize) -> Workload {
     let words = rows * cols;
+    let name = format!("c2r {rows}x{cols}");
     Workload {
-        name: format!("coprime {rows}x{cols}"),
+        name: name.clone(),
         words,
-        extra_words: 0,
+        extra_words: c2r_scratch_words(dev, rows, cols, 128),
         launch: Box::new(move |sim| {
             let data = sim.alloc(words);
             sim.upload_u32(data, &(0..words as u32).collect::<Vec<_>>());
-            let row = CoprimeRowScramble::new(data, rows, cols, 128);
-            let mut stats = sim.launch(&row).expect("coprime-row launch");
-            let col = CoprimeColShuffle { data, rows, cols, wg_size: 128 };
-            let s2 = sim.launch(&col).expect("coprime-col launch");
-            // Fold stage 2 into one report (sum of times; the memory image
-            // is what the identity assertion compares).
-            stats.time_s += s2.time_s;
-            stats.warp_steps += s2.warp_steps;
-            stats
+            let pipe = transpose_c2r_on_device(sim, data, rows, cols, 128).expect("c2r launch");
+            fold(&name, &pipe)
         }),
     }
 }
@@ -215,44 +212,48 @@ fn staged_workload(rows: usize, cols: usize) -> Workload {
             sim.upload_u32(flags, &vec![0u32; flag_words]);
             let opts = GpuOptions::tuned_for(sim.device());
             let pipe = run_plan(sim, data, flags, &plan, &opts).expect("staged plan launches");
-            // Fold the per-stage reports into one (sums of time and
-            // counters, max of the longest chain); the memory image is
-            // what the identity assertion compares.
-            let mut folded = pipe.stages[0].clone();
-            folded.name = format!("3-stage {rows}x{cols}");
-            for s in &pipe.stages[1..] {
-                // Widest stage describes the launch shape (a degenerate
-                // stage may have been skipped with zero work-groups).
-                folded.num_wgs = folded.num_wgs.max(s.num_wgs);
-                folded.wg_size = folded.wg_size.max(s.wg_size);
-                folded.time_s += s.time_s;
-                folded.dram_bytes += s.dram_bytes;
-                folded.useful_bytes += s.useful_bytes;
-                folded.gld_transactions += s.gld_transactions;
-                folded.gst_transactions += s.gst_transactions;
-                folded.local_accesses += s.local_accesses;
-                folded.local_atomics += s.local_atomics;
-                folded.global_atomics += s.global_atomics;
-                folded.position_conflicts += s.position_conflicts;
-                folded.lock_conflicts += s.lock_conflicts;
-                folded.bank_conflicts += s.bank_conflicts;
-                folded.claim_retries += s.claim_retries;
-                folded.barriers += s.barriers;
-                folded.warp_steps += s.warp_steps;
-                folded.total_chain_cycles += s.total_chain_cycles;
-                folded.max_chain_cycles = folded.max_chain_cycles.max(s.max_chain_cycles);
-            }
-            folded
+            fold(&format!("3-stage {rows}x{cols}"), &pipe)
         }),
     }
 }
 
-fn workloads(scale: Scale) -> Vec<Workload> {
+/// Fold a pipeline's per-stage reports into one (sums of time and
+/// counters, max of the longest chain); the memory image is what the
+/// identity assertion compares.
+fn fold(name: &str, pipe: &PipelineStats) -> KernelStats {
+    let mut folded = pipe.stages[0].clone();
+    folded.name = name.to_string();
+    for s in &pipe.stages[1..] {
+        // Widest stage describes the launch shape (a degenerate stage may
+        // have been skipped with zero work-groups).
+        folded.num_wgs = folded.num_wgs.max(s.num_wgs);
+        folded.wg_size = folded.wg_size.max(s.wg_size);
+        folded.time_s += s.time_s;
+        folded.dram_bytes += s.dram_bytes;
+        folded.useful_bytes += s.useful_bytes;
+        folded.gld_transactions += s.gld_transactions;
+        folded.gst_transactions += s.gst_transactions;
+        folded.local_accesses += s.local_accesses;
+        folded.local_atomics += s.local_atomics;
+        folded.global_atomics += s.global_atomics;
+        folded.position_conflicts += s.position_conflicts;
+        folded.lock_conflicts += s.lock_conflicts;
+        folded.bank_conflicts += s.bank_conflicts;
+        folded.claim_retries += s.claim_retries;
+        folded.barriers += s.barriers;
+        folded.warp_steps += s.warp_steps;
+        folded.total_chain_cycles += s.total_chain_cycles;
+        folded.max_chain_cycles = folded.max_chain_cycles.max(s.max_chain_cycles);
+    }
+    folded
+}
+
+fn workloads(dev: &DeviceSpec, scale: Scale) -> Vec<Workload> {
     match scale {
         Scale::Full => vec![
             bs_workload(2048, 32, 32),
             p010_workload(1024, 32, 32),
-            coprime_workload(997, 1024),
+            c2r_workload(dev, 997, 1024),
             p100_workload(1, 128, 96, 64, Variant100::SungWorkGroup),
             p100_workload(1, 128, 96, 64, Variant100::WarpLocalTile),
             p100_workload(1, 128, 96, 64, Variant100::WarpRegTile),
@@ -261,7 +262,7 @@ fn workloads(scale: Scale) -> Vec<Workload> {
         Scale::Reduced => vec![
             bs_workload(512, 32, 32),
             p010_workload(256, 32, 32),
-            coprime_workload(251, 256),
+            c2r_workload(dev, 251, 256),
             p100_workload(1, 64, 48, 32, Variant100::SungWorkGroup),
             p100_workload(1, 64, 48, 32, Variant100::WarpLocalTile),
             p100_workload(1, 64, 48, 32, Variant100::WarpRegTile),
@@ -297,7 +298,7 @@ fn time_engine(
 /// Run the engine wall-clock experiment.
 #[must_use]
 pub fn run(dev: &DeviceSpec, scale: Scale) -> (Vec<Row>, Summary) {
-    run_sized(dev, &workloads(scale), REPEATS)
+    run_sized(dev, &workloads(dev, scale), REPEATS)
 }
 
 /// [`run`] over explicit workloads (tests use tiny ones).
@@ -394,7 +395,7 @@ mod tests {
         let tiny = vec![
             bs_workload(8, 8, 8),
             p010_workload(4, 6, 5),
-            coprime_workload(9, 8),
+            c2r_workload(&dev, 9, 8),
             p100_workload(1, 6, 4, 3, Variant100::SungWorkGroup),
             p100_workload(1, 6, 4, 3, Variant100::WarpLocalTile),
             p100_workload(1, 6, 4, 4, Variant100::WarpRegTile),

@@ -20,10 +20,7 @@
 //!   experiment), the always-legal `(c, c)` gcd sub-tile when
 //!   `1 < c² ≤` [`GCD_TILE_MAX_LEN`] (staged degradation), and the C2R
 //!   decomposition again — never the single-stage whole-matrix chase — when
-//!   the gcd tile is oversized. [`Scheme::Coprime`] and
-//!   [`Scheme::SingleStage`] remain addressable as explicit rival schemes
-//!   (benchmarks, snapshots), but [`decide_scheme`] no longer routes any
-//!   infeasible-tile shape to them.
+//!   the gcd tile is oversized.
 
 use crate::numtheory::gcd;
 use crate::stages::{StagePlan, TileConfig};
@@ -47,19 +44,12 @@ pub enum Scheme {
     Staged,
     /// Staged algorithm with the always-legal `(c, c)` tile, `c = gcd`.
     GcdTiled,
-    /// Coprime dimensions: the two-phase row-scramble/column-shuffle
-    /// decomposition (after Catanzaro et al.). Kept as an explicit rival
-    /// scheme; the planner now prefers [`Scheme::C2R`], which generalizes
-    /// it to every shape.
-    Coprime,
     /// The full C2R/R2C decomposition (Catanzaro, Keller & Garland, PPoPP
     /// 2014): column rotate → row shuffle → column shuffle. Total over all
     /// shapes, no claim flags, no atomics, perfect load balance — the
     /// planner's choice for every infeasible-tile shape that the gcd tile
     /// cannot cover.
     C2R,
-    /// Conservative whole-matrix cycle-following pass.
-    SingleStage,
 }
 
 impl Scheme {
@@ -71,9 +61,7 @@ impl Scheme {
             Self::SquareTiled => "square-tiled",
             Self::Staged => "staged",
             Self::GcdTiled => "gcd-tiled",
-            Self::Coprime => "coprime",
             Self::C2R => "c2r",
-            Self::SingleStage => "single-stage",
         }
     }
 
@@ -86,9 +74,7 @@ impl Scheme {
             "square-tiled" => Some(Self::SquareTiled),
             "staged" => Some(Self::Staged),
             "gcd-tiled" => Some(Self::GcdTiled),
-            "coprime" => Some(Self::Coprime),
             "c2r" => Some(Self::C2R),
-            "single-stage" => Some(Self::SingleStage),
             _ => None,
         }
     }
@@ -158,13 +144,12 @@ pub struct PlanDecision {
 impl PlanDecision {
     /// The staged plan realising this decision, or `None` for schemes that
     /// execute outside the staged machinery ([`Scheme::Identity`],
-    /// [`Scheme::Coprime`], [`Scheme::C2R`]). Never panics: a square or
-    /// tiled scheme whose tile is unavailable degrades to the single-stage
-    /// plan.
+    /// [`Scheme::C2R`]). Never panics: a square or tiled scheme whose tile
+    /// is unavailable degrades to the single-stage plan.
     #[must_use]
     pub fn staged_plan(&self, rows: usize, cols: usize) -> Option<StagePlan> {
         match self.scheme {
-            Scheme::Identity | Scheme::Coprime | Scheme::C2R => None,
+            Scheme::Identity | Scheme::C2R => None,
             Scheme::Staged | Scheme::GcdTiled | Scheme::SquareTiled => match self.tile {
                 Some(t) => Some(
                     StagePlan::three_stage(rows, cols, t)
@@ -172,7 +157,6 @@ impl PlanDecision {
                 ),
                 None => Some(StagePlan::single_stage(rows, cols)),
             },
-            Scheme::SingleStage => Some(StagePlan::single_stage(rows, cols)),
         }
     }
 }
@@ -245,13 +229,11 @@ pub fn decide_scheme(rows: usize, cols: usize, heuristic: &TileHeuristic) -> Pla
         };
     }
     // No heuristic tile: deterministic fallback chain with a recorded
-    // reason. Coprime shapes (gcd = 1) take the C2R decomposition — never
-    // the old coprime cycle-following route (its c = 1 slice, but with the
-    // slower unbatched kernels). Non-coprime shapes degrade through the
-    // staged machinery first: the (c, c) gcd tile keeps the tuned staged
-    // kernels in play. Only when that tile is oversized does the shape go
-    // to C2R — the single-stage whole-matrix chase is no longer reachable
-    // from this branch.
+    // reason. Coprime shapes (gcd = 1) take the C2R decomposition.
+    // Non-coprime shapes degrade through the staged machinery first: the
+    // (c, c) gcd tile keeps the tuned staged kernels in play. Only when
+    // that tile is oversized does the shape go to C2R — never to the
+    // single-stage whole-matrix chase.
     let reason = FallbackReason::NoFeasibleTile { rows, cols };
     let c = gcd(rows as u64, cols as u64) as usize;
     if c > 1 && c * c <= GCD_TILE_MAX_LEN {
@@ -349,9 +331,8 @@ mod tests {
     #[test]
     fn no_infeasible_tile_shape_resolves_to_coprime_or_single_stage() {
         // Regression for the prime-shape slow path: sweep shapes on both
-        // sides of the gcd split and assert the NoFeasibleTile branch never
-        // lands on the coprime cycle-following route or the single-stage
-        // chase anymore.
+        // sides of the gcd split and assert the NoFeasibleTile branch lands
+        // on C2R (gcd = 1) or the gcd tile, never on a single-stage plan.
         let h = TileHeuristic::default();
         for (r, c) in [
             (7919usize, 104_729usize), // gcd 1, both prime
@@ -363,8 +344,9 @@ mod tests {
             if !matches!(d.reason, FallbackReason::NoFeasibleTile { .. }) {
                 continue; // heuristic found a tile; nothing to regress
             }
-            assert_ne!(d.scheme, Scheme::Coprime, "{r}x{c} took the slow coprime path");
-            assert_ne!(d.scheme, Scheme::SingleStage, "{r}x{c} took the single-stage chase");
+            let want = if gcd(r as u64, c as u64) == 1 { Scheme::C2R } else { Scheme::GcdTiled };
+            assert_eq!(d.scheme, want, "{r}x{c}");
+            assert_ne!(d.staged_plan(r, c).map(|p| p.name), Some("single-stage"), "{r}x{c}");
         }
     }
 
@@ -435,17 +417,13 @@ mod tests {
         assert_eq!(Scheme::SquareTiled.name(), "square-tiled");
         assert_eq!(Scheme::Staged.name(), "staged");
         assert_eq!(Scheme::GcdTiled.name(), "gcd-tiled");
-        assert_eq!(Scheme::Coprime.name(), "coprime");
         assert_eq!(Scheme::C2R.name(), "c2r");
-        assert_eq!(Scheme::SingleStage.name(), "single-stage");
         for s in [
             Scheme::Identity,
             Scheme::SquareTiled,
             Scheme::Staged,
             Scheme::GcdTiled,
-            Scheme::Coprime,
             Scheme::C2R,
-            Scheme::SingleStage,
         ] {
             assert_eq!(Scheme::by_name(s.name()), Some(s), "{} round-trips", s.name());
         }

@@ -333,13 +333,10 @@ struct ClaimReplay<'a> {
     snapshot: &'a [u32],
 }
 
-/// The serial control-replay phase's record of one launch: everything the
-/// concurrent replay phase needs to reproduce the serial engine bit-exactly.
+/// The serial control-replay phase's record of one launch: the claim
+/// outcomes the concurrent replay phase needs to reproduce the serial engine
+/// bit-exactly.
 struct MergeableOracle {
-    /// Exact global round count of the serial engine.
-    rounds: u64,
-    /// Exact swap-remove retirement order of the serial engine (wg ids).
-    retire_order: Vec<usize>,
     /// Claim-op outcomes per warp, indexed `wg_id × warps_per_wg + warp_id`.
     scripts: Vec<Vec<bool>>,
     /// Total scheduling slices the serial engine executes — the replay must
@@ -1433,11 +1430,8 @@ fn control_replay<K: Kernel>(
         active.push(make_wg(next_wg));
         next_wg += 1;
     }
-    let mut rounds = 0u64;
     let mut total_steps = 0u64;
-    let mut retire_order: Vec<usize> = Vec::with_capacity(num_wgs);
     while !active.is_empty() {
-        rounds += 1;
         for wg in active.iter_mut() {
             for w in 0..wg.warps.len() {
                 if wg.warps[w].status != WarpStatus::Running {
@@ -1471,12 +1465,12 @@ fn control_replay<K: Kernel>(
             }
         }
         // Retire finished WGs, admit pending ones — swap-remove plus
-        // push-to-back, the exact serial retirement order.
+        // push-to-back, so later admissions interleave their claims exactly
+        // as in the serial engine.
         let mut i = 0;
         while i < active.len() {
             if active[i].warps.iter().all(|w| w.status == WarpStatus::Done) {
-                let retired = active.swap_remove(i);
-                retire_order.push(retired.wg_id);
+                active.swap_remove(i);
                 if next_wg < num_wgs {
                     active.push(make_wg(next_wg));
                     next_wg += 1;
@@ -1486,7 +1480,7 @@ fn control_replay<K: Kernel>(
             }
         }
     }
-    MergeableOracle { rounds, retire_order, scripts, total_steps }
+    MergeableOracle { scripts, total_steps }
 }
 
 /// What one isolated work-group run reports back to the merge step.
@@ -1565,9 +1559,9 @@ fn run_wg_isolated<K: Kernel>(
     }
 }
 
-/// Slot replay for [`Coordination::WgLocal`] launches: reconstruct the
-/// serial engine's global round count and swap-remove retirement order from
-/// the per-WG isolated round counts without re-executing anything.
+/// Slot replay: reconstruct the serial engine's global round count and
+/// swap-remove retirement order from the per-WG isolated round counts
+/// without re-executing anything.
 fn slot_replay(outs: &[WgOut], resident_cap: usize, num_wgs: usize) -> (u64, Vec<usize>) {
     let initial = resident_cap.min(num_wgs);
     let mut slots: Vec<usize> = (0..initial).collect();
@@ -1611,13 +1605,14 @@ fn slot_replay(outs: &[WgOut], resident_cap: usize, num_wgs: usize) -> (u64, Vec
 /// * **Counters** — merged from per-WG subtotals in canonical wg order; all
 ///   f64 counter increments are integer-valued (see [`Counters::merge`]), so
 ///   the regrouped sums are bit-exact.
-/// * **Round count and retirement order** — for WgLocal, replayed over
-///   residency *slots*: each WG occupies a slot for its isolated round
-///   count `R_g` (its per-round behaviour depends only on itself),
-///   reproducing the serial engine's `rounds`, its swap-remove retire order
-///   (which orders `total_chain_cycles` accumulation and warp-span
-///   sampling), and its sequential admissions. For CrossWgClaims both come
-///   straight from the control replay, which ran the serial skeleton.
+/// * **Round count and retirement order** — replayed over residency
+///   *slots*: each WG occupies a slot for its isolated round count `R_g`
+///   (its per-round behaviour depends only on itself — for CrossWgClaims
+///   because its claim outcomes come from the script, so its isolated run
+///   steps exactly as it did inside the control replay), reproducing the
+///   serial engine's `rounds`, its swap-remove retire order (which orders
+///   `total_chain_cycles` accumulation and warp-span sampling), and its
+///   sequential admissions.
 #[allow(clippy::too_many_arguments)]
 fn launch_parallel<K: Kernel, R: Recorder>(
     dev: &DeviceSpec,
@@ -1703,20 +1698,15 @@ fn launch_parallel<K: Kernel, R: Recorder>(
         counters.merge(&o.counters);
     }
 
-    let (rounds, retire_order) = match mergeable {
-        // The control replay ran the exact serial loop skeleton, so its
-        // round count and retirement order are the serial engine's; the
-        // total-step cross-check catches any control/step divergence that
-        // happened to keep every per-warp script length intact.
-        Some(p) => {
-            assert_eq!(
-                counters.warp_steps, p.oracle.total_steps,
-                "replayed warp steps diverged from the control replay"
-            );
-            (p.oracle.rounds, p.oracle.retire_order.clone())
-        }
-        None => slot_replay(&outs, resident_cap, num_wgs),
-    };
+    // The total-step cross-check catches any control/step divergence that
+    // happened to keep every per-warp script length intact.
+    if let Some(p) = mergeable {
+        assert_eq!(
+            counters.warp_steps, p.oracle.total_steps,
+            "replayed warp steps diverged from the control replay"
+        );
+    }
+    let (rounds, retire_order) = slot_replay(&outs, resident_cap, num_wgs);
 
     // Chain totals and span sampling in exact serial retirement order, so
     // even non-integer chain cycles accumulate bit-identically.

@@ -18,8 +18,6 @@
 //! * [`host`] — the §6 virtual in-place transposition (synchronous and
 //!   asynchronous with Q command queues),
 //! * [`autotune`] — §7.4 exhaustive / pruned tile search,
-//! * [`coprime`] — the general-dimension (prime-safe) decomposition the
-//!   paper's footnote 6 points at,
 //! * [`multi`] — the multi-GPU scheme of the paper's future-work section,
 //! * [`serve`] — a batched, plan-cached serving layer over all of the
 //!   above (deadline-ordered bounded admission, same-shape coalescing,
@@ -35,7 +33,6 @@
 pub mod autotune;
 pub mod bs;
 pub mod c2r;
-pub mod coprime;
 pub mod explore;
 pub mod fleet;
 pub mod host;
@@ -56,7 +53,6 @@ pub use autotune::{
 };
 pub use bs::BsKernel;
 pub use c2r::{c2r_scratch_words, pass_layout, transpose_c2r_on_device, C2rLinePass, C2rPassKind};
-pub use coprime::{transpose_coprime_on_device, CoprimeColShuffle, CoprimeRowScramble};
 pub use explore::{
     explore_case, pct_sweep, run_race_case, tiny_device, BrokenPttwac010, RaceTarget,
     SweepFailure, SweepOutcome,

@@ -759,17 +759,15 @@ pub fn transpose_with_recovery_elems_rec<R: Recorder>(
 /// * [`Scheme::Identity`](ipt_core::Scheme): row/column vectors are their
 ///   own transpose in memory — the data is returned unchanged with a clean
 ///   report (nothing to verify, nothing can fail),
-/// * [`Scheme::Coprime`](ipt_core::Scheme): the two-phase device kernels
-///   with an element-exact check; on failure (e.g. a row/column too long
-///   for local memory) the chain degrades to the out-of-place kernel and
-///   then the host path,
-/// * every staged scheme (`staged`, `gcd-tiled`, `square-tiled`,
-///   `single-stage`): [`transpose_with_recovery_elems`] on the decision's
-///   plan.
+/// * [`Scheme::C2R`](ipt_core::Scheme): the C2R device passes with an
+///   element-exact check; on failure the chain degrades to the
+///   out-of-place kernel and then the host path,
+/// * every staged scheme (`staged`, `gcd-tiled`, `square-tiled`):
+///   [`transpose_with_recovery_elems`] on the decision's plan.
 ///
 /// `elem_words` is the element size in 32-bit words (1 for `f32`/`u32`,
-/// 2 for `f64`). Coprime device kernels are word-granular, so wide
-/// elements on a coprime shape go straight to the (verified) host path.
+/// 2 for `f64`). C2R device kernels are word-granular, so wide elements on
+/// a C2R shape go straight to the (verified) host path.
 ///
 /// # Errors
 /// [`TransposeError`] on configuration errors, or any pipeline error when
@@ -802,7 +800,7 @@ pub fn transpose_scheme_with_recovery(
 /// [`transpose_scheme_with_recovery`] instrumented with a [`Recorder`]:
 /// staged-family schemes thread the recorder through validated recovery,
 /// so kernel-launch spans land inside any ambient trace context the
-/// serving layer pushed (coprime/identity short-circuits stay
+/// serving layer pushed (C2R/identity short-circuits stay
 /// span-silent; their outcome is still visible in the returned report).
 /// With [`NoopRecorder`] this is exactly
 /// [`transpose_scheme_with_recovery`].
@@ -848,92 +846,8 @@ pub fn transpose_scheme_with_recovery_rec<R: Recorder>(
         // itself in linear storage. No device work, no failure modes.
         Scheme::Identity => Ok((PipelineStats::default(), RecoveryReport::new(RecoveryPath::Primary))),
 
-        Scheme::Coprime => {
-            if !ipt_core::coprime::is_coprime_shape(rows, cols) {
-                return Err(TransposeError::InvalidConfig {
-                    what: format!(
-                        "decision says coprime but gcd({rows}, {cols}) ≠ 1 — stale decision?"
-                    ),
-                });
-            }
-            let mut report = RecoveryReport::new(RecoveryPath::Primary);
-            let original = host_data.clone();
-            // Word-sized elements: the two-phase device kernels.
-            if elem_words == 1 {
-                let data = sim.try_alloc(words).ok_or(TransposeError::DeviceOom {
-                    need: words,
-                    free: sim.free_words(),
-                })?;
-                sim.upload_u32(data, &original);
-                let attempt = crate::coprime::transpose_coprime_on_device(
-                    sim,
-                    data,
-                    rows,
-                    cols,
-                    opts.wg_size,
-                )
-                .map_err(TransposeError::from)
-                .and_then(|stats| {
-                    let result = sim.download_u32(data);
-                    verify_exact(&original, &result, rows, cols)?;
-                    Ok((stats, result))
-                });
-                match attempt {
-                    Ok((stats, result)) => {
-                        report.faults = sim.fault_records();
-                        *host_data = result;
-                        return Ok((stats, report));
-                    }
-                    Err(e) => {
-                        if !policy.allow_fallback {
-                            return Err(e);
-                        }
-                        report.primary_error = Some(e.to_string());
-                    }
-                }
-                // Out-of-place fallback, if a second copy fits.
-                sim.upload_u32(data, &original);
-                report.path = RecoveryPath::OutOfPlace;
-                if let Some(dst) = sim.try_alloc(words) {
-                    let oop = crate::oop::OopTranspose { src: data, dst, rows, cols };
-                    if let Ok(stats) = sim.launch(&oop) {
-                        let result = sim.download_u32(dst);
-                        if verify_exact(&original, &result, rows, cols).is_ok() {
-                            sim.upload_u32(data, &result);
-                            report.faults = sim.fault_records();
-                            *host_data = result;
-                            return Ok((
-                                PipelineStats { stages: vec![stats], overhead_s: 0.0 },
-                                report,
-                            ));
-                        }
-                    }
-                }
-            } else {
-                if !policy.allow_fallback {
-                    return Err(TransposeError::InvalidConfig {
-                        what: format!(
-                            "coprime device kernels are word-granular; {elem_words}-word \
-                             elements need the host fallback, which the policy disallows"
-                        ),
-                    });
-                }
-                report.primary_error = Some(
-                    "coprime device kernels are word-granular; wide elements served by the \
-                     host path"
-                        .into(),
-                );
-            }
-            // Host tail — cannot fail.
-            report.path = RecoveryPath::HostSequential;
-            report.faults = sim.fault_records();
-            *host_data = host_transpose_elems(&original, rows, cols, elem_words);
-            Ok((PipelineStats::default(), report))
-        }
-
-        // C2R/R2C decomposition: total over every shape (no coprimality
-        // guard to go stale), so the chain is device kernels → out-of-place
-        // retry → host tail, same shape as the coprime arm it supersedes.
+        // C2R/R2C decomposition: total over every shape, so the chain is
+        // device kernels → out-of-place retry → host tail.
         Scheme::C2R => {
             let mut report = RecoveryReport::new(RecoveryPath::Primary);
             let original = host_data.clone();
@@ -1004,10 +918,10 @@ pub fn transpose_scheme_with_recovery_rec<R: Recorder>(
             Ok((PipelineStats::default(), report))
         }
 
-        // Staged family: square-tiled, heuristic staged, gcd-tiled and the
-        // conservative single-stage all execute as (possibly degenerate)
-        // stage plans under the standard validated-recovery chain.
-        Scheme::SquareTiled | Scheme::Staged | Scheme::GcdTiled | Scheme::SingleStage => {
+        // Staged family: square-tiled, heuristic staged and gcd-tiled all
+        // execute as (possibly degenerate) stage plans under the standard
+        // validated-recovery chain.
+        Scheme::SquareTiled | Scheme::Staged | Scheme::GcdTiled => {
             let plan = decision
                 .staged_plan(rows, cols)
                 .expect("staged-family schemes always yield a plan");
@@ -1346,36 +1260,6 @@ mod tests {
     }
 
     #[test]
-    fn scheme_recovery_explicit_coprime_still_runs() {
-        // The planner no longer emits Coprime, but a hand-picked decision
-        // stays a valid executable scheme.
-        let (r, c) = (127, 61);
-        let d = ipt_core::PlanDecision {
-            scheme: ipt_core::Scheme::Coprime,
-            reason: ipt_core::FallbackReason::NoFeasibleTile { rows: r, cols: c },
-            tile: None,
-        };
-        let mut sim = Sim::new(DeviceSpec::tesla_k20(), 2 * r * c + 64);
-        let opts = GpuOptions::tuned_for(sim.device());
-        let mut data = Matrix::iota(r, c).into_vec();
-        let want = Matrix::iota(r, c).transposed().into_vec();
-        let (stats, report) = transpose_scheme_with_recovery(
-            &mut sim,
-            &mut data,
-            r,
-            c,
-            1,
-            &d,
-            &opts,
-            &RecoveryPolicy::default(),
-        )
-        .unwrap();
-        assert_eq!(data, want);
-        assert_eq!(report.path, RecoveryPath::Primary);
-        assert_eq!(stats.stages.len(), 2, "row scramble + column shuffle");
-    }
-
-    #[test]
     fn scheme_recovery_c2r_wide_elements_use_verified_host_path() {
         let (r, c) = (127, 61);
         let d = decide(r, c);
@@ -1445,32 +1329,5 @@ mod tests {
         .unwrap();
         assert_eq!(data, host_transpose_elems(&original, 72, 60, 2));
         assert!(report.clean(), "{report:?}");
-    }
-
-    #[test]
-    fn scheme_recovery_stale_coprime_decision_is_typed() {
-        use ipt_core::{FallbackReason, PlanDecision, Scheme};
-        // A hand-forged decision that lies about coprimality must be a
-        // typed error, not a panic.
-        let bogus = PlanDecision {
-            scheme: Scheme::Coprime,
-            reason: FallbackReason::NoFeasibleTile { rows: 64, cols: 48 },
-            tile: None,
-        };
-        let mut sim = Sim::new(DeviceSpec::tesla_k20(), 64 * 48 + 64);
-        let opts = GpuOptions::tuned_for(sim.device());
-        let mut data = Matrix::iota(64, 48).into_vec();
-        let err = transpose_scheme_with_recovery(
-            &mut sim,
-            &mut data,
-            64,
-            48,
-            1,
-            &bogus,
-            &opts,
-            &RecoveryPolicy::default(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, TransposeError::InvalidConfig { .. }), "{err}");
     }
 }

@@ -119,10 +119,10 @@ pub struct CachedPlan {
     /// The (possibly tuned) scheme decision.
     pub decision: PlanDecision,
     /// What the autotune search did — `TuneLog::default()` for schemes
-    /// that need no tuning (identity, coprime) and for snapshot-restored
+    /// that need no tuning (identity) and for snapshot-restored
     /// plans (the snapshot archives the decision, not the search).
     pub tune: TuneLog,
-    /// The executable plan, `None` for identity / coprime / c2r schemes.
+    /// The executable plan, `None` for identity / c2r schemes.
     pub plan: Option<StagePlan>,
     /// Tuned work-group size — `Some` only for [`Scheme::C2R`] plans,
     /// where the wg sweep replaces the tile search; execution overrides
@@ -222,7 +222,7 @@ impl PlanCache {
 /// Build the plan for one key: scheme decision, then — for the staged
 /// scheme — the §7.4 pruned autotune search (the expensive part the cache
 /// amortizes). Deterministic and total: every shape gets a plan decision,
-/// prime shapes route to coprime/host fallbacks instead of panicking.
+/// prime shapes route to the C2R or gcd-tile fallbacks instead of panicking.
 #[must_use]
 pub fn build_plan<R: Recorder>(
     dev: &DeviceSpec,
@@ -1522,7 +1522,8 @@ mod tests {
         let cfg = ServeConfig::new(&dev);
         let mut srv = Server::new(dev, cfg);
         let rec = TraceRecorder::new();
-        // Staged, square, identity, coprime, wide-element staged.
+        // Staged, square, identity, c2r (127×61 is coprime), wide-element
+        // staged.
         let reqs = vec![
             req(0, 72, 60, 4),
             req(1, 60, 60, 4),
@@ -1884,17 +1885,24 @@ mod tests {
             srv.restore_snapshot(&foreign, &rec).unwrap_err(),
             SnapshotError::DeviceMismatch { .. }
         ));
-        // Malformed entry (unknown scheme) — all-or-nothing, nothing kept.
-        let bad_entry = format!(
-            "{{\"snapshot_version\": {SNAPSHOT_VERSION}, \"device\": \"{}\", \"entries\": \
-             [{{\"rows\": 4, \"cols\": 4, \"elem_bytes\": 4, \"scheme\": \"alien\", \
-             \"reason\": \"preferred\", \"tile_m\": null, \"tile_n\": null}}]}}",
-            dev.name
-        );
-        assert!(matches!(
-            srv.restore_snapshot(&bad_entry, &rec).unwrap_err(),
-            SnapshotError::Malformed { .. }
-        ));
+        // Malformed entry (unknown or retired scheme) — all-or-nothing,
+        // nothing kept. The retired device schemes are refused rather than
+        // misrestored as some other plan.
+        for scheme in ["alien", "coprime", "single-stage"] {
+            let bad_entry = format!(
+                "{{\"snapshot_version\": {SNAPSHOT_VERSION}, \"device\": \"{}\", \"entries\": \
+                 [{{\"rows\": 4, \"cols\": 4, \"elem_bytes\": 4, \"scheme\": \"{scheme}\", \
+                 \"reason\": \"preferred\", \"tile_m\": null, \"tile_n\": null}}]}}",
+                dev.name
+            );
+            assert!(
+                matches!(
+                    srv.restore_snapshot(&bad_entry, &rec).unwrap_err(),
+                    SnapshotError::Malformed { .. }
+                ),
+                "{scheme}"
+            );
+        }
         assert_eq!(srv.cache().len(), 0, "rejected snapshots restore nothing");
         assert_eq!(
             rec.counter("serve", Counter::SnapshotRestores),

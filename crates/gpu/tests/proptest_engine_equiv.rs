@@ -16,7 +16,6 @@ use gpu_sim::{
 use ipt_core::InstancedTranspose;
 use ipt_gpu::bs::BsKernel;
 use ipt_gpu::c2r::{C2rLinePass, C2rPassKind};
-use ipt_gpu::coprime::{CoprimeColShuffle, CoprimeRowScramble};
 use ipt_gpu::oop::OopTranspose;
 use ipt_gpu::opts::{ClaimBackoff, FlagLayout, Variant100};
 use ipt_gpu::pttwac010::Pttwac010;
@@ -29,8 +28,6 @@ use proptest::prelude::*;
 enum Fam {
     Bs,
     P010,
-    CoprimeRow,
-    CoprimeCol,
     C2rRotate,
     C2rRows,
     C2rCols,
@@ -49,11 +46,9 @@ enum Fam {
     P100Backoff,
 }
 
-const FAMS: [Fam; 13] = [
+const FAMS: [Fam; 11] = [
     Fam::Bs,
     Fam::P010,
-    Fam::CoprimeRow,
-    Fam::CoprimeCol,
     Fam::C2rRotate,
     Fam::C2rRows,
     Fam::C2rCols,
@@ -64,10 +59,6 @@ const FAMS: [Fam; 13] = [
     Fam::P100Fused,
     Fam::P100Backoff,
 ];
-
-fn gcd(a: usize, b: usize) -> usize {
-    if b == 0 { a } else { gcd(b, a % b) }
-}
 
 fn is_p100(fam: Fam) -> bool {
     matches!(fam, Fam::P100 | Fam::P100Sung | Fam::P100Reg | Fam::P100Fused | Fam::P100Backoff)
@@ -111,17 +102,6 @@ fn run_under(
     sup: usize,
     engine: EngineMode,
 ) -> Observed {
-    // Coprime stages need coprime dimensions; nudge cols until they are.
-    let (rows, cols) = match fam {
-        Fam::CoprimeRow | Fam::CoprimeCol => {
-            let mut c = cols;
-            while gcd(rows, c) != 1 {
-                c += 1;
-            }
-            (rows, c)
-        }
-        _ => (rows, cols),
-    };
     let super_size = if is_p100(fam) { p100_cfg(fam, sup).2 } else { 1 };
     let op = InstancedTranspose::new(instances, rows, cols, super_size);
     let flag_words = Pttwac100::flag_words(instances * rows * cols);
@@ -148,17 +128,9 @@ fn run_under(
             };
             sim.launch_rec(&k, &rec, 0.0).expect("010 launch")
         }
-        Fam::CoprimeRow => {
-            let k = CoprimeRowScramble::new(data, rows, cols, 64);
-            sim.launch_rec(&k, &rec, 0.0).expect("coprime-row launch")
-        }
-        Fam::CoprimeCol => {
-            let k = CoprimeColShuffle { data, rows, cols, wg_size: 64 };
-            sim.launch_rec(&k, &rec, 0.0).expect("coprime-col launch")
-        }
         Fam::C2rRotate | Fam::C2rRows | Fam::C2rCols => {
             // C2R passes are WgLocal whatever the gcd, so the parallel
-            // engine must cover them natively — no shape nudging needed.
+            // engine must cover them natively.
             let geom = ipt_core::C2rGeometry::new(rows, cols);
             let kind = match fam {
                 Fam::C2rRotate => C2rPassKind::Rotate,
@@ -217,7 +189,7 @@ proptest! {
         sup in 1usize..6,
     ) {
         for fam in FAMS {
-            // Coprime/OOP families ignore `instances` (single matrix);
+            // C2R/OOP families ignore `instances` (single matrix);
             // the 100! families sweep it too (multi-instance claims).
             let inst = if matches!(fam, Fam::Bs | Fam::P010) || is_p100(fam) {
                 instances

@@ -100,17 +100,6 @@ proptest! {
         }
     }
 
-    #[test]
-    fn coprime_device_any_shape(rows in 2usize..80, cols in 2usize..80) {
-        prop_assume!(ipt_core::coprime::is_coprime_shape(rows, cols));
-        let mut sim = Sim::new(DeviceSpec::tesla_k20(), rows * cols + 8);
-        let buf = sim.alloc(rows * cols);
-        let m = Matrix::iota(rows, cols);
-        sim.upload_u32(buf, m.as_slice());
-        ipt_gpu::coprime::transpose_coprime_on_device(&sim, buf, rows, cols, 128).unwrap();
-        prop_assert_eq!(sim.download_u32(buf), m.transposed().into_vec());
-    }
-
     /// The C2R device pipeline needs no coprimality assumption: it is
     /// total over every shape, and bit-identical to the host sequential
     /// reference.

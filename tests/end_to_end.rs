@@ -173,13 +173,16 @@ fn repro_experiment_smoke() {
 #[test]
 fn dominance_gate_smoke() {
     // The C2R dominance sweep end-to-end: the prime-shape gate must hold
-    // (C2R beats coprime on every contested shape, and no planner probe —
-    // including the 7919×104729 paper-class shapes — resolves to coprime
-    // cycle-following or the single-stage pass).
+    // (C2R beats the staged plan and the single-stage pass on every
+    // gcd = 1 shape), and the planner sends the 7919×104729 paper-class
+    // shape to C2R.
     use ipt_bench::experiments::dominance;
     use ipt_bench::workloads::Scale;
     let (rows, probes, summary) = dominance::run(&DeviceSpec::tesla_k20(), Scale::Reduced);
     assert!(!rows.is_empty());
-    assert!(probes.iter().any(|p| p.rows == 7919 && p.cols == 104_729));
+    assert!(summary.gcd1_shapes > 0);
+    assert_eq!(summary.c2r_wins, summary.gcd1_shapes);
+    let paper_class = probes.iter().find(|p| p.rows == 7919 && p.cols == 104_729);
+    assert_eq!(paper_class.map(|p| p.scheme.as_str()), Some("c2r"));
     assert!(summary.passed, "dominance gate failed: {summary:?}");
 }
