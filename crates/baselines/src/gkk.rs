@@ -94,7 +94,14 @@ struct Shared<T> {
     ptr: *mut T,
     len: usize,
 }
+// SAFETY: `ptr` and `len` describe the buffer `shift_segmented` borrows
+// mutably for as long as the handle lives (it never escapes that call), so
+// sending the handle moves only the right to move those `T`s: `T: Send`.
 unsafe impl<T: Send> Send for Shared<T> {}
+// SAFETY: threads sharing `&Shared` read and write `T`s at `ptr` only
+// through `at`, and within each phase the segments touch pairwise disjoint
+// super-elements, so each `T` is handed between threads rather than
+// shared: `T: Send` suffices. `len` is only read.
 unsafe impl<T: Send> Sync for Shared<T> {}
 
 impl<T> Shared<T> {
@@ -185,7 +192,7 @@ fn run_stage<T: Copy + Send + Sync>(op: &StageOp, data: &mut [T], threads: usize
                 shift_segmented(data, &perm, op.super_size, &buckets);
             }
         }
-        StageOp::Fused(f) => f.apply_par(data),
+        StageOp::Fused(f) => f.apply_seq(data),
     }
 }
 

@@ -174,16 +174,26 @@ pub fn check_report(
             .and_then(|p| p.get("sim_threads"))
             .and_then(Value::as_u64)
             .is_some_and(|t| t == fresh.provenance.sim_threads);
+    // Wall times (`wall_*_ms`) are lower-is-better, like `slo_*`; wall
+    // gains and rates (`wall_gain_x`, `wall_gbps`) are higher-is-better.
     let base_wall = if wall_comparable { extract_wall_metrics(base_rows) } else { Vec::new() };
     if !base_wall.is_empty() {
+        let is_time = |m: &Metric| m.path.ends_with("_ms");
         let mut fresh_wall = extract_wall_metrics(&fresh.rows);
         if inject_slowdown_pct != 0.0 {
             let factor = 1.0 - inject_slowdown_pct / 100.0;
             for m in &mut fresh_wall {
-                m.value *= factor;
+                if is_time(m) {
+                    m.value /= factor;
+                } else {
+                    m.value *= factor;
+                }
             }
         }
-        regressions.extend(compare_metrics(&base_wall, &fresh_wall, DEFAULT_WALL_TOLERANCE));
+        let (base_times, base_rates): (Vec<Metric>, Vec<Metric>) =
+            base_wall.iter().cloned().partition(is_time);
+        regressions.extend(compare_metrics(&base_rates, &fresh_wall, DEFAULT_WALL_TOLERANCE));
+        regressions.extend(compare_slo_metrics(&base_times, &fresh_wall, DEFAULT_WALL_TOLERANCE));
     }
 
     // SLO metrics (`slo_*`: queue-wait percentiles, shed/reject rates)
@@ -287,10 +297,11 @@ mod tests {
     struct WallRow {
         gbps: f64,
         wall_gain_x: f64,
+        wall_parallel_ms: f64,
     }
 
-    fn wall_report(gain: f64, engine: &str, threads: usize) -> BenchReport {
-        let rows = vec![WallRow { gbps: 40.0, wall_gain_x: gain }];
+    fn wall_report(gain: f64, parallel_ms: f64, engine: &str, threads: usize) -> BenchReport {
+        let rows = vec![WallRow { gbps: 40.0, wall_gain_x: gain, wall_parallel_ms: parallel_ms }];
         make_report_engine(
             "simperf",
             &DeviceSpec::tesla_k20(),
@@ -304,32 +315,41 @@ mod tests {
 
     #[test]
     fn wall_metrics_gate_with_wide_tolerance() {
-        let base = wall_report(3.0, "parallel", 4);
+        let base = wall_report(3.0, 100.0, "parallel", 4);
         let baseline = serde_json::to_string_pretty(&base).unwrap();
+        let check = |gain, ms| {
+            check_report(&baseline, &wall_report(gain, ms, "parallel", 4), DEFAULT_TOLERANCE, 0.0)
+                .unwrap()
+        };
         // Same engine + threads: wall metrics are compared.
-        let out =
-            check_report(&baseline, &wall_report(3.0, "parallel", 4), DEFAULT_TOLERANCE, 0.0)
-                .unwrap();
-        assert_eq!(out.wall_compared, 1);
+        let out = check(3.0, 100.0);
+        assert_eq!(out.wall_compared, 2);
         assert!(out.passed());
-        // A 30% wall slowdown sits inside the 60% wall tolerance.
-        let out =
-            check_report(&baseline, &wall_report(2.1, "parallel", 4), DEFAULT_TOLERANCE, 0.0)
-                .unwrap();
+        // A 30% wall slowdown sits inside the 60% wall tolerance, in both
+        // directions: a gain that fell, a time that rose.
+        let out = check(2.1, 130.0);
         assert!(out.passed(), "{:?}", out.regressions);
-        // Collapsing to serial speed (-70%) trips the gate.
-        let out =
-            check_report(&baseline, &wall_report(0.9, "parallel", 4), DEFAULT_TOLERANCE, 0.0)
-                .unwrap();
+        // Getting faster never fails: a higher gain, a lower time.
+        let out = check(6.0, 40.0);
+        assert!(out.passed(), "{:?}", out.regressions);
+        // Collapsing to serial speed (-70% gain) trips the gate.
+        let out = check(0.9, 100.0);
         assert!(!out.passed());
         assert_eq!(out.regressions[0].path, "0/wall_gain_x");
+        // So does a wall time that rose past the tolerance.
+        let out = check(3.0, 170.0);
+        assert!(!out.passed());
+        assert_eq!(out.regressions[0].path, "0/wall_parallel_ms");
+        // The slowdown self-test moves both kinds the wrong way.
+        let out = check_report(&baseline, &base, DEFAULT_TOLERANCE, 70.0).unwrap();
+        assert_eq!(out.regressions.len(), 3, "gbps, wall_gain_x and wall_parallel_ms");
     }
 
     #[test]
     fn wall_metrics_skip_on_engine_or_thread_mismatch() {
-        let base = wall_report(3.0, "parallel", 4);
+        let base = wall_report(3.0, 100.0, "parallel", 4);
         let baseline = serde_json::to_string_pretty(&base).unwrap();
-        for fresh in [wall_report(0.5, "serial", 4), wall_report(0.5, "parallel", 1)] {
+        for fresh in [wall_report(0.5, 900.0, "serial", 4), wall_report(0.5, 900.0, "parallel", 1)] {
             let out = check_report(&baseline, &fresh, DEFAULT_TOLERANCE, 0.0).unwrap();
             assert_eq!(out.wall_compared, 0, "provenance mismatch must skip wall gate");
             assert!(out.passed(), "{:?}", out.regressions);

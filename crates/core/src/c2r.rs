@@ -38,6 +38,7 @@
 //! assert_eq!(t, a.transposed());
 //! ```
 
+use crate::elementary::parallel::SharedSlice;
 use crate::matrix::Matrix;
 use crate::numtheory::{gcd, mod_inverse};
 use rayon::prelude::*;
@@ -128,10 +129,14 @@ impl C2rGeometry {
     }
 }
 
-/// Stage column `col` into `tmp`, then overwrite it through the gather
-/// `src`: `col[k] = tmp[src(k)]`.
-fn apply_col_pass<T: Copy>(
-    data: &mut [T],
+/// Stage column `col` of the `M × N` buffer behind `data` into `tmp`,
+/// then overwrite it through the gather `src`: `col[k] = tmp[src(k)]`.
+///
+/// # Safety
+/// `data` holds `M·N` elements, `col < N`, and no other thread accesses
+/// column `col` during the call.
+unsafe fn apply_col_pass<T: Copy>(
+    data: &SharedSlice<'_, T>,
     geom: &C2rGeometry,
     col: usize,
     tmp: &mut Vec<T>,
@@ -139,9 +144,13 @@ fn apply_col_pass<T: Copy>(
 ) {
     let (m, n) = (geom.m, geom.n);
     tmp.clear();
-    tmp.extend((0..m).map(|r| data[r * n + col]));
+    // SAFETY: `r·N + col < M·N` for `r < M`, and it lies in column `col`,
+    // which the caller owns.
+    tmp.extend((0..m).map(|r| unsafe { data.get(r * n + col) }));
     for k in 0..m {
-        data[k * n + col] = tmp[src(k)];
+        let v = tmp[src(k)];
+        // SAFETY: as above, with `k < M`.
+        unsafe { data.set(k * n + col, v) };
     }
 }
 
@@ -164,15 +173,22 @@ pub fn transpose_c2r_seq<T: Copy>(data: &mut [T], m_rows: usize, n_cols: usize) 
     let geom = C2rGeometry::new(m_rows, n_cols);
     let mut tmp = Vec::with_capacity(m_rows.max(n_cols));
     if geom.needs_rotate() {
+        let data = SharedSlice::new(data);
         for q in 0..n_cols {
-            apply_col_pass(data, &geom, q, &mut tmp, |i| geom.rotate_src_row(i, q));
+            let src = |i| geom.rotate_src_row(i, q);
+            // SAFETY: the length is asserted above, `q < N`, and this
+            // thread holds the only borrow of the buffer.
+            unsafe { apply_col_pass(&data, &geom, q, &mut tmp, src) };
         }
     }
     for (i, row) in data.chunks_exact_mut(n_cols).enumerate() {
         apply_row_pass(row, &geom, i, &mut tmp);
     }
+    let data = SharedSlice::new(data);
     for col in 0..n_cols {
-        apply_col_pass(data, &geom, col, &mut tmp, |j_out| geom.col_shuffle_src_row(j_out, col));
+        let src = |j_out| geom.col_shuffle_src_row(j_out, col);
+        // SAFETY: as for the rotate pass.
+        unsafe { apply_col_pass(&data, &geom, col, &mut tmp, src) };
     }
 }
 
@@ -184,44 +200,34 @@ pub fn transpose_c2r_seq<T: Copy>(data: &mut [T], m_rows: usize, n_cols: usize) 
 pub fn transpose_c2r_par<T: Copy + Send + Sync>(data: &mut [T], m_rows: usize, n_cols: usize) {
     assert_eq!(data.len(), m_rows * n_cols);
     let geom = C2rGeometry::new(m_rows, n_cols);
-    // Columns: disjoint stride-N index sets; the same raw-pointer pattern
-    // as the cycle engine and `coprime::transpose_coprime_par`.
-    struct Ptr<T>(*mut T);
-    unsafe impl<T: Send> Sync for Ptr<T> {}
-    impl<T> Ptr<T> {
-        fn get(&self) -> *mut T {
-            self.0
-        }
-    }
-    let len = data.len();
-    let col_pass = |ptr: &Ptr<T>, src_for: &(dyn Fn(usize, usize) -> usize + Sync)| {
+    let col_pass = |data: &mut [T], src_for: &(dyn Fn(usize, usize) -> usize + Sync)| {
+        let data = SharedSlice::new(data);
         (0..n_cols).into_par_iter().for_each_init(
             || Vec::with_capacity(m_rows),
-            |tmp, col| {
-                // SAFETY: column `col` touches only offsets ≡ col (mod N);
-                // columns are pairwise disjoint.
-                let data = unsafe { std::slice::from_raw_parts_mut(ptr.get(), len) };
-                apply_col_pass(data, &geom, col, tmp, |k| src_for(k, col));
-            },
+            // SAFETY: the length is asserted above, `col < N`, and each
+            // column (the stride-N offsets ≡ col mod N) goes to one task.
+            |tmp, col| unsafe { apply_col_pass(&data, &geom, col, tmp, |k| src_for(k, col)) },
         );
     };
     if geom.needs_rotate() {
-        let ptr = Ptr(data.as_mut_ptr());
-        col_pass(&ptr, &|i, q| geom.rotate_src_row(i, q));
+        col_pass(data, &|i, q| geom.rotate_src_row(i, q));
     }
     data.par_chunks_exact_mut(n_cols).enumerate().for_each_init(
         || Vec::with_capacity(n_cols),
         |tmp, (i, row)| apply_row_pass(row, &geom, i, tmp),
     );
-    let ptr = Ptr(data.as_mut_ptr());
-    col_pass(&ptr, &|j_out, col| geom.col_shuffle_src_row(j_out, col));
+    col_pass(data, &|j_out, col| geom.col_shuffle_src_row(j_out, col));
 }
 
 /// Stage column `col` (elements of `ew` words each) into `tmp`, then
 /// overwrite it through the gather `src` — the wide-element twin of
 /// [`apply_col_pass`].
-fn apply_col_pass_elems(
-    data: &mut [u32],
+///
+/// # Safety
+/// `data` holds `M·N·ew` words, `col < N`, and no other thread accesses
+/// column `col` during the call.
+unsafe fn apply_col_pass_elems(
+    data: &SharedSlice<'_, u32>,
     geom: &C2rGeometry,
     col: usize,
     ew: usize,
@@ -231,11 +237,14 @@ fn apply_col_pass_elems(
     let (m, n) = (geom.m, geom.n);
     tmp.clear();
     for r in 0..m {
-        tmp.extend_from_slice(&data[(r * n + col) * ew..(r * n + col) * ew + ew]);
+        // SAFETY: element `r·N + col < M·N` lies in column `col`, which the
+        // caller owns.
+        unsafe { data.push_super(r * n + col, ew, tmp) };
     }
     for k in 0..m {
         let s = src(k) * ew;
-        data[(k * n + col) * ew..(k * n + col) * ew + ew].copy_from_slice(&tmp[s..s + ew]);
+        // SAFETY: as above, with `k < M`; `tmp` holds `M·ew` words.
+        unsafe { data.write_super(k * n + col, ew, &tmp[s..s + ew]) };
     }
 }
 
@@ -273,21 +282,25 @@ pub fn transpose_c2r_seq_elems(
     assert!(elem_words >= 1, "elements must be at least one word wide");
     assert_eq!(data.len(), m_rows * n_cols * elem_words);
     let geom = C2rGeometry::new(m_rows, n_cols);
-    let mut tmp = Vec::with_capacity(m_rows.max(n_cols) * elem_words);
+    let ew = elem_words;
+    let mut tmp = Vec::with_capacity(m_rows.max(n_cols) * ew);
     if geom.needs_rotate() {
+        let data = SharedSlice::new(data);
         for q in 0..n_cols {
-            apply_col_pass_elems(data, &geom, q, elem_words, &mut tmp, |i| {
-                geom.rotate_src_row(i, q)
-            });
+            let src = |i| geom.rotate_src_row(i, q);
+            // SAFETY: the length is asserted above, `q < N`, and this
+            // thread holds the only borrow of the buffer.
+            unsafe { apply_col_pass_elems(&data, &geom, q, ew, &mut tmp, src) };
         }
     }
-    for (i, row) in data.chunks_exact_mut(n_cols * elem_words).enumerate() {
-        apply_row_pass_elems(row, &geom, i, elem_words, &mut tmp);
+    for (i, row) in data.chunks_exact_mut(n_cols * ew).enumerate() {
+        apply_row_pass_elems(row, &geom, i, ew, &mut tmp);
     }
+    let data = SharedSlice::new(data);
     for col in 0..n_cols {
-        apply_col_pass_elems(data, &geom, col, elem_words, &mut tmp, |j_out| {
-            geom.col_shuffle_src_row(j_out, col)
-        });
+        let src = |j_out| geom.col_shuffle_src_row(j_out, col);
+        // SAFETY: as for the rotate pass.
+        unsafe { apply_col_pass_elems(&data, &geom, col, ew, &mut tmp, src) };
     }
 }
 
@@ -307,30 +320,25 @@ pub fn transpose_c2r_par_elems(
     assert_eq!(data.len(), m_rows * n_cols * elem_words);
     let ew = elem_words;
     let geom = C2rGeometry::new(m_rows, n_cols);
-    struct Ptr(*mut u32);
-    unsafe impl Sync for Ptr {}
-    let len = data.len();
-    let col_pass = |ptr: &Ptr, src_for: &(dyn Fn(usize, usize) -> usize + Sync)| {
+    let col_pass = |data: &mut [u32], src_for: &(dyn Fn(usize, usize) -> usize + Sync)| {
+        let data = SharedSlice::new(data);
         (0..n_cols).into_par_iter().for_each_init(
             || Vec::with_capacity(m_rows * ew),
-            |tmp, col| {
-                // SAFETY: column `col` touches only words whose element
-                // index is ≡ col (mod N); columns are pairwise disjoint.
-                let data = unsafe { std::slice::from_raw_parts_mut(ptr.0, len) };
-                apply_col_pass_elems(data, &geom, col, ew, tmp, |k| src_for(k, col));
+            // SAFETY: the length is asserted above, `col < N`, and each
+            // column (elements ≡ col mod N) goes to exactly one task.
+            |tmp, col| unsafe {
+                apply_col_pass_elems(&data, &geom, col, ew, tmp, |k| src_for(k, col));
             },
         );
     };
     if geom.needs_rotate() {
-        let ptr = Ptr(data.as_mut_ptr());
-        col_pass(&ptr, &|i, q| geom.rotate_src_row(i, q));
+        col_pass(data, &|i, q| geom.rotate_src_row(i, q));
     }
     data.par_chunks_exact_mut(n_cols * ew).enumerate().for_each_init(
         || Vec::with_capacity(n_cols * ew),
         |tmp, (i, row)| apply_row_pass_elems(row, &geom, i, ew, tmp),
     );
-    let ptr = Ptr(data.as_mut_ptr());
-    col_pass(&ptr, &|j_out, col| geom.col_shuffle_src_row(j_out, col));
+    col_pass(data, &|j_out, col| geom.col_shuffle_src_row(j_out, col));
 }
 
 /// Convenience wrapper over [`Matrix`].

@@ -36,6 +36,7 @@
 //! assert_eq!(t, a.transposed());
 //! ```
 
+use crate::elementary::parallel::SharedSlice;
 use crate::matrix::Matrix;
 use crate::numtheory::{gcd, mod_inverse};
 use rayon::prelude::*;
@@ -85,17 +86,26 @@ fn phase1_row<T: Copy>(row: &mut [T], r: usize, m_rows: usize, minv: usize, tmp:
     }
 }
 
-fn phase2_col<T: Copy>(
-    data: &mut [T],
+/// Phase 2 on column `c` of the `M × N` buffer behind `data`.
+///
+/// # Safety
+/// `data` holds `m_rows·n_cols` elements, `c < n_cols`, and no other
+/// thread accesses column `c` during the call.
+unsafe fn phase2_col<T: Copy>(
+    data: &SharedSlice<'_, T>,
     c: usize,
     m_rows: usize,
     n_cols: usize,
     tmp: &mut Vec<T>,
 ) {
     tmp.clear();
-    tmp.extend((0..m_rows).map(|r| data[r * n_cols + c]));
+    // SAFETY: `r·N + c < M·N` for `r < M`, and it lies in column `c`,
+    // which the caller owns.
+    tmp.extend((0..m_rows).map(|r| unsafe { data.get(r * n_cols + c) }));
     for j_out in 0..m_rows {
-        data[j_out * n_cols + c] = tmp[phase2_src_row(j_out, c, m_rows, n_cols)];
+        let v = tmp[phase2_src_row(j_out, c, m_rows, n_cols)];
+        // SAFETY: as above, with `j_out < M`.
+        unsafe { data.set(j_out * n_cols + c, v) };
     }
 }
 
@@ -113,8 +123,11 @@ pub fn transpose_coprime_seq<T: Copy>(data: &mut [T], m_rows: usize, n_cols: usi
     for (r, row) in data.chunks_exact_mut(n_cols).enumerate() {
         phase1_row(row, r, m_rows, minv, &mut tmp);
     }
+    let data = SharedSlice::new(data);
     for c in 0..n_cols {
-        phase2_col(data, c, m_rows, n_cols, &mut tmp);
+        // SAFETY: the length is asserted above, `c < N`, and this thread
+        // holds the only borrow of the buffer.
+        unsafe { phase2_col(&data, c, m_rows, n_cols, &mut tmp) };
     }
 }
 
@@ -135,26 +148,12 @@ pub fn transpose_coprime_par<T: Copy + Send + Sync>(
         || Vec::with_capacity(n_cols),
         |tmp, (r, row)| phase1_row(row, r, m_rows, minv, tmp),
     );
-    // Columns: disjoint stride-N index sets; use the same raw-pointer
-    // pattern as the cycle engine.
-    struct Ptr<T>(*mut T);
-    unsafe impl<T: Send> Sync for Ptr<T> {}
-    impl<T> Ptr<T> {
-        // A method so closures capture `&Ptr<T>` (which is `Sync`) rather
-        // than the bare `*mut T` field.
-        fn get(&self) -> *mut T {
-            self.0
-        }
-    }
-    let ptr = Ptr(data.as_mut_ptr());
+    let data = SharedSlice::new(data);
     (0..n_cols).into_par_iter().for_each_init(
         || Vec::with_capacity(m_rows),
-        |tmp, c| {
-            // SAFETY: column c touches only offsets ≡ c (mod n_cols);
-            // columns are pairwise disjoint.
-            let data = unsafe { std::slice::from_raw_parts_mut(ptr.get(), m_rows * n_cols) };
-            phase2_col(data, c, m_rows, n_cols, tmp);
-        },
+        // SAFETY: the length is asserted above, `c < N`, and each column
+        // (the stride-N offsets ≡ c mod N) goes to exactly one task.
+        |tmp, c| unsafe { phase2_col(&data, c, m_rows, n_cols, tmp) },
     );
 }
 

@@ -11,9 +11,11 @@
 //!    single dominant cycle. The Gustavson/Karlsson a-priori cycle *splitting*
 //!    that fixes this lives in `ipt-baselines::gkk`.
 
+use std::marker::PhantomData;
+
 use rayon::prelude::*;
 
-use super::{FusedTileTranspose, IndexPerm, InstancedTranspose, cycle_shift_seq};
+use super::{cycle_shift_seq_with, IndexPerm, InstancedTranspose};
 
 /// Enumerate cycle leaders (minimum offset of each cycle) and cycle lengths
 /// in a single O(len) pass using a visited bitmap (Berman-style bookkeeping,
@@ -45,41 +47,79 @@ pub fn find_cycle_leaders(perm: &impl IndexPerm) -> Vec<(usize, usize)> {
     out
 }
 
-/// Unsafe shared-slice handle allowing disjoint cycles to be shifted from
-/// multiple threads. Soundness: the caller must only touch index sets that
-/// are pairwise disjoint across threads — cycles of a permutation are.
-struct SharedSlice<T> {
+/// Shared handle to a mutably borrowed buffer, so several threads can
+/// move elements of index sets that are pairwise disjoint — the cycles of
+/// a permutation, the columns of a matrix — without any of them holding a
+/// `&mut` to the whole buffer (two live `&mut` to one buffer are undefined
+/// behaviour even when the indices they touch differ). Every access is
+/// `unsafe`: the caller guarantees it is in bounds and that no other
+/// thread touches the same index during the handle's life.
+pub(crate) struct SharedSlice<'a, T> {
     ptr: *mut T,
     len: usize,
+    _borrow: PhantomData<&'a mut [T]>,
 }
 
-unsafe impl<T: Send> Send for SharedSlice<T> {}
-unsafe impl<T: Send> Sync for SharedSlice<T> {}
+// SAFETY: `ptr` and `len` describe the buffer that `_borrow` keeps
+// mutably borrowed for the handle's whole life, so nothing else can reach
+// it; sending the handle moves only the right to move those `T`s, which
+// `T: Send` permits.
+unsafe impl<T: Send> Send for SharedSlice<'_, T> {}
+// SAFETY: through `&SharedSlice`, several threads read and write `T`s at
+// `ptr`; every accessor is `unsafe` and requires that no two threads touch
+// one index concurrently, so each `T` is handed between threads, never
+// shared, and `T: Send` suffices. `len` is never written after `new`.
+unsafe impl<T: Send> Sync for SharedSlice<'_, T> {}
 
-impl<T: Copy> SharedSlice<T> {
-    fn new(data: &mut [T]) -> Self {
-        Self { ptr: data.as_mut_ptr(), len: data.len() }
+impl<'a, T: Copy> SharedSlice<'a, T> {
+    pub(crate) fn new(data: &'a mut [T]) -> Self {
+        Self { ptr: data.as_mut_ptr(), len: data.len(), _borrow: PhantomData }
+    }
+
+    /// Read element `i`.
+    ///
+    /// # Safety
+    /// `i < len`, and no other thread writes element `i` concurrently.
+    pub(crate) unsafe fn get(&self, i: usize) -> T {
+        debug_assert!(i < self.len);
+        unsafe { self.ptr.add(i).read() }
+    }
+
+    /// Overwrite element `i` with `v`.
+    ///
+    /// # Safety
+    /// `i < len`, and no other thread accesses element `i` concurrently.
+    pub(crate) unsafe fn set(&self, i: usize, v: T) {
+        debug_assert!(i < self.len);
+        unsafe { self.ptr.add(i).write(v) };
     }
 
     /// Copy super-element `from` over super-element `to`.
     ///
     /// # Safety
-    /// Caller guarantees both ranges are in bounds and no other thread
-    /// accesses them concurrently.
+    /// Both `s`-element ranges are in bounds and no other thread accesses
+    /// them concurrently.
     unsafe fn copy_super(&self, from: usize, to: usize, s: usize) {
         debug_assert!(from * s + s <= self.len && to * s + s <= self.len);
         unsafe { std::ptr::copy_nonoverlapping(self.ptr.add(from * s), self.ptr.add(to * s), s) };
     }
 
-    unsafe fn read_super(&self, k: usize, s: usize, buf: &mut Vec<T>) {
-        buf.clear();
+    /// Append super-element `k` (`s` elements) to `buf`.
+    ///
+    /// # Safety
+    /// As [`SharedSlice::copy_super`], for the range of `k`.
+    pub(crate) unsafe fn push_super(&self, k: usize, s: usize, buf: &mut Vec<T>) {
+        debug_assert!(k * s + s <= self.len);
         unsafe { buf.extend_from_slice(std::slice::from_raw_parts(self.ptr.add(k * s), s)) };
     }
 
-    unsafe fn write_super(&self, k: usize, s: usize, buf: &[T]) {
-        unsafe {
-            std::ptr::copy_nonoverlapping(buf.as_ptr(), self.ptr.add(k * s), s);
-        }
+    /// Overwrite super-element `k` with `src[..s]`.
+    ///
+    /// # Safety
+    /// As [`SharedSlice::copy_super`], for the range of `k`; `src.len() >= s`.
+    pub(crate) unsafe fn write_super(&self, k: usize, s: usize, src: &[T]) {
+        debug_assert!(k * s + s <= self.len && src.len() >= s);
+        unsafe { std::ptr::copy_nonoverlapping(src.as_ptr(), self.ptr.add(k * s), s) };
     }
 }
 
@@ -87,16 +127,19 @@ impl<T: Copy> SharedSlice<T> {
 /// single temporary super-element.
 ///
 /// # Safety
-/// The cycle through `leader` must not be touched by any other thread.
+/// `data` holds `perm.len()·super_size` elements, and no other thread
+/// touches the cycle through `leader` during the call.
 unsafe fn shift_cycle<T: Copy>(
-    data: &SharedSlice<T>,
+    data: &SharedSlice<'_, T>,
     perm: &impl IndexPerm,
     leader: usize,
     super_size: usize,
 ) {
     let mut tmp = Vec::with_capacity(super_size);
+    // SAFETY: every cycle member is < perm.len(), so its super-element is
+    // in bounds, and the caller owns the whole cycle.
     unsafe {
-        data.read_super(leader, super_size, &mut tmp);
+        data.push_super(leader, super_size, &mut tmp);
         let mut cur = leader;
         let mut prev = perm.src(cur);
         while prev != leader {
@@ -126,14 +169,19 @@ pub fn cycle_shift_par<T: Copy + Send + Sync>(
     let mut leaders = leaders;
     leaders.sort_unstable_by_key(|&(_, len)| std::cmp::Reverse(len));
     leaders.par_iter().for_each(|&(leader, _len)| {
-        // SAFETY: cycles are pairwise disjoint index sets.
+        // SAFETY: the length is asserted above, and cycles are pairwise
+        // disjoint index sets, each shifted by exactly one task.
         unsafe { shift_cycle(&shared, perm, leader, super_size) };
     });
 }
 
 impl InstancedTranspose {
-    /// Execute in place with rayon: instances in parallel; a single instance
-    /// falls back to cycle-level parallelism.
+    /// Execute in place with rayon: instances in parallel, each worker
+    /// reusing one visited bitmap; a single instance of super-elements
+    /// falls back to cycle-level parallelism. A single instance of scalars
+    /// runs sequentially: there the up-front leader pass of
+    /// [`cycle_shift_par`] costs about as much as the whole sequential
+    /// shift, so the parallel shift loses at 2 threads.
     ///
     /// # Panics
     /// Panics if `data.len() != self.total_len()`.
@@ -142,25 +190,22 @@ impl InstancedTranspose {
         let perm = self.perm();
         let il = self.instance_len();
         if self.instances > 1 {
-            data.par_chunks_exact_mut(il).for_each(|chunk| {
-                cycle_shift_seq(chunk, &perm, self.super_size);
-            });
-        } else {
+            data.par_chunks_exact_mut(il).for_each_init(
+                || vec![false; IndexPerm::len(&perm)],
+                |visited, chunk| cycle_shift_seq_with(chunk, &perm, self.super_size, visited),
+            );
+        } else if self.super_size > 1 {
             cycle_shift_par(data, &perm, self.super_size);
+        } else {
+            self.apply_seq(data);
         }
-    }
-}
-
-impl FusedTileTranspose {
-    /// Execute in place with cycle-level parallelism.
-    pub fn apply_par<T: Copy + Send + Sync>(&self, data: &mut [T]) {
-        cycle_shift_par(data, self, 1);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::elementary::cycle_shift_seq;
     use crate::perm::cycle::TransposePerm;
 
     #[test]
@@ -193,7 +238,7 @@ mod tests {
 
     #[test]
     fn instanced_par_matches_seq_multi_instance() {
-        for &(i, r, c, s) in &[(4, 5, 3, 2), (16, 8, 8, 1), (3, 2, 9, 4), (1, 12, 7, 2)] {
+        for &(i, r, c, s) in &[(4, 5, 3, 2), (16, 8, 8, 1), (3, 2, 9, 4), (1, 12, 7, 2), (1, 12, 7, 1)] {
             let op = InstancedTranspose::new(i, r, c, s);
             let orig: Vec<u32> = (0..op.total_len() as u32).collect();
             let mut seq = orig.clone();
@@ -202,17 +247,6 @@ mod tests {
             op.apply_par(&mut par);
             assert_eq!(seq, par, "{i}x{r}x{c}x{s}");
         }
-    }
-
-    #[test]
-    fn fused_par_matches_seq() {
-        let f = FusedTileTranspose::new(4, 5, 3, 2);
-        let orig: Vec<u32> = (0..f.len() as u32).collect();
-        let mut seq = orig.clone();
-        f.apply_seq(&mut seq);
-        let mut par = orig.clone();
-        f.apply_par(&mut par);
-        assert_eq!(seq, par);
     }
 
     #[test]

@@ -124,11 +124,12 @@ impl StageOp {
         }
     }
 
-    /// Execute with rayon in place.
+    /// Execute with rayon in place. The fused op runs sequentially: its
+    /// cycle-parallel shift loses to the sequential one at 2 threads.
     pub fn apply_par<T: Copy + Send + Sync>(&self, data: &mut [T]) {
         match self {
             StageOp::Instanced(op) => op.apply_par(data),
-            StageOp::Fused(op) => op.apply_par(data),
+            StageOp::Fused(op) => op.apply_seq(data),
         }
     }
 }

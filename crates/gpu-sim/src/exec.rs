@@ -24,7 +24,7 @@
 //! launch may additionally request the **parallel work-group engine**
 //! ([`EngineMode::Parallel`]): kernels that declare
 //! [`Coordination::WgLocal`] — work-groups share no mutable global state —
-//! execute their work-groups concurrently on a scoped host-thread pool and
+//! execute their work-groups concurrently on the workspace's rayon pool and
 //! merge per-WG results in canonical order, producing memory images, stats,
 //! timings, and traces *bit-identical* to the serial round-robin path (see
 //! DESIGN.md §12 for the determinism argument). Kernels that declare
@@ -49,7 +49,7 @@ use crate::occupancy::{occupancy, KernelResources, Occupancy};
 use crate::report::{KernelStats, TimeBounds};
 use crate::sched::{Pick, Scheduler, Watchdog, WarpId};
 use ipt_obs::{Counter, Level, NoopRecorder, Recorder};
-use std::sync::Mutex;
+use rayon::prelude::*;
 
 /// Per-launch cap on recorded warp spans. Big grids retire millions of
 /// warps; a trace keeps the first `WARP_SPAN_CAP` and counts the rest in
@@ -126,14 +126,15 @@ pub enum EngineMode {
     /// The historic engine: one host thread, round-robin interleaving.
     #[default]
     Serial,
-    /// Run eligible work-groups concurrently on a scoped host-thread pool —
+    /// Run eligible work-groups concurrently on the rayon pool —
     /// [`Coordination::WgLocal`] kernels directly, and
     /// [`Coordination::CrossWgClaims`] kernels via the two-phase control
     /// replay; results are bit-identical to [`EngineMode::Serial`].
     /// Ineligible launches (plain CrossWg kernels, custom scheduler, fault
     /// source, or watchdog) silently fall back to serial.
     Parallel {
-        /// Worker threads; `0` = auto (`RAYON_NUM_THREADS`, else the
+        /// Worker threads; `0` = auto ([`rayon::current_num_threads`]: an
+        /// installed pool's width, else `RAYON_NUM_THREADS`, else the
         /// machine's available parallelism).
         threads: usize,
     },
@@ -151,7 +152,7 @@ impl EngineMode {
     pub fn resolved_threads(self) -> usize {
         match self {
             EngineMode::Serial => 1,
-            EngineMode::Parallel { threads: 0 } => auto_threads(),
+            EngineMode::Parallel { threads: 0 } => rayon::current_num_threads(),
             EngineMode::Parallel { threads } => threads,
         }
     }
@@ -164,25 +165,6 @@ impl EngineMode {
             EngineMode::Parallel { .. } => "parallel",
         }
     }
-}
-
-/// Worker-thread count when [`EngineMode::Parallel`] is asked to auto-size:
-/// `RAYON_NUM_THREADS` (the conventional pin, honoured so CI wall-clock
-/// tolerances are reproducible), else the machine's available parallelism.
-/// Resolved once per process: `resolved_threads()` sits on the launch path,
-/// and both the env lookup and `available_parallelism()` are syscalls — the
-/// pin must be set before the first parallel launch to take effect.
-fn auto_threads() -> usize {
-    static AUTO: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *AUTO.get_or_init(|| {
-        std::env::var("RAYON_NUM_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-            })
-    })
 }
 
 /// A simulated kernel.
@@ -1594,8 +1576,9 @@ fn slot_replay(outs: &[WgOut], resident_cap: usize, num_wgs: usize) -> (u64, Vec
 }
 
 /// The parallel work-group engine: run every work-group in isolation on a
-/// scoped host-thread pool, then deterministically reconstruct exactly what
-/// the serial round-robin engine would have produced:
+/// `threads`-wide rayon pool, in chunks of about `num_wgs / (threads·8)`
+/// work-groups, then deterministically reconstruct exactly what the serial
+/// round-robin engine would have produced:
 ///
 /// * **Memory image** — WgLocal work-groups write disjoint global words, so
 ///   execution order cannot change the final image. CrossWgClaims
@@ -1637,58 +1620,37 @@ fn launch_parallel<K: Kernel, R: Recorder>(
     };
     let mut outs: Vec<Option<WgOut>> = Vec::new();
     outs.resize_with(num_wgs, || None);
-    if threads <= 1 || num_wgs == 1 {
-        let mut scratch = empty_scratch();
-        for (g, slot) in outs.iter_mut().enumerate() {
-            *slot = Some(run_wg_isolated(
-                dev,
-                global,
-                kernel,
-                grid,
-                warps_per_wg,
-                g,
-                &mut scratch,
-                wg_replay(g).as_ref(),
-            ));
-        }
-    } else {
-        // Engage atomic RMWs for the duration of multi-threaded stepping
-        // (CrossWgClaims replays genuinely race on the flag words — the
-        // re-applied `fetch_or`s are what keeps the final flag image
-        // identical to serial).
-        global.set_parallel(true);
-        let chunk = num_wgs.div_ceil(threads * 8).max(1);
-        let mut work: Vec<(usize, &mut [Option<WgOut>])> = Vec::new();
-        for (ci, slice) in outs.chunks_mut(chunk).enumerate() {
-            work.push((ci * chunk, slice));
-        }
-        work.reverse(); // workers pop from the back → grid order first
-        let work = Mutex::new(work);
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| {
-                    let mut scratch = empty_scratch();
-                    loop {
-                        let item = work.lock().expect("sim worker poisoned").pop();
-                        let Some((start, slice)) = item else { break };
-                        for (off, slot) in slice.iter_mut().enumerate() {
-                            *slot = Some(run_wg_isolated(
-                                dev,
-                                global,
-                                kernel,
-                                grid,
-                                warps_per_wg,
-                                start + off,
-                                &mut scratch,
-                                wg_replay(start + off).as_ref(),
-                            ));
-                        }
-                    }
-                });
-            }
-        });
-        global.set_parallel(false);
-    }
+    // Engage atomic RMWs for the duration of multi-threaded stepping
+    // (CrossWgClaims replays genuinely race on the flag words — the
+    // re-applied `fetch_or`s are what keeps the final flag image identical
+    // to serial).
+    global.set_parallel(threads > 1 && num_wgs > 1);
+    let chunk = num_wgs.div_ceil(threads * 8).max(1);
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("a fixed-width pool builds");
+    pool.install(|| {
+        outs.par_chunks_mut(chunk).enumerate().for_each_init(
+            empty_scratch,
+            |scratch, (ci, slice)| {
+                for (off, slot) in slice.iter_mut().enumerate() {
+                    let g = ci * chunk + off;
+                    *slot = Some(run_wg_isolated(
+                        dev,
+                        global,
+                        kernel,
+                        grid,
+                        warps_per_wg,
+                        g,
+                        scratch,
+                        wg_replay(g).as_ref(),
+                    ));
+                }
+            },
+        );
+    });
+    global.set_parallel(false);
     let outs: Vec<WgOut> = outs.into_iter().map(|o| o.expect("every WG ran")).collect();
 
     // Canonical-order counter merge.

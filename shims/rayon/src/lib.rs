@@ -1,66 +1,226 @@
 //! Offline shim for [rayon](https://docs.rs/rayon): the subset of the
-//! parallel-iterator API this workspace uses, executed **sequentially**.
+//! data-parallel API this workspace uses, run on scoped host threads.
 //!
-//! The workspace builds in environments with no registry access, so the
-//! real rayon cannot be downloaded. Call sites are written against rayon's
-//! API (`par_iter`, `par_chunks_exact_mut`, `into_par_iter`, `for_each_init`,
-//! `current_num_threads`); this shim satisfies them with plain `Iterator`
-//! delegation. Results are identical — the algorithms in this workspace are
-//! deterministic and order-independent — only wall-clock parallel speedup is
-//! lost. Point `Cargo.toml` back at the registry crate to restore it.
+//! The workspace builds with no registry access, so the real rayon cannot
+//! be downloaded. Call sites are written against rayon's API (`par_iter`,
+//! `par_chunks_mut`, `par_chunks_exact_mut`, `into_par_iter`, `for_each`,
+//! `for_each_init`, `current_num_threads`, `ThreadPoolBuilder`,
+//! `ThreadPool::install`) with rayon's closure bounds, so pointing
+//! `Cargo.toml` back at the registry crate still compiles.
+//!
+//! How work runs:
+//!
+//! * The pool width is [`current_num_threads`]: the width of the innermost
+//!   [`ThreadPool::install`] on the calling thread, else the process
+//!   default — `RAYON_NUM_THREADS` if it is a positive integer, else
+//!   [`std::thread::available_parallelism`], resolved once per process.
+//! * [`ParIter::for_each`] and [`ParIter::for_each_init`] run inline on the
+//!   caller when the width is 1 or there is at most one item. Otherwise the
+//!   caller and up to `width − 1` scoped workers (never more threads than
+//!   items) pull batches of about `len / (width·8)` items from one
+//!   mutex-guarded iterator, so a slow item does not hold up a fixed share
+//!   of the rest. `init` runs once per participating thread. A panic in any
+//!   participant reaches the caller after every participant has stopped.
+//! * There is no work stealing: a parallel call made from inside an item
+//!   spawns workers of its own.
+//! * [`ParIter::map`] and [`ParIter::enumerate`] are lazy adapters;
+//!   [`ParIter::collect`] runs sequentially on the caller, in order.
 
+use std::cell::Cell;
+use std::num::NonZeroUsize;
 use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Mutex, OnceLock};
 
-/// Threads in the (sequential) shim pool: always 1, truthfully reported so
-/// benchmark labels do not overstate CPU rows.
-#[must_use]
-pub fn current_num_threads() -> usize {
-    1
+thread_local! {
+    /// Width of the innermost [`ThreadPool::install`] on this thread; 0
+    /// outside any.
+    static INSTALLED: Cell<usize> = const { Cell::new(0) };
 }
 
-/// A "parallel" iterator: a newtype over a standard iterator.
+/// `RAYON_NUM_THREADS` if set to a positive integer, else the machine's
+/// available parallelism. Resolved once per process: the simulator asks on
+/// every launch and both lookups are syscalls, so the variable must be set
+/// before the first parallel call to take effect.
+fn default_threads() -> usize {
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    *DEFAULT.get_or_init(|| {
+        std::env::var("RAYON_NUM_THREADS")
+            .ok()
+            .and_then(|s| s.trim().parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+    })
+}
+
+/// Threads a parallel call made here would use: the innermost installed
+/// pool's width, else the process default (see the crate docs).
+#[must_use]
+pub fn current_num_threads() -> usize {
+    match INSTALLED.with(Cell::get) {
+        0 => default_threads(),
+        n => n,
+    }
+}
+
+/// Run `op` with [`current_num_threads`] reporting `threads` on this
+/// thread; the previous width comes back afterwards, also on unwind.
+fn with_width<R>(threads: usize, op: impl FnOnce() -> R) -> R {
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            INSTALLED.with(|w| w.set(self.0));
+        }
+    }
+    let _restore = Restore(INSTALLED.with(|w| w.replace(threads)));
+    op()
+}
+
+/// Builds a [`ThreadPool`] (rayon's builder; `num_threads` only).
+#[derive(Debug, Default)]
+pub struct ThreadPoolBuilder {
+    num_threads: usize,
+}
+
+impl ThreadPoolBuilder {
+    /// A builder for a pool of the process-default width.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Pool width; `0` keeps the process default.
+    #[must_use]
+    pub fn num_threads(mut self, num_threads: usize) -> Self {
+        self.num_threads = num_threads;
+        self
+    }
+
+    /// Build the pool. The shim spawns threads per parallel call, not here.
+    ///
+    /// # Errors
+    /// Never; the `Result` keeps rayon's signature.
+    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
+        let threads = if self.num_threads == 0 {
+            default_threads()
+        } else {
+            self.num_threads
+        };
+        Ok(ThreadPool { threads })
+    }
+}
+
+/// The error [`ThreadPoolBuilder::build`] can return in rayon; the shim
+/// never constructs it.
+#[derive(Debug)]
+pub struct ThreadPoolBuildError(());
+
+/// A pool width that parallel calls inside [`ThreadPool::install`] use.
+#[derive(Debug)]
+pub struct ThreadPool {
+    threads: usize,
+}
+
+impl ThreadPool {
+    /// Run `op` on the calling thread with every parallel call inside it —
+    /// and [`current_num_threads`] — using this pool's width. The previous
+    /// width is restored afterwards, also when `op` panics.
+    pub fn install<OP, R>(&self, op: OP) -> R
+    where
+        OP: FnOnce() -> R + Send,
+        R: Send,
+    {
+        with_width(self.threads, op)
+    }
+}
+
+/// A parallel iterator: a newtype over the standard iterator it drains.
 pub struct ParIter<I>(I);
 
 impl<I: Iterator> ParIter<I> {
-    /// As [`Iterator::map`].
-    pub fn map<O, F: FnMut(I::Item) -> O>(self, f: F) -> ParIter<std::iter::Map<I, F>> {
-        ParIter(self.0.map(f))
+    /// As rayon's `map`: lazy, applied as items are pulled.
+    pub fn map<R, F>(self, map_op: F) -> ParIter<std::iter::Map<I, F>>
+    where
+        F: Fn(I::Item) -> R + Sync + Send,
+        R: Send,
+    {
+        ParIter(self.0.map(map_op))
     }
 
-    /// As [`Iterator::enumerate`].
+    /// As rayon's `enumerate`: each item paired with its index.
     pub fn enumerate(self) -> ParIter<std::iter::Enumerate<I>> {
         ParIter(self.0.enumerate())
     }
 
-    /// As [`Iterator::for_each`].
-    pub fn for_each<F: FnMut(I::Item)>(self, f: F) {
-        self.0.for_each(f);
-    }
-
-    /// rayon's `for_each_init`: one init value per "worker" — here a single
-    /// sequential worker, so `init` runs once.
-    pub fn for_each_init<T, INIT: FnMut() -> T, F: FnMut(&mut T, I::Item)>(
-        self,
-        mut init: INIT,
-        mut f: F,
-    ) {
-        let mut state = init();
-        self.0.for_each(|item| f(&mut state, item));
-    }
-
-    /// As [`Iterator::collect`].
+    /// Collect every item **sequentially on the caller, in order**.
     pub fn collect<C: FromIterator<I::Item>>(self) -> C {
         self.0.collect()
     }
+}
 
-    /// As [`Iterator::filter`].
-    pub fn filter<F: FnMut(&I::Item) -> bool>(self, f: F) -> ParIter<std::iter::Filter<I, F>> {
-        ParIter(self.0.filter(f))
+impl<I> ParIter<I>
+where
+    I: ExactSizeIterator + Send,
+    I::Item: Send,
+{
+    /// Call `op` on every item, on the pool (see the crate docs).
+    pub fn for_each<F>(self, op: F)
+    where
+        F: Fn(I::Item) + Sync + Send,
+    {
+        self.for_each_init(|| (), |(), item| op(item));
     }
 
-    /// As [`Iterator::sum`].
-    pub fn sum<S: std::iter::Sum<I::Item>>(self) -> S {
-        self.0.sum()
+    /// As [`ParIter::for_each`], with per-thread state: `init` runs once on
+    /// each participating thread and `op` gets that thread's value.
+    pub fn for_each_init<T, INIT, F>(self, init: INIT, op: F)
+    where
+        INIT: Fn() -> T + Sync + Send,
+        F: Fn(&mut T, I::Item) + Sync + Send,
+    {
+        let len = self.0.len();
+        let width = current_num_threads();
+        let threads = width.min(len);
+        if threads <= 1 {
+            let mut state = init();
+            self.0.for_each(|item| op(&mut state, item));
+            return;
+        }
+        let batch = len.div_ceil(width * 8);
+        let source = Mutex::new(self.0);
+        let work = || {
+            let mut state = init();
+            let mut items = Vec::with_capacity(batch);
+            loop {
+                // A poisoned source means another participant panicked
+                // inside `next`; stop and let that panic propagate.
+                let Ok(mut source) = source.lock() else {
+                    return;
+                };
+                items.extend(source.by_ref().take(batch));
+                drop(source);
+                if items.is_empty() {
+                    return;
+                }
+                for item in items.drain(..) {
+                    op(&mut state, item);
+                }
+            }
+        };
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (1..threads)
+                .map(|_| s.spawn(|| with_width(width, work)))
+                .collect();
+            let mut panic = catch_unwind(AssertUnwindSafe(work)).err();
+            for worker in workers {
+                if let Err(payload) = worker.join() {
+                    panic.get_or_insert(payload);
+                }
+            }
+            if let Some(payload) = panic {
+                resume_unwind(payload);
+            }
+        });
     }
 }
 
@@ -69,7 +229,7 @@ impl<I: Iterator> ParIter<I> {
 pub trait IntoParallelIterator {
     /// The underlying sequential iterator.
     type Iter: Iterator;
-    /// Convert into the "parallel" iterator.
+    /// Convert into the parallel iterator.
     fn into_par_iter(self) -> ParIter<Self::Iter>;
 }
 
@@ -80,79 +240,74 @@ impl IntoParallelIterator for Range<usize> {
     }
 }
 
-impl<T> IntoParallelIterator for Vec<T> {
-    type Iter = std::vec::IntoIter<T>;
-    fn into_par_iter(self) -> ParIter<Self::Iter> {
-        ParIter(self.into_iter())
-    }
-}
-
 /// Shared-reference parallel iteration over slices (rayon's
-/// `IntoParallelRefIterator`, reachable as the inherent-looking
-/// `.par_iter()`).
-pub trait ParallelSlice<T> {
+/// `IntoParallelRefIterator`).
+pub trait IntoParallelRefIterator<T> {
     /// As `[T]::iter`.
     fn par_iter(&self) -> ParIter<std::slice::Iter<'_, T>>;
-    /// As `[T]::chunks`.
-    fn par_chunks(&self, size: usize) -> ParIter<std::slice::Chunks<'_, T>>;
 }
 
-impl<T> ParallelSlice<T> for [T] {
+impl<T> IntoParallelRefIterator<T> for [T] {
     fn par_iter(&self) -> ParIter<std::slice::Iter<'_, T>> {
         ParIter(self.iter())
     }
-    fn par_chunks(&self, size: usize) -> ParIter<std::slice::Chunks<'_, T>> {
-        ParIter(self.chunks(size))
-    }
 }
 
-/// Mutable parallel iteration over slices (rayon's `ParallelSliceMut`).
+/// Mutable parallel iteration over slice chunks (rayon's
+/// `ParallelSliceMut`).
 pub trait ParallelSliceMut<T> {
-    /// As `[T]::iter_mut`.
-    fn par_iter_mut(&mut self) -> ParIter<std::slice::IterMut<'_, T>>;
     /// As `[T]::chunks_mut`.
     fn par_chunks_mut(&mut self, size: usize) -> ParIter<std::slice::ChunksMut<'_, T>>;
     /// As `[T]::chunks_exact_mut`.
-    fn par_chunks_exact_mut(&mut self, size: usize)
-        -> ParIter<std::slice::ChunksExactMut<'_, T>>;
+    fn par_chunks_exact_mut(&mut self, size: usize) -> ParIter<std::slice::ChunksExactMut<'_, T>>;
 }
 
 impl<T> ParallelSliceMut<T> for [T] {
-    fn par_iter_mut(&mut self) -> ParIter<std::slice::IterMut<'_, T>> {
-        ParIter(self.iter_mut())
-    }
     fn par_chunks_mut(&mut self, size: usize) -> ParIter<std::slice::ChunksMut<'_, T>> {
         ParIter(self.chunks_mut(size))
     }
-    fn par_chunks_exact_mut(
-        &mut self,
-        size: usize,
-    ) -> ParIter<std::slice::ChunksExactMut<'_, T>> {
+    fn par_chunks_exact_mut(&mut self, size: usize) -> ParIter<std::slice::ChunksExactMut<'_, T>> {
         ParIter(self.chunks_exact_mut(size))
     }
 }
 
-/// Run two closures "in parallel" (sequentially here), returning both
-/// results — rayon's `join`.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA,
-    B: FnOnce() -> RB,
-{
-    (a(), b())
-}
-
-/// The rayon prelude: every trait and function call sites expect.
+/// The rayon prelude: every trait call sites expect.
 pub mod prelude {
-    pub use crate::{
-        current_num_threads, join, IntoParallelIterator, ParIter, ParallelSlice,
-        ParallelSliceMut,
-    };
+    pub use crate::{IntoParallelIterator, IntoParallelRefIterator, ParallelSliceMut};
 }
 
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+    use super::{current_num_threads, ThreadPool, ThreadPoolBuilder};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc::{channel, Receiver, Sender};
+    use std::thread::ThreadId;
+    use std::time::Duration;
+
+    fn pool(threads: usize) -> ThreadPool {
+        ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("shim pools always build")
+    }
+
+    /// Two items that each send to the other and then wait for the other's
+    /// message. Run one after the other, the first wait times out.
+    fn rendezvous_items() -> [Option<(Sender<()>, Receiver<()>)>; 2] {
+        let (to_b, from_a) = channel();
+        let (to_a, from_b) = channel();
+        [Some((to_b, from_b)), Some((to_a, from_a))]
+    }
+
+    /// Meet the other item, then return the thread this item ran on.
+    fn meet(item: &mut [Option<(Sender<()>, Receiver<()>)>]) -> ThreadId {
+        let (tx, rx) = item[0].take().expect("each item runs once");
+        tx.send(()).expect("the other item holds its receiver");
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("items did not run concurrently");
+        std::thread::current().id()
+    }
 
     #[test]
     fn par_iter_map_collect() {
@@ -164,17 +319,88 @@ mod tests {
     #[test]
     fn chunks_exact_mut_mutates() {
         let mut v = vec![0u32; 6];
-        v.par_chunks_exact_mut(2).enumerate().for_each(|(i, c)| c.fill(i as u32));
+        v.par_chunks_exact_mut(2)
+            .enumerate()
+            .for_each(|(i, c)| c.fill(i as u32));
         assert_eq!(v, vec![0, 0, 1, 1, 2, 2]);
     }
 
     #[test]
-    fn for_each_init_shares_state() {
-        let mut hits = Vec::new();
-        (0..4).into_par_iter().for_each_init(Vec::new, |buf: &mut Vec<usize>, i| {
-            buf.push(i);
-            hits.push(buf.len());
+    fn two_thread_pool_runs_items_concurrently() {
+        let mut items = rendezvous_items();
+        let threads = std::sync::Mutex::new(Vec::new());
+        pool(2).install(|| {
+            items.par_chunks_mut(1).for_each(|item| {
+                let id = meet(item);
+                threads.lock().expect("no panics while held").push(id);
+            });
         });
-        assert_eq!(hits, vec![1, 2, 3, 4], "single sequential worker reuses init state");
+        let threads = threads.into_inner().expect("no panics while held");
+        assert_eq!(threads.len(), 2);
+        assert_ne!(threads[0], threads[1], "the two items shared a thread");
+    }
+
+    #[test]
+    fn install_overrides_width_and_restores_it() {
+        let outside = current_num_threads();
+        pool(3).install(|| {
+            assert_eq!(current_num_threads(), 3);
+            pool(5).install(|| assert_eq!(current_num_threads(), 5));
+            assert_eq!(current_num_threads(), 3);
+            let unwound = std::panic::catch_unwind(|| pool(7).install(|| panic!("inside")));
+            assert!(unwound.is_err());
+            assert_eq!(current_num_threads(), 3, "restored on unwind");
+        });
+        assert_eq!(current_num_threads(), outside);
+        assert_eq!(
+            pool(0).install(current_num_threads),
+            super::default_threads()
+        );
+    }
+
+    #[test]
+    fn worker_panic_reaches_the_caller() {
+        let caller = std::thread::current().id();
+        let mut items = rendezvous_items();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool(2).install(|| {
+                items.par_chunks_mut(1).for_each(|item| {
+                    if meet(item) != caller {
+                        panic!("worker item failed");
+                    }
+                });
+            });
+        }));
+        let payload = unwound.expect_err("the worker's panic must propagate");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"worker item failed"));
+    }
+
+    #[test]
+    fn init_runs_once_per_thread_and_items_run_once() {
+        for (width, want_inits) in [(1, 1), (2, 2), (8, 8)] {
+            let inits = AtomicUsize::new(0);
+            let seen: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
+            pool(width).install(|| {
+                (0..64).into_par_iter().for_each_init(
+                    || inits.fetch_add(1, Ordering::Relaxed),
+                    |_, i| {
+                        seen[i].fetch_add(1, Ordering::Relaxed);
+                    },
+                );
+            });
+            assert_eq!(inits.into_inner(), want_inits, "width {width}");
+            assert!(
+                seen.iter().all(|n| n.load(Ordering::Relaxed) == 1),
+                "width {width}"
+            );
+        }
+        // Never more threads than items.
+        let inits = AtomicUsize::new(0);
+        pool(8).install(|| {
+            (0..3)
+                .into_par_iter()
+                .for_each_init(|| inits.fetch_add(1, Ordering::Relaxed), |_, _| {});
+        });
+        assert_eq!(inits.into_inner(), 3);
     }
 }

@@ -131,6 +131,30 @@ fn any_shape_api_handles_awkward_dimensions() {
 }
 
 #[test]
+fn any_shape_api_on_two_threads_matches_its_seq_paths() {
+    use ipt::core::full::{route_for, AnyRoute};
+    use ipt::core::{transpose_coprime_seq, transpose_in_place_any};
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(2)
+        .build()
+        .expect("shim pools build");
+    for (r, c, route) in [(720, 480, AnyRoute::Staged), (1009, 997, AnyRoute::Coprime)] {
+        assert_eq!(route_for(r, c, &TileHeuristic::default()), route, "{r}x{c}");
+        let m = Matrix::pattern_f32(r, c);
+        let got = pool.install(|| transpose_in_place_any(m.clone()));
+        let want = match route {
+            AnyRoute::Staged => core_seq(m, Algorithm::ThreeStage).into_vec(),
+            _ => {
+                let mut data = m.into_vec();
+                transpose_coprime_seq(&mut data, r, c);
+                data
+            }
+        };
+        assert_eq!(got.into_vec(), want, "{r}x{c} {route:?}");
+    }
+}
+
+#[test]
 fn f64_device_path_matches_f32_semantics() {
     use ipt::gpu::{scale_plan_words, transpose_on_device_f64};
     let (r, c) = (48, 90);
