@@ -1,4 +1,4 @@
-//! P-IPT on the CPU: one task per cycle, no splitting (Sung et al.'s [12]
+//! P-IPT on the CPU: one task per cycle, no splitting (Sung et al.'s \[12\]
 //! baseline parallelisation, which the paper's optimised PTTWAC defeats).
 //!
 //! Thin, named wrapper over the cycle-parallel engine in `ipt-core` so the

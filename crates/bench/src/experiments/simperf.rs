@@ -149,7 +149,7 @@ fn c2r_workload(dev: &DeviceSpec, rows: usize, cols: usize) -> Workload {
 }
 
 /// A `100!` workload — the cross-WG-claims kernel that rides the
-/// parallel engine via the control-replay scheme (one row per variant).
+/// parallel engine via the record-then-replay scheme (one row per variant).
 fn p100_workload(
     instances: usize,
     rows: usize,

@@ -3,7 +3,7 @@
 //! algorithm cannot choose a good tile size (e.g., prime-number
 //! dimensions), the throughput would be degraded"). The paper's footnote 6
 //! points at the contemporaneous decomposition of Catanzaro, Keller &
-//! Garland (PPoPP 2014 [25]); this module implements an independently
+//! Garland (PPoPP 2014 \[25\]); this module implements an independently
 //! derived two-phase decomposition for the `gcd(M, N) = 1` case, which is
 //! exactly the case the staged algorithm cannot tile (for `gcd > 1` the
 //! `(c, c)` tile always exists).

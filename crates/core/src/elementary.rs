@@ -19,7 +19,7 @@
 //! permutation `k ↦ k·rows mod (rows·cols − 1)` acting on super-element
 //! indices ([`TransposePerm`]). This module provides a sequential in-place
 //! engine over any bijective index map, an out-of-place reference, and the
-//! instanced wrapper; [`parallel`](crate::elementary::parallel) adds
+//! instanced wrapper; [`parallel`] adds
 //! multi-threaded execution.
 
 use crate::perm::cycle::TransposePerm;

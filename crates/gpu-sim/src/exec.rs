@@ -9,12 +9,12 @@
 //!    hold resident (`wgs_per_sm × num_sms`),
 //! 2. schedules resident warps one `step` (scheduling slice) at a time —
 //!    by default the historic round-robin order (each live warp once per
-//!    round, canonical work-group/warp order), or under any
-//!    [`Scheduler`](crate::sched::Scheduler) via [`launch_configured`],
-//!    which is what makes cross-work-group coordination (the global atomic
-//!    claims of `100!`) behave like real concurrent hardware rather than
-//!    like a serial loop — and what lets the schedule-exploration engine
-//!    drive adversarial interleavings through the same code path,
+//!    round, canonical work-group/warp order), or under any [`Scheduler`]
+//!    via [`launch_configured`], which is what makes cross-work-group
+//!    coordination (the global atomic claims of `100!`) behave like real
+//!    concurrent hardware rather than like a serial loop — and what lets
+//!    the schedule-exploration engine drive adversarial interleavings
+//!    through the same code path,
 //! 3. retires finished work-groups and admits pending ones,
 //! 4. aggregates functional counters and dependent-chain cycles into a
 //!    [`KernelStats`] with the four-bound time model (bandwidth, latency,
@@ -29,20 +29,20 @@
 //! timings, and traces *bit-identical* to the serial round-robin path (see
 //! DESIGN.md §12 for the determinism argument). Kernels that declare
 //! [`Coordination::CrossWgClaims`] — cross-WG state limited to commutative
-//! claim flags with schedule-dependence confined to claim outcomes — run
-//! through a two-phase scheme: a cost-free serial **control replay** first
-//! resolves every claim in canonical round-robin order, then the pooled
-//! engine re-executes the work-groups concurrently against the recorded
-//! outcome scripts, again bit-identical to serial (DESIGN.md §17).
-//! [`Coordination::CrossWg`] kernels and any launch under a custom
-//! scheduler, fault source, or watchdog always stay on the serial engine.
-//! An optional
-//! [`Watchdog`](crate::sched::Watchdog) bounds per-warp and total slices,
+//! claim flags with schedule-dependence confined to claim outcomes — run in
+//! two phases: the serial engine first runs the kernel's own
+//! [`Kernel::step`] in record mode ([`WarpCtx::moves_data`] is `false`),
+//! resolving every claim in canonical round-robin order into per-warp
+//! outcome scripts; then the pooled engine runs the work-groups
+//! concurrently against those scripts, again bit-identical to serial
+//! (DESIGN.md §17). [`Coordination::CrossWg`] kernels and any launch under
+//! a custom scheduler, fault source, or watchdog always stay on the serial
+//! engine. An optional [`Watchdog`] bounds per-warp and total slices,
 //! converting livelocks and lost-wakeup hangs into
 //! [`LaunchError::Stalled`].
 
 use crate::device::DeviceSpec;
-use crate::fault::{AtomicTamper, FaultPlan, FaultSource, StepFault};
+use crate::fault::{AtomicTamper, FaultSource, StepFault};
 use crate::lanes::{LaneAddrs, LaneVals, LaneWrites, MAX_LANES};
 use crate::mem::{Buffer, GlobalMem, LocalMem};
 use crate::occupancy::{occupancy, KernelResources, Occupancy};
@@ -109,14 +109,16 @@ pub enum Coordination {
     ///   winner rewrote);
     /// * control flow depends on global memory *only* through the boolean
     ///   outcomes of the claim ops;
-    /// * [`Kernel::control_step`] is implemented as a cost-free twin of
-    ///   [`Kernel::step`] taking the identical control path.
+    /// * the claim sequence and step count do not depend on
+    ///   [`WarpCtx::moves_data`].
     ///
-    /// Under [`EngineMode::Parallel`] such a kernel runs in two phases: a
-    /// serial control replay resolves every claim in canonical round-robin
-    /// order and records per-warp outcome scripts, then work-groups execute
-    /// concurrently with outcomes (and functional data reads) replayed from
-    /// the oracle — bit-identical to the serial engine (DESIGN.md §17).
+    /// Under [`EngineMode::Parallel`] such a kernel runs in two phases: the
+    /// serial engine runs [`Kernel::step`] in record mode, resolving every
+    /// claim in canonical round-robin order into per-warp outcome scripts,
+    /// then work-groups execute concurrently with claim outcomes replayed
+    /// from the scripts and functional data reads served from the
+    /// pre-launch image — bit-identical to the serial engine (DESIGN.md
+    /// §17).
     CrossWgClaims,
 }
 
@@ -126,25 +128,22 @@ pub enum EngineMode {
     /// The historic engine: one host thread, round-robin interleaving.
     #[default]
     Serial,
-    /// Run eligible work-groups concurrently on the rayon pool —
-    /// [`Coordination::WgLocal`] kernels directly, and
-    /// [`Coordination::CrossWgClaims`] kernels via the two-phase control
-    /// replay; results are bit-identical to [`EngineMode::Serial`].
+    /// Run eligible work-groups concurrently on the rayon pool, which is
+    /// [`rayon::current_num_threads`] wide: an installed pool's width, else
+    /// `RAYON_NUM_THREADS`, else the machine's available parallelism.
+    /// [`Coordination::WgLocal`] kernels run directly, and
+    /// [`Coordination::CrossWgClaims`] kernels in two phases (record, then
+    /// replay); results are bit-identical to [`EngineMode::Serial`].
     /// Ineligible launches (plain CrossWg kernels, custom scheduler, fault
     /// source, or watchdog) silently fall back to serial.
-    Parallel {
-        /// Worker threads; `0` = auto ([`rayon::current_num_threads`]: an
-        /// installed pool's width, else `RAYON_NUM_THREADS`, else the
-        /// machine's available parallelism).
-        threads: usize,
-    },
+    Parallel,
 }
 
 impl EngineMode {
-    /// The auto-sized parallel engine.
+    /// The parallel engine, sized by the current rayon pool.
     #[must_use]
     pub fn parallel_auto() -> Self {
-        EngineMode::Parallel { threads: 0 }
+        EngineMode::Parallel
     }
 
     /// Host threads this mode will actually use.
@@ -152,8 +151,7 @@ impl EngineMode {
     pub fn resolved_threads(self) -> usize {
         match self {
             EngineMode::Serial => 1,
-            EngineMode::Parallel { threads: 0 } => rayon::current_num_threads(),
-            EngineMode::Parallel { threads } => threads,
+            EngineMode::Parallel => rayon::current_num_threads(),
         }
     }
 
@@ -162,7 +160,7 @@ impl EngineMode {
     pub fn label(self) -> &'static str {
         match self {
             EngineMode::Serial => "serial",
-            EngineMode::Parallel { .. } => "parallel",
+            EngineMode::Parallel => "parallel",
         }
     }
 }
@@ -196,17 +194,6 @@ pub trait Kernel: Sync {
     fn init(&self, wg_id: usize, warp_id: usize) -> Self::State;
     /// Advance the warp one scheduling slice.
     fn step(&self, state: &mut Self::State, ctx: &mut WarpCtx<'_>) -> Step;
-    /// Cost-free control twin of [`Kernel::step`] for
-    /// [`Coordination::CrossWgClaims`] kernels: must make the *same*
-    /// control-flow decisions and the same claim-op sequence as `step`, but
-    /// performs no data movement, no local-memory traffic, and no cost
-    /// accounting. Driven by the serial control-replay phase of the parallel
-    /// engine; the claim ops on [`ControlCtx`] resolve against live memory
-    /// and record each boolean outcome for the concurrent replay phase.
-    fn control_step(&self, state: &mut Self::State, ctx: &mut ControlCtx<'_>) -> Step {
-        let _ = (state, ctx);
-        unimplemented!("control_step is required for Coordination::CrossWgClaims kernels")
-    }
 }
 
 /// Why a launch failed.
@@ -305,86 +292,32 @@ impl Counters {
     }
 }
 
-/// Per-warp claim-outcome oracle handed into a replayed scheduling slice:
-/// the warp's scripted claim outcomes from the serial control-replay phase,
-/// its cursor into that script, and the pre-launch memory image functional
-/// data reads must observe.
-struct ClaimReplay<'a> {
-    script: &'a [bool],
-    cursor: &'a mut usize,
-    snapshot: &'a [u32],
+/// Where a warp's claim outcomes come from during one scheduling slice
+/// (see [`Coordination::CrossWgClaims`]).
+enum Claims<'a> {
+    /// The serial engine: claims resolve against live memory, fully
+    /// accounted.
+    Live,
+    /// Phase A of a parallel `CrossWgClaims` launch: claims resolve against
+    /// live memory in canonical round-robin order, unaccounted (the pass's
+    /// counters are discarded), and each outcome is appended to the warp's
+    /// script. [`WarpCtx::moves_data`] is `false`.
+    Record(&'a mut Vec<bool>),
+    /// Phase B: claims are accounted exactly as under `Live`, but their
+    /// outcomes come from the warp's recorded script, and functional data
+    /// reads observe the pre-launch memory image.
+    Replay { script: &'a [bool], cursor: &'a mut usize, snapshot: &'a [u32] },
 }
 
-/// The serial control-replay phase's record of one launch: the claim
-/// outcomes the concurrent replay phase needs to reproduce the serial engine
-/// bit-exactly.
-struct MergeableOracle {
+/// What phase B of a parallel `CrossWgClaims` launch replays.
+struct MergeablePlan {
     /// Claim-op outcomes per warp, indexed `wg_id × warps_per_wg + warp_id`.
     scripts: Vec<Vec<bool>>,
-    /// Total scheduling slices the serial engine executes — the replay must
-    /// land on exactly this count or the twin diverged (checked, loudly).
+    /// Scheduling slices phase A executed — the replay must land on exactly
+    /// this count (checked, loudly).
     total_steps: u64,
-}
-
-/// Oracle plus the pre-launch global-memory image (taken before the control
-/// replay mutates the claim-flag words).
-struct MergeablePlan {
-    oracle: MergeableOracle,
+    /// The global-memory image before phase A set any claim flag.
     snapshot: Vec<u32>,
-}
-
-/// One work-group's slice of a [`MergeablePlan`] handed to the isolated
-/// runner.
-struct WgReplay<'a> {
-    snapshot: &'a [u32],
-    /// This WG's outcome scripts, indexed by warp.
-    scripts: &'a [Vec<bool>],
-}
-
-/// Context handed to [`Kernel::control_step`] during the serial
-/// control-replay phase: launch geometry plus the claim ops, which resolve
-/// against live memory (canonical round-robin order, exactly like the serial
-/// engine) and append each boolean outcome to the warp's script.
-pub struct ControlCtx<'a> {
-    /// Work-group id.
-    pub wg_id: usize,
-    /// Warp index within the work-group.
-    pub warp_id: usize,
-    /// Active lanes in this warp (= SIMD width except a ragged tail warp).
-    pub lanes: usize,
-    /// Work-items per work-group (for grid-stride loops).
-    pub wg_size: usize,
-    /// Number of work-groups in the launch.
-    pub num_wgs: usize,
-    dev: &'a DeviceSpec,
-    global: &'a GlobalMem,
-    script: &'a mut Vec<bool>,
-}
-
-impl ControlCtx<'_> {
-    /// The device being simulated.
-    #[must_use]
-    pub fn device(&self) -> &DeviceSpec {
-        self.dev
-    }
-
-    /// Control twin of [`WarpCtx::claim_check`]: is flag `bit` set? Resolves
-    /// against live memory and records the outcome.
-    pub fn claim_check(&mut self, buf: Buffer, bit: usize) -> bool {
-        let set = (self.global.read(buf.addr(bit / 32)) >> (bit % 32)) & 1 == 1;
-        self.script.push(set);
-        set
-    }
-
-    /// Control twin of [`WarpCtx::claim_acquire`]: `atom_or` flag `bit`, did
-    /// this warp win it? Resolves against live memory and records the
-    /// outcome.
-    pub fn claim_acquire(&mut self, buf: Buffer, bit: usize) -> bool {
-        let old = self.global.atomic_or(buf.addr(bit / 32), 1u32 << (bit % 32));
-        let won = (old >> (bit % 32)) & 1 == 0;
-        self.script.push(won);
-        won
-    }
 }
 
 /// Per-warp-instruction context handed to [`Kernel::step`]: functional
@@ -406,7 +339,7 @@ pub struct WarpCtx<'a> {
     counters: &'a mut Counters,
     chain_cycles: &'a mut f64,
     fault: Option<&'a dyn FaultSource>,
-    replay: Option<ClaimReplay<'a>>,
+    claims: Claims<'a>,
 }
 
 /// Scratch for distinct-count computations (≤ 64 entries, stack only).
@@ -464,16 +397,18 @@ impl WarpCtx<'_> {
     /// already set? Costs exactly a one-lane [`WarpCtx::global_read`] of the
     /// flag word. [`Coordination::CrossWgClaims`] kernels **must** route
     /// every flag probe through this op: under the concurrent replay engine
-    /// the outcome comes from the control-replay script (the flag word's
-    /// live value is schedule-dependent there), while the cost accounting
-    /// stays identical.
+    /// the outcome comes from the recorded script (the flag word's live
+    /// value is schedule-dependent there), while the cost accounting stays
+    /// identical.
     pub fn claim_check(&mut self, buf: Buffer, bit: usize) -> bool {
+        if let Claims::Record(script) = &mut self.claims {
+            let set = (self.global.read(buf.addr(bit / 32)) >> (bit % 32)) & 1 == 1;
+            script.push(set);
+            return set;
+        }
         let addrs = LaneAddrs::from_fn(1, |_| Some(bit / 32));
         let old = self.global_read(buf, &addrs);
-        if self.replay.is_some() {
-            return self.next_scripted();
-        }
-        (old.get(0) >> (bit % 32)) & 1 == 1
+        self.scripted().unwrap_or((old.get(0) >> (bit % 32)) & 1 == 1)
     }
 
     /// `atom_or` claim flag `bit` in `buf`; `true` iff this warp set it
@@ -481,30 +416,48 @@ impl WarpCtx<'_> {
     /// [`WarpCtx::global_atomic_or`]. Under the concurrent replay engine the
     /// `atom_or` is still applied — it is commutative and idempotent, so the
     /// racing replay threads converge on the serial flag image — but the
-    /// *outcome* comes from the control-replay script.
+    /// *outcome* comes from the recorded script.
     pub fn claim_acquire(&mut self, buf: Buffer, bit: usize) -> bool {
-        let claim = LaneWrites::from_fn(1, |_| Some((bit / 32, 1u32 << (bit % 32))));
-        let old = self.global_atomic_or(buf, &claim);
-        if self.replay.is_some() {
-            return self.next_scripted();
+        let mask = 1u32 << (bit % 32);
+        if let Claims::Record(script) = &mut self.claims {
+            let won = self.global.atomic_or(buf.addr(bit / 32), mask) & mask == 0;
+            script.push(won);
+            return won;
         }
-        (old.get(0) >> (bit % 32)) & 1 == 0
+        let claim = LaneWrites::from_fn(1, |_| Some((bit / 32, mask)));
+        let old = self.global_atomic_or(buf, &claim);
+        self.scripted().unwrap_or(old.get(0) & mask == 0)
     }
 
-    /// Pop the next scripted claim outcome. A script overrun means the
-    /// kernel's `control_step` twin diverged from `step` — a contract bug
+    /// The next recorded claim outcome when replaying, else `None`. A
+    /// script overrun means the kernel claimed more often while moving data
+    /// than while recording — a broken [`WarpCtx::moves_data`] contract
     /// that must never be absorbed silently.
-    fn next_scripted(&mut self) -> bool {
-        let wg = self.wg_id;
-        let warp = self.warp_id;
-        let r = self.replay.as_mut().expect("scripted claim outside replay");
-        let i = *r.cursor;
-        *r.cursor += 1;
+    fn scripted(&mut self) -> Option<bool> {
+        let Claims::Replay { script, cursor, .. } = &mut self.claims else {
+            return None;
+        };
+        let i = **cursor;
+        **cursor += 1;
         assert!(
-            i < r.script.len(),
-            "claim-outcome script overrun in wg {wg} warp {warp}: control_step diverged from step"
+            i < script.len(),
+            "claim script overrun in wg {} warp {}: the kernel's claims depend on moves_data()",
+            self.wg_id,
+            self.warp_id
         );
-        r.script[i]
+        Some(script[i])
+    }
+
+    /// Does this slice move data? `false` only while the parallel engine
+    /// records a [`Coordination::CrossWgClaims`] launch's claim outcomes
+    /// (DESIGN.md §17.2): only those outcomes are kept, so the kernel may
+    /// skip its data reads and writes. Contract: a kernel's claim sequence
+    /// and step count must not depend on this flag. The replay enforces it
+    /// with three asserts — script overrun, script underrun, and the total
+    /// step count.
+    #[must_use]
+    pub fn moves_data(&self) -> bool {
+        !matches!(self.claims, Claims::Record(_))
     }
 
     /// Account the cost of an *intra-step* work-group barrier without
@@ -546,11 +499,11 @@ impl WarpCtx<'_> {
                 self.counters.useful_bytes += (abs.active() * 4) as f64;
                 total_t += t;
             }
-            out.push(match &self.replay {
+            out.push(match &self.claims {
                 // Replayed slice: functional data reads observe the
                 // pre-launch image (see the note in `global_read`).
-                Some(r) => abs.map(|a| a.map_or(0, |addr| r.snapshot[addr])),
-                None => abs.map(|a| a.map_or(0, |addr| self.global.read(addr))),
+                Claims::Replay { snapshot, .. } => abs.map(|a| a.map_or(0, |addr| snapshot[addr])),
+                _ => abs.map(|a| a.map_or(0, |addr| self.global.read(addr))),
             });
         }
         if total_t > 0 {
@@ -621,9 +574,8 @@ impl WarpCtx<'_> {
         // position is written at most once, by the claim winner, and
         // chain-start reads are flag-guarded; flag words are only probed
         // through the claim ops, never read functionally here).
-        if let Some(r) = &self.replay {
-            let snap = r.snapshot;
-            return abs.map(|a| a.map_or(0, |addr| snap[addr]));
+        if let Claims::Replay { snapshot, .. } = &self.claims {
+            return abs.map(|a| a.map_or(0, |addr| snapshot[addr]));
         }
         // Fully coalesced warps (every lane active, consecutive addresses —
         // the common case for tile row streaming) load as one slice
@@ -910,70 +862,6 @@ struct WgRt<S> {
     local: LocalMem,
 }
 
-/// Execute `kernel` on `dev` over `global` memory and return its stats.
-///
-/// # Errors
-/// [`LaunchError::Infeasible`] when the kernel's resources cannot fit the
-/// device at all.
-pub fn launch<K: Kernel>(
-    dev: &DeviceSpec,
-    global: &GlobalMem,
-    kernel: &K,
-) -> Result<KernelStats, LaunchError> {
-    launch_with_faults(dev, global, kernel, None)
-}
-
-/// [`launch`] with an optional armed [`FaultPlan`]: atomic-flag tampering
-/// and local-memory corruption are applied in flight; a planned abort
-/// surfaces as [`LaunchError::Aborted`] with device memory left in whatever
-/// partially transposed state the kernel reached.
-///
-/// # Errors
-/// [`LaunchError::Infeasible`] for infeasible launches,
-/// [`LaunchError::Aborted`] when the fault plan kills the kernel.
-pub fn launch_with_faults<K: Kernel>(
-    dev: &DeviceSpec,
-    global: &GlobalMem,
-    kernel: &K,
-    fault: Option<&FaultPlan>,
-) -> Result<KernelStats, LaunchError> {
-    launch_traced(dev, global, kernel, fault.map(|f| f as &dyn FaultSource), &NoopRecorder, 0.0)
-}
-
-/// [`launch_with_faults`] instrumented with a [`Recorder`].
-///
-/// `t0_s` is the launch's start on the cumulative DES clock (seconds); the
-/// kernel span, sampled per-warp spans, and every typed counter land on the
-/// recorder under the kernel's name. With [`NoopRecorder`] this
-/// monomorphizes to exactly the uninstrumented engine — [`launch`] and
-/// [`launch_with_faults`] are thin wrappers over this function.
-///
-/// Per-warp spans are a *sample*: the first [`WARP_SPAN_CAP`] retired warps
-/// get a span (start `t0_s`, duration = that warp's dependent-chain cycles
-/// at the device clock — warps run concurrently, so they share the start);
-/// the remainder are counted in [`Counter::DroppedWarpSpans`].
-///
-/// # Errors
-/// [`LaunchError::Infeasible`] for infeasible launches,
-/// [`LaunchError::Aborted`] when the fault plan kills the kernel.
-pub fn launch_traced<K: Kernel, R: Recorder>(
-    dev: &DeviceSpec,
-    global: &GlobalMem,
-    kernel: &K,
-    fault: Option<&dyn FaultSource>,
-    rec: &R,
-    t0_s: f64,
-) -> Result<KernelStats, LaunchError> {
-    launch_configured(
-        dev,
-        global,
-        kernel,
-        LaunchConfig { fault, sched: None, watchdog: None, engine: EngineMode::Serial },
-        rec,
-        t0_s,
-    )
-}
-
 /// Optional engine extensions for one launch.
 ///
 /// The default configuration (all `None`) is exactly the historic engine:
@@ -981,7 +869,8 @@ pub fn launch_traced<K: Kernel, R: Recorder>(
 #[derive(Default)]
 pub struct LaunchConfig<'a> {
     /// Fault source consulted at every injection site — a single-shot
-    /// [`FaultPlan`] or a sustained [`ChaosPlan`](crate::fault::ChaosPlan).
+    /// [`FaultPlan`](crate::fault::FaultPlan) or a sustained
+    /// [`ChaosPlan`](crate::fault::ChaosPlan).
     pub fault: Option<&'a dyn FaultSource>,
     /// Warp scheduler. `None` uses the built-in round-robin fast path,
     /// which is bit-identical to scheduling with
@@ -997,26 +886,44 @@ pub struct LaunchConfig<'a> {
     pub engine: EngineMode,
 }
 
-/// The fully configurable engine entry: [`launch_traced`] plus an optional
-/// [`Scheduler`] controlling the warp interleaving and an optional
-/// [`Watchdog`] bounding progress.
+/// A feasible launch's geometry, shared by the serial and parallel engines.
+#[derive(Clone, Copy)]
+struct Geometry {
+    grid: Grid,
+    occ: Occupancy,
+    warps_per_wg: usize,
+    /// Work-groups resident at once (`wgs_per_sm × num_sms`, at least 1).
+    resident_cap: usize,
+}
+
+/// Execute `kernel` on `dev` over `global` memory and return its stats —
+/// the one engine entry behind every [`Sim`](crate::sim::Sim) launch.
+///
+/// `cfg` arms an optional fault source, [`Scheduler`] and [`Watchdog`],
+/// and selects the host engine. `t0_s` is the launch's start on the
+/// cumulative DES clock (seconds); the kernel span, sampled per-warp spans,
+/// and every typed counter land on `rec` under the kernel's name. With
+/// [`NoopRecorder`] this monomorphizes to exactly the uninstrumented
+/// engine.
+///
+/// Per-warp spans are a *sample*: the first [`WARP_SPAN_CAP`] retired warps
+/// get a span (start `t0_s`, duration = that warp's dependent-chain cycles
+/// at the device clock — warps run concurrently, so they share the start);
+/// the remainder are counted in [`Counter::DroppedWarpSpans`].
 ///
 /// # Errors
-/// [`LaunchError::Infeasible`] for infeasible launches,
-/// [`LaunchError::Aborted`] when the fault source kills the kernel,
-/// [`LaunchError::Stalled`] when the watchdog trips.
-#[allow(clippy::too_many_lines)]
+/// [`LaunchError::Infeasible`] when the kernel's resources cannot fit the
+/// device at all, [`LaunchError::Aborted`] when the fault source kills the
+/// kernel, [`LaunchError::Stalled`] when the watchdog trips.
 pub fn launch_configured<K: Kernel, R: Recorder>(
     dev: &DeviceSpec,
     global: &GlobalMem,
     kernel: &K,
-    mut cfg: LaunchConfig<'_>,
+    cfg: LaunchConfig<'_>,
     rec: &R,
     t0_s: f64,
 ) -> Result<KernelStats, LaunchError> {
-    let fault = cfg.fault;
-    let watchdog = cfg.watchdog;
-    if let Some(f) = fault {
+    if let Some(f) = cfg.fault {
         f.set_context(&kernel.name());
     }
     let grid = kernel.grid();
@@ -1035,64 +942,78 @@ pub fn launch_configured<K: Kernel, R: Recorder>(
             ),
         });
     }
-
-    let warps_per_wg = dev.warps_per_wg(grid.wg_size);
-    let resident_cap = (occ.wgs_per_sm * dev.num_sms).max(1);
+    let geo = Geometry {
+        grid,
+        occ,
+        warps_per_wg: dev.warps_per_wg(grid.wg_size),
+        resident_cap: (occ.wgs_per_sm * dev.num_sms).max(1),
+    };
 
     // Parallel work-group engine: only for kernels whose coordination class
     // admits deterministic merging, and only for plain launches (any
     // scheduler, fault source, or watchdog pins the launch to the serial
     // engine so the cross-WG interleaving those features observe stays
     // canonical).
-    if matches!(cfg.engine, EngineMode::Parallel { .. })
+    if cfg.engine == EngineMode::Parallel
         && cfg.sched.is_none()
-        && fault.is_none()
-        && watchdog.is_none()
+        && cfg.fault.is_none()
+        && cfg.watchdog.is_none()
     {
-        let threads = cfg.engine.resolved_threads();
         match kernel.coordination() {
             // Independent work-groups: run them concurrently as-is.
             Coordination::WgLocal => {
-                return Ok(launch_parallel(
-                    dev,
-                    global,
-                    kernel,
-                    grid,
-                    occ,
-                    warps_per_wg,
-                    resident_cap,
-                    threads,
-                    rec,
-                    t0_s,
-                    None,
-                ));
+                return Ok(launch_parallel(dev, global, kernel, geo, rec, t0_s, None));
             }
             // Claim-coordinated work-groups: snapshot the pre-launch image,
-            // resolve every claim serially (cost-free control replay), then
-            // run the work-groups concurrently against the outcome scripts.
+            // record every claim outcome with the serial engine (phase A),
+            // then run the work-groups concurrently against the scripts
+            // (phase B).
             Coordination::CrossWgClaims => {
                 let snapshot = global.snapshot_words();
-                let oracle = control_replay(dev, global, kernel, grid, warps_per_wg, resident_cap);
-                let plan = MergeablePlan { oracle, snapshot };
-                return Ok(launch_parallel(
+                let mut scripts = vec![Vec::new(); grid.num_wgs * geo.warps_per_wg];
+                let total_steps = run_serial(
                     dev,
                     global,
                     kernel,
-                    grid,
-                    occ,
-                    warps_per_wg,
-                    resident_cap,
-                    threads,
-                    rec,
-                    t0_s,
-                    Some(&plan),
-                ));
+                    geo,
+                    LaunchConfig::default(),
+                    &NoopRecorder,
+                    0.0,
+                    Some(&mut scripts),
+                )?
+                .warp_steps;
+                let plan = MergeablePlan { scripts, total_steps, snapshot };
+                return Ok(launch_parallel(dev, global, kernel, geo, rec, t0_s, Some(&plan)));
             }
             // Arbitrary cross-WG coordination: serial engine below.
             Coordination::CrossWg => {}
         }
     }
+    run_serial(dev, global, kernel, geo, cfg, rec, t0_s, None)
+}
 
+/// The serial engine: every work-group interleaved on the calling thread,
+/// round by round. With `scripts` it is phase A of a parallel
+/// [`Coordination::CrossWgClaims`] launch: claim ops resolve in this
+/// canonical order and append each warp's outcomes to
+/// `scripts[wg_id × warps_per_wg + warp_id]`, the kernel may skip its data
+/// movement ([`WarpCtx::moves_data`]), and the returned stats matter only
+/// for their `warp_steps`. The claim-flag ORs this pass applies are
+/// re-applied idempotently by phase B, so no memory restore is needed.
+#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
+fn run_serial<K: Kernel, R: Recorder>(
+    dev: &DeviceSpec,
+    global: &GlobalMem,
+    kernel: &K,
+    geo: Geometry,
+    mut cfg: LaunchConfig<'_>,
+    rec: &R,
+    t0_s: f64,
+    mut scripts: Option<&mut Vec<Vec<bool>>>,
+) -> Result<KernelStats, LaunchError> {
+    let Geometry { grid, warps_per_wg, resident_cap, .. } = geo;
+    let fault = cfg.fault;
+    let watchdog = cfg.watchdog;
     let mut counters = Counters::default();
     let mut max_chain: f64 = 0.0;
     let mut total_chain: f64 = 0.0;
@@ -1128,7 +1049,7 @@ pub fn launch_configured<K: Kernel, R: Recorder>(
     // hooks, the kernel step itself, and status bookkeeping. Returns
     // whether the slice performed a coordination touchpoint (atomic or
     // barrier) — the preemption points schedule exploration keys on.
-    let step_one =
+    let mut step_one =
         |wg: &mut WgRt<K::State>, w: usize, counters: &mut Counters| -> Result<bool, LaunchError> {
             counters.warp_steps += 1;
             wg.warps[w].steps += 1;
@@ -1160,8 +1081,12 @@ pub fn launch_configured<K: Kernel, R: Recorder>(
                     }
                 }
             }
+            let claims = match scripts.as_deref_mut() {
+                Some(s) => Claims::Record(&mut s[wg.wg_id * warps_per_wg + w]),
+                None => Claims::Live,
+            };
             let touch_before = counters.local_atomics + counters.global_atomics + counters.barriers;
-            let step = exec_slice(dev, global, kernel, grid, fault, wg, w, counters, None);
+            let step = exec_slice(dev, global, kernel, grid, fault, wg, w, counters, claims);
             let touched = step == Step::Barrier
                 || counters.local_atomics + counters.global_atomics + counters.barriers
                     != touch_before;
@@ -1277,8 +1202,7 @@ pub fn launch_configured<K: Kernel, R: Recorder>(
     Ok(finish_launch(
         dev,
         kernel.name(),
-        grid,
-        occ,
+        geo,
         &counters,
         rounds,
         total_chain,
@@ -1305,7 +1229,7 @@ fn exec_slice<K: Kernel>(
     wg: &mut WgRt<K::State>,
     w: usize,
     counters: &mut Counters,
-    replay: Option<ClaimReplay<'_>>,
+    claims: Claims<'_>,
 ) -> Step {
     let lanes = (grid.wg_size - w * dev.simd_width).min(dev.simd_width);
     let warp = &mut wg.warps[w];
@@ -1321,7 +1245,7 @@ fn exec_slice<K: Kernel>(
         counters,
         chain_cycles: &mut warp.chain_cycles,
         fault,
-        replay,
+        claims,
     };
     let step = kernel.step(&mut warp.state, &mut ctx);
     match step {
@@ -1370,101 +1294,6 @@ fn reset_wg<K: Kernel>(
     }));
 }
 
-/// The serial **control replay** (phase one of the two-phase
-/// [`Coordination::CrossWgClaims`] engine): replicate the serial fast path's
-/// loop skeleton exactly — residency-capped admission, each live warp once
-/// per round in canonical (work-group slot, warp index) order, per-WG
-/// barrier release, swap-remove retirement — but drive
-/// [`Kernel::control_step`] instead of [`Kernel::step`]: no data movement,
-/// no local memory, no cost accounting. The claim ops resolve against live
-/// memory in this canonical order, so the recorded per-warp outcome scripts
-/// are exactly the outcomes the serial engine would have produced; the
-/// claim-flag ORs it applies are re-applied idempotently by the replay
-/// phase, so no memory restore is needed.
-fn control_replay<K: Kernel>(
-    dev: &DeviceSpec,
-    global: &GlobalMem,
-    kernel: &K,
-    grid: Grid,
-    warps_per_wg: usize,
-    resident_cap: usize,
-) -> MergeableOracle {
-    struct CtrlWarp<S> {
-        state: S,
-        status: WarpStatus,
-    }
-    struct CtrlWg<S> {
-        wg_id: usize,
-        warps: Vec<CtrlWarp<S>>,
-    }
-    let num_wgs = grid.num_wgs;
-    let mut scripts: Vec<Vec<bool>> = Vec::new();
-    scripts.resize_with(num_wgs * warps_per_wg, Vec::new);
-    let make_wg = |wg_id: usize| CtrlWg {
-        wg_id,
-        warps: (0..warps_per_wg)
-            .map(|w| CtrlWarp { state: kernel.init(wg_id, w), status: WarpStatus::Running })
-            .collect(),
-    };
-    let mut next_wg = 0usize;
-    let mut active: Vec<CtrlWg<K::State>> = Vec::with_capacity(resident_cap.min(num_wgs));
-    while next_wg < num_wgs && active.len() < resident_cap {
-        active.push(make_wg(next_wg));
-        next_wg += 1;
-    }
-    let mut total_steps = 0u64;
-    while !active.is_empty() {
-        for wg in active.iter_mut() {
-            for w in 0..wg.warps.len() {
-                if wg.warps[w].status != WarpStatus::Running {
-                    continue;
-                }
-                total_steps += 1;
-                let lanes = (grid.wg_size - w * dev.simd_width).min(dev.simd_width);
-                let mut ctx = ControlCtx {
-                    wg_id: wg.wg_id,
-                    warp_id: w,
-                    lanes,
-                    wg_size: grid.wg_size,
-                    num_wgs,
-                    dev,
-                    global,
-                    script: &mut scripts[wg.wg_id * warps_per_wg + w],
-                };
-                match kernel.control_step(&mut wg.warps[w].state, &mut ctx) {
-                    Step::Continue => {}
-                    Step::Barrier => wg.warps[w].status = WarpStatus::AtBarrier,
-                    Step::Done => wg.warps[w].status = WarpStatus::Done,
-                }
-            }
-            // Cost-free barrier release, same condition as `release_wg`.
-            if wg.warps.iter().all(|w| w.status != WarpStatus::Running) {
-                for w in wg.warps.iter_mut() {
-                    if w.status == WarpStatus::AtBarrier {
-                        w.status = WarpStatus::Running;
-                    }
-                }
-            }
-        }
-        // Retire finished WGs, admit pending ones — swap-remove plus
-        // push-to-back, so later admissions interleave their claims exactly
-        // as in the serial engine.
-        let mut i = 0;
-        while i < active.len() {
-            if active[i].warps.iter().all(|w| w.status == WarpStatus::Done) {
-                active.swap_remove(i);
-                if next_wg < num_wgs {
-                    active.push(make_wg(next_wg));
-                    next_wg += 1;
-                }
-            } else {
-                i += 1;
-            }
-        }
-    }
-    MergeableOracle { scripts, total_steps }
-}
-
 /// What one isolated work-group run reports back to the merge step.
 struct WgOut {
     /// Scheduling rounds this WG needed from admission to retirement (≥ 1).
@@ -1485,25 +1314,29 @@ struct WgOut {
 /// between can be observed (no shared global words, private local memory,
 /// and the global `warp_steps` count is invisible to kernels).
 ///
-/// With `replay` (a [`Coordination::CrossWgClaims`] launch) the same
+/// With `plan` (a [`Coordination::CrossWgClaims`] launch) the same
 /// argument holds because the only cross-WG observables — claim outcomes
-/// and functional data reads — are replayed from the oracle script and the
-/// pre-launch snapshot; per-warp cursors are checked against the script
-/// lengths on retirement, so a `control_step`/`step` divergence fails loud.
-#[allow(clippy::too_many_arguments)]
+/// and functional data reads — are replayed from the recorded scripts and
+/// the pre-launch snapshot; per-warp cursors are checked against the script
+/// lengths on retirement, so a kernel whose claims depend on
+/// [`WarpCtx::moves_data`] fails loud.
 fn run_wg_isolated<K: Kernel>(
     dev: &DeviceSpec,
     global: &GlobalMem,
     kernel: &K,
-    grid: Grid,
-    warps_per_wg: usize,
+    geo: Geometry,
     wg_id: usize,
     scratch: &mut WgRt<K::State>,
-    replay: Option<&WgReplay<'_>>,
+    plan: Option<&MergeablePlan>,
 ) -> WgOut {
+    let Geometry { grid, warps_per_wg, .. } = geo;
     reset_wg(kernel, dev, warps_per_wg, scratch, wg_id);
+    // This WG's scripts (indexed by warp) and the pre-launch image.
+    let replay = plan.map(|p| {
+        (&p.scripts[wg_id * warps_per_wg..(wg_id + 1) * warps_per_wg], &p.snapshot[..])
+    });
     let mut counters = Counters::default();
-    let mut cursors = vec![0usize; if replay.is_some() { warps_per_wg } else { 0 }];
+    let mut cursors = vec![0usize; if plan.is_some() { warps_per_wg } else { 0 }];
     let mut rounds = 0u64;
     while scratch.warps.iter().any(|w| w.status != WarpStatus::Done) {
         rounds += 1;
@@ -1516,21 +1349,23 @@ fn run_wg_isolated<K: Kernel>(
             }
             counters.warp_steps += 1;
             scratch.warps[w].steps += 1;
-            let rep = replay.map(|r| ClaimReplay {
-                script: &r.scripts[w],
-                cursor: &mut cursors[w],
-                snapshot: r.snapshot,
-            });
-            exec_slice(dev, global, kernel, grid, None, scratch, w, &mut counters, rep);
+            let claims = match replay {
+                Some((scripts, snapshot)) => {
+                    Claims::Replay { script: &scripts[w], cursor: &mut cursors[w], snapshot }
+                }
+                None => Claims::Live,
+            };
+            exec_slice(dev, global, kernel, grid, None, scratch, w, &mut counters, claims);
         }
         release_wg(dev, scratch, &mut counters);
     }
-    if let Some(r) = replay {
+    if let Some((scripts, _)) = replay {
         for (w, &cur) in cursors.iter().enumerate() {
             assert_eq!(
                 cur,
-                r.scripts[w].len(),
-                "claim script underrun in wg {wg_id} warp {w}: control_step diverged from step"
+                scripts[w].len(),
+                "claim script underrun in wg {wg_id} warp {w}: the kernel's claims depend on \
+                 moves_data()"
             );
         }
     }
@@ -1575,16 +1410,17 @@ fn slot_replay(outs: &[WgOut], resident_cap: usize, num_wgs: usize) -> (u64, Vec
     (rounds, retire_order)
 }
 
-/// The parallel work-group engine: run every work-group in isolation on a
-/// `threads`-wide rayon pool, in chunks of about `num_wgs / (threads·8)`
-/// work-groups, then deterministically reconstruct exactly what the serial
-/// round-robin engine would have produced:
+/// The parallel work-group engine: run every work-group in isolation on
+/// the current rayon pool ([`rayon::current_num_threads`] wide), in chunks
+/// of about `num_wgs / (threads·8)` work-groups, then deterministically
+/// reconstruct exactly what the serial round-robin engine would have
+/// produced:
 ///
 /// * **Memory image** — WgLocal work-groups write disjoint global words, so
 ///   execution order cannot change the final image. CrossWgClaims
 ///   work-groups write each data position at most once (claim winners are
-///   fixed by the oracle) and their flag-word `atom_or`s are commutative
-///   and idempotent, so again order cannot change the image.
+///   fixed by the recorded scripts) and their flag-word `atom_or`s are
+///   commutative and idempotent, so again order cannot change the image.
 /// * **Counters** — merged from per-WG subtotals in canonical wg order; all
 ///   f64 counter increments are integer-valued (see [`Counters::merge`]), so
 ///   the regrouped sums are bit-exact.
@@ -1592,32 +1428,22 @@ fn slot_replay(outs: &[WgOut], resident_cap: usize, num_wgs: usize) -> (u64, Vec
 ///   *slots*: each WG occupies a slot for its isolated round count `R_g`
 ///   (its per-round behaviour depends only on itself — for CrossWgClaims
 ///   because its claim outcomes come from the script, so its isolated run
-///   steps exactly as it did inside the control replay), reproducing the
+///   steps exactly as it did inside the serial engine), reproducing the
 ///   serial engine's `rounds`, its swap-remove retire order (which orders
 ///   `total_chain_cycles` accumulation and warp-span sampling), and its
 ///   sequential admissions.
-#[allow(clippy::too_many_arguments)]
 fn launch_parallel<K: Kernel, R: Recorder>(
     dev: &DeviceSpec,
     global: &GlobalMem,
     kernel: &K,
-    grid: Grid,
-    occ: Occupancy,
-    warps_per_wg: usize,
-    resident_cap: usize,
-    threads: usize,
+    geo: Geometry,
     rec: &R,
     t0_s: f64,
-    mergeable: Option<&MergeablePlan>,
+    plan: Option<&MergeablePlan>,
 ) -> KernelStats {
-    let num_wgs = grid.num_wgs;
+    let num_wgs = geo.grid.num_wgs;
+    let threads = rayon::current_num_threads();
     let empty_scratch = || WgRt::<K::State> { wg_id: 0, warps: Vec::new(), local: LocalMem::new(0) };
-    let wg_replay = |g: usize| {
-        mergeable.map(|p| WgReplay {
-            snapshot: &p.snapshot,
-            scripts: &p.oracle.scripts[g * warps_per_wg..(g + 1) * warps_per_wg],
-        })
-    };
     let mut outs: Vec<Option<WgOut>> = Vec::new();
     outs.resize_with(num_wgs, || None);
     // Engage atomic RMWs for the duration of multi-threaded stepping
@@ -1626,29 +1452,11 @@ fn launch_parallel<K: Kernel, R: Recorder>(
     // to serial).
     global.set_parallel(threads > 1 && num_wgs > 1);
     let chunk = num_wgs.div_ceil(threads * 8).max(1);
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("a fixed-width pool builds");
-    pool.install(|| {
-        outs.par_chunks_mut(chunk).enumerate().for_each_init(
-            empty_scratch,
-            |scratch, (ci, slice)| {
-                for (off, slot) in slice.iter_mut().enumerate() {
-                    let g = ci * chunk + off;
-                    *slot = Some(run_wg_isolated(
-                        dev,
-                        global,
-                        kernel,
-                        grid,
-                        warps_per_wg,
-                        g,
-                        scratch,
-                        wg_replay(g).as_ref(),
-                    ));
-                }
-            },
-        );
+    outs.par_chunks_mut(chunk).enumerate().for_each_init(empty_scratch, |scratch, (ci, slice)| {
+        for (off, slot) in slice.iter_mut().enumerate() {
+            let g = ci * chunk + off;
+            *slot = Some(run_wg_isolated(dev, global, kernel, geo, g, scratch, plan));
+        }
     });
     global.set_parallel(false);
     let outs: Vec<WgOut> = outs.into_iter().map(|o| o.expect("every WG ran")).collect();
@@ -1660,15 +1468,16 @@ fn launch_parallel<K: Kernel, R: Recorder>(
         counters.merge(&o.counters);
     }
 
-    // The total-step cross-check catches any control/step divergence that
-    // happened to keep every per-warp script length intact.
-    if let Some(p) = mergeable {
+    // The total-step cross-check catches a step count that depends on
+    // `moves_data()` while every per-warp script length stays intact.
+    if let Some(p) = plan {
         assert_eq!(
-            counters.warp_steps, p.oracle.total_steps,
-            "replayed warp steps diverged from the control replay"
+            counters.warp_steps, p.total_steps,
+            "replayed warp steps diverged from the record pass: the kernel's step count \
+             depends on moves_data()"
         );
     }
-    let (rounds, retire_order) = slot_replay(&outs, resident_cap, num_wgs);
+    let (rounds, retire_order) = slot_replay(&outs, geo.resident_cap, num_wgs);
 
     // Chain totals and span sampling in exact serial retirement order, so
     // even non-integer chain cycles accumulate bit-identically.
@@ -1693,8 +1502,7 @@ fn launch_parallel<K: Kernel, R: Recorder>(
     finish_launch(
         dev,
         kernel.name(),
-        grid,
-        occ,
+        geo,
         &counters,
         rounds,
         total_chain,
@@ -1713,8 +1521,7 @@ fn launch_parallel<K: Kernel, R: Recorder>(
 fn finish_launch<R: Recorder>(
     dev: &DeviceSpec,
     name: String,
-    grid: Grid,
-    occ: Occupancy,
+    geo: Geometry,
     counters: &Counters,
     rounds: u64,
     total_chain: f64,
@@ -1724,6 +1531,7 @@ fn finish_launch<R: Recorder>(
     rec: &R,
     t0_s: f64,
 ) -> KernelStats {
+    let Geometry { grid, occ, .. } = geo;
     // ---- time model ----
     let clock_hz = dev.clock_ghz * 1e9;
     // Concurrency actually sustained: average live warps per scheduling

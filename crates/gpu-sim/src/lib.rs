@@ -37,8 +37,8 @@ pub mod sim;
 
 pub use device::{Arch, DeviceSpec, PcieSpec};
 pub use exec::{
-    launch_configured, launch_traced, launch_with_faults, ControlCtx, Coordination, EngineMode,
-    Grid, Kernel, LaunchConfig, LaunchError, Step, WarpCtx, WARP_SPAN_CAP,
+    launch_configured, Coordination, EngineMode, Grid, Kernel, LaunchConfig, LaunchError, Step,
+    WarpCtx, WARP_SPAN_CAP,
 };
 pub use fault::{
     AtomicTamper, ChaosConfig, ChaosPlan, FaultKind, FaultPlan, FaultRecord, FaultSource,

@@ -354,16 +354,10 @@ impl Sim {
                 watchdog: self.watchdog,
                 engine: EngineMode::Serial,
             },
-            rec_noop(),
+            &ipt_obs::NoopRecorder,
             0.0,
         )
     }
-}
-
-/// Shared `&NoopRecorder` for unrecorded configurable launches.
-fn rec_noop() -> &'static ipt_obs::NoopRecorder {
-    static NOOP: ipt_obs::NoopRecorder = ipt_obs::NoopRecorder;
-    &NOOP
 }
 
 #[cfg(test)]

@@ -3,7 +3,8 @@
 //! execution must be deterministic.
 
 use gpu_sim::{
-    Buffer, DeviceSpec, Grid, Kernel, LaneAddrs, LaneWrites, Sim, Step, WarpCtx,
+    Buffer, Coordination, DeviceSpec, EngineMode, Grid, Kernel, KernelStats, LaneAddrs,
+    LaneWrites, Sim, Step, WarpCtx,
 };
 
 /// A one-warp kernel that performs a single caller-specified access pattern
@@ -237,4 +238,113 @@ fn occupancy_flows_into_stats() {
     });
     assert!(stats.occupancy.occupancy < 0.2);
     assert_eq!(stats.occupancy.limiter, gpu_sim::Limiter::LocalMem);
+}
+
+/// How a planted claims kernel breaks the `moves_data()` contract of
+/// `Coordination::CrossWgClaims`.
+#[derive(Clone, Copy)]
+enum Drift {
+    /// Keeps the contract.
+    None,
+    /// Claims once more only when moving data (the replay pass).
+    ClaimWhenMoving,
+    /// Claims once more only when not moving data (the record pass).
+    ClaimWhenRecording,
+    /// Takes one more slice only when moving data.
+    StepWhenMoving,
+}
+
+/// One warp per work-group; work-groups `2k` and `2k + 1` race for claim
+/// bit `k`, and the winner writes its id + 1 to data word `k`.
+struct ClaimsKernel {
+    flags: Buffer,
+    data: Buffer,
+    drift: Drift,
+}
+
+impl Kernel for ClaimsKernel {
+    type State = u8;
+
+    fn name(&self) -> String {
+        "claims".into()
+    }
+
+    fn grid(&self) -> Grid {
+        Grid { num_wgs: 4, wg_size: 32 }
+    }
+
+    fn coordination(&self) -> Coordination {
+        Coordination::CrossWgClaims
+    }
+
+    fn init(&self, _wg: usize, _warp: usize) -> u8 {
+        0
+    }
+
+    fn step(&self, slices: &mut u8, ctx: &mut WarpCtx<'_>) -> Step {
+        *slices += 1;
+        if *slices > 1 {
+            return Step::Done;
+        }
+        let bit = ctx.wg_id / 2;
+        if ctx.claim_acquire(self.flags, bit) && ctx.moves_data() {
+            let id = ctx.wg_id as u32 + 1;
+            ctx.global_write(self.data, &LaneWrites::from_fn(1, |_| Some((bit, id))));
+        }
+        let extra_claim = match self.drift {
+            Drift::ClaimWhenMoving => ctx.moves_data(),
+            Drift::ClaimWhenRecording => !ctx.moves_data(),
+            Drift::None | Drift::StepWhenMoving => false,
+        };
+        if extra_claim {
+            ctx.claim_check(self.flags, bit);
+        }
+        if matches!(self.drift, Drift::StepWhenMoving) && ctx.moves_data() {
+            Step::Continue
+        } else {
+            Step::Done
+        }
+    }
+}
+
+/// Run [`ClaimsKernel`] under `engine` inside a 2-thread pool; returns the
+/// data words and the stats.
+fn run_claims(drift: Drift, engine: EngineMode) -> (Vec<u32>, KernelStats) {
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(2).build().expect("shim pools build");
+    pool.install(|| {
+        let mut sim = Sim::new(DeviceSpec::tesla_k20(), 64);
+        sim.set_engine_mode(engine);
+        let flags = sim.alloc(1);
+        let data = sim.alloc(2);
+        let stats = sim.launch(&ClaimsKernel { flags, data, drift }).unwrap();
+        (sim.download_u32(data), stats)
+    })
+}
+
+#[test]
+fn claims_kernel_keeping_the_contract_is_engine_independent() {
+    let serial = run_claims(Drift::None, EngineMode::Serial);
+    assert_eq!(serial.0, [1, 3], "the first work-group of each pair wins");
+    assert_eq!(run_claims(Drift::None, EngineMode::Parallel), serial);
+}
+
+// The three tripwires of the parallel `CrossWgClaims` engine. The serial
+// engine always moves data, so it cannot see these contract breaks.
+
+#[test]
+#[should_panic(expected = "claim script overrun")]
+fn claiming_more_when_moving_data_overruns_the_script() {
+    let _ = run_claims(Drift::ClaimWhenMoving, EngineMode::Parallel);
+}
+
+#[test]
+#[should_panic(expected = "claim script underrun")]
+fn claiming_more_when_recording_underruns_the_script() {
+    let _ = run_claims(Drift::ClaimWhenRecording, EngineMode::Parallel);
+}
+
+#[test]
+#[should_panic(expected = "replayed warp steps diverged")]
+fn stepping_more_when_moving_data_breaks_the_step_count() {
+    let _ = run_claims(Drift::StepWhenMoving, EngineMode::Parallel);
 }

@@ -70,8 +70,7 @@ pub use pipeline::{
     StageKernel, MAX_CYCLE_SCAN,
 };
 pub use recover::{
-    host_transpose, host_transpose_elems, multiset_checksum, run_plan_validated,
-    transpose_scheme_with_recovery, transpose_with_recovery, transpose_with_recovery_elems,
+    host_transpose, host_transpose_elems, multiset_checksum, transpose_scheme_with_recovery, transpose_with_recovery, transpose_with_recovery_elems,
     verify_exact, verify_exact_elems, RecoveryPath, RecoveryPolicy, RecoveryReport,
     StageRetryInfo, TransposeError, VerifyError,
 };

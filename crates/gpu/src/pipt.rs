@@ -1,5 +1,5 @@
 //! P-IPT: the cycle-per-thread parallelisation the paper compares against
-//! (from Sung et al. [12], originally the multicore strategy of
+//! (from Sung et al. \[12\], originally the multicore strategy of
 //! Gustavson/Karlsson).
 //!
 //! Each work-item owns one complete cycle and shifts it alone, one element

@@ -6,7 +6,7 @@
 //! elements (coalesced first touch), then chase the shifting cycles of
 //! Eq. (1), claiming each destination with a simulated bit-addressable
 //! atomic (`atom_or` on a 32-bit word). The flag layout
-//! ([`FlagLayout`](crate::opts::FlagLayout)) decides how bits map to words:
+//! ([`FlagLayout`]) decides how bits map to words:
 //! packed flags serialise colliding work-items (position conflicts); the
 //! paper's spreading (Eq. 3) and padding (§5.1.2) optimisations reduce
 //! position, then bank and lock conflicts.

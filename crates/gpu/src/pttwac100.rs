@@ -29,7 +29,7 @@
 //! whole-matrix single-stage transposition (the ≈1.5 GB/s baseline of §4.1).
 
 use crate::opts::{ClaimBackoff, Variant100};
-use gpu_sim::{Buffer, ControlCtx, Coordination, Grid, Kernel, LaneAddrs, LaneWrites, Step, WarpCtx};
+use gpu_sim::{Buffer, Coordination, Grid, Kernel, LaneAddrs, LaneWrites, Step, WarpCtx};
 use ipt_core::TransposePerm;
 
 /// PTTWAC 100!-family kernel.
@@ -86,7 +86,6 @@ impl Pttwac100 {
             _ => self.wg_size,
         }
     }
-
 }
 
 /// Per-warp state.
@@ -154,8 +153,9 @@ impl Kernel for Pttwac100 {
     // are flag-guarded, and control flow depends on global memory only
     // through the claim outcomes. That is precisely the
     // deterministically-mergeable contract, so the parallel engine may run
-    // this kernel through the two-phase control replay (`control_step`
-    // below is the cost-free twin).
+    // this kernel in two phases: a record pass (`moves_data()` false, so
+    // `step` skips its data movement but claims exactly as usual), then a
+    // concurrent replay.
     fn coordination(&self) -> Coordination {
         Coordination::CrossWgClaims
     }
@@ -244,7 +244,9 @@ impl Kernel for Pttwac100 {
                 return Step::Continue; // already moved by another chain
             }
             // Read the start super-element into the carried buffer.
-            read_super(self, ctx, start, &mut st.carried, multi_warp_wg);
+            if ctx.moves_data() {
+                read_super(self, ctx, start, &mut st.carried, multi_warp_wg);
+            }
             st.pos = start;
             st.active = true;
             return Step::Continue;
@@ -267,59 +269,12 @@ impl Kernel for Pttwac100 {
         }
         st.losses = 0;
         // Swap carried with data[next] (scratch reused across moves).
-        let mut backup = std::mem::take(&mut st.backup);
-        read_super(self, ctx, next, &mut backup, multi_warp_wg);
-        write_super(self, ctx, next, &st.carried, multi_warp_wg);
-        st.backup = std::mem::replace(&mut st.carried, backup);
-        st.pos = next;
-        Step::Continue
-    }
-
-    // Cost-free control twin of `step`: the identical claim-op sequence and
-    // state transitions, with all data movement, local staging, and cost
-    // accounting elided. Any edit to `step`'s control flow must be mirrored
-    // here — the engine cross-checks per-warp claim counts and the total
-    // step count, so a divergence fails loudly, not silently.
-    fn control_step(&self, st: &mut P100State, ctx: &mut ControlCtx<'_>) -> Step {
-        if st.assist_only {
-            return Step::Done;
+        if ctx.moves_data() {
+            let mut backup = std::mem::take(&mut st.backup);
+            read_super(self, ctx, next, &mut backup, multi_warp_wg);
+            write_super(self, ctx, next, &st.carried, multi_warp_wg);
+            st.backup = std::mem::replace(&mut st.carried, backup);
         }
-        if st.stride == 0 {
-            let warps_per_wg = ctx.wg_size.div_ceil(ctx.device().simd_width);
-            st.next_start = ctx.wg_id * warps_per_wg + ctx.warp_id;
-            st.stride = ctx.num_wgs * warps_per_wg;
-        }
-        let spi = self.supers_per_instance();
-        let perm = TransposePerm::new(self.rows, self.cols);
-
-        if !st.active {
-            if st.cooldown > 0 {
-                st.cooldown -= 1;
-                return Step::Continue;
-            }
-            let Some(start) = next_nonfixed_start(st, &perm, spi, self.total_supers()) else {
-                return if st.exhausted { Step::Done } else { Step::Continue };
-            };
-            if ctx.claim_check(self.flags, start) {
-                return Step::Continue;
-            }
-            st.pos = start;
-            st.active = true;
-            return Step::Continue;
-        }
-
-        let inst = st.pos / spi;
-        let within = st.pos % spi;
-        let next = inst * spi + perm.dest(within);
-        if !ctx.claim_acquire(self.flags, next) {
-            st.active = false;
-            if let Some(b) = self.backoff {
-                st.losses = st.losses.saturating_add(1);
-                st.cooldown = b.cooldown(next, st.losses);
-            }
-            return Step::Continue;
-        }
-        st.losses = 0;
         st.pos = next;
         Step::Continue
     }

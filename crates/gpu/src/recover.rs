@@ -10,7 +10,7 @@
 //! * every successful return is **verified element-exact** against the
 //!   definitional permutation,
 //! * recovery is layered: per-stage snapshot + multiset-checksum
-//!   validation with bounded retry ([`run_plan_validated`]), then a
+//!   validation with bounded retry ([`run_plan_validated_rec`]), then a
 //!   fallback chain ([`transpose_with_recovery`]) that degrades from the
 //!   tuned in-place pipeline through conservative options and an
 //!   out-of-place kernel down to a sequential host transposition, which
@@ -307,7 +307,7 @@ impl RecoveryReport {
             && self.faults.is_empty()
     }
 
-    /// Emit this report into a [`Recorder`](ipt_obs::Recorder): retry
+    /// Emit this report into a [`Recorder`]: retry
     /// counters under the `recovery` scope, one instant event per injected
     /// fault that fired, and the penalty/path as gauges. `ts_us` places the
     /// fault events on the recorder's global clock.
@@ -459,30 +459,15 @@ pub struct StageRetryInfo {
 /// (infeasible geometry) are returned immediately — re-running cannot
 /// change them.
 ///
+/// Successful stage attempts emit kernel-launch and stage spans on `rec`,
+/// on the cumulative DES clock starting at `t0_s` (via [`run_stage_rec`]),
+/// so a serving-layer trace context pushed around this call captures
+/// genuine device-level child spans; pass [`NoopRecorder`] to record
+/// nothing.
+///
 /// # Errors
 /// [`TransposeError::RecoveryExhausted`] when retries run out;
 /// [`TransposeError::Launch`] for deterministic launch failures.
-pub fn run_plan_validated(
-    sim: &Sim,
-    data: Buffer,
-    flags: Buffer,
-    plan: &StagePlan,
-    opts: &GpuOptions,
-    policy: &RecoveryPolicy,
-) -> Result<(PipelineStats, StageRetryInfo), TransposeError> {
-    run_plan_validated_rec(sim, data, flags, plan, opts, policy, &NoopRecorder, 0.0)
-}
-
-/// [`run_plan_validated`] instrumented with a [`Recorder`]: successful
-/// stage attempts emit kernel-launch and stage spans on the cumulative
-/// DES clock starting at `t0_s` (via
-/// [`run_stage_rec`](crate::pipeline::run_stage_rec)), so a serving-layer
-/// trace context pushed around this call captures genuine device-level
-/// child spans. With [`NoopRecorder`] this is exactly
-/// [`run_plan_validated`].
-///
-/// # Errors
-/// Same contract as [`run_plan_validated`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_plan_validated_rec<R: Recorder>(
     sim: &Sim,
@@ -545,7 +530,7 @@ pub fn run_plan_validated_rec<R: Recorder>(
 
 /// Full in-place transposition with verification and a fallback chain.
 ///
-/// The primary attempt runs [`run_plan_validated`] with the requested
+/// The primary attempt runs [`run_plan_validated_rec`] with the requested
 /// options and finishes with an element-exact check against the
 /// definitional permutation. If anything fails and the policy allows
 /// fallback, execution degrades in order:

@@ -7,8 +7,10 @@
 //! identical Chrome-trace span trees; thread count (1, 2, N) must not be
 //! observable either. Work-group-local kernels run concurrently as-is;
 //! the cross-work-group `100!` family (all three variants, fused and
-//! backoff paths included) runs **natively parallel** through the
-//! two-phase control replay and must still agree bit for bit.
+//! backoff paths included) runs **natively parallel** in two phases — the
+//! serial engine records every claim outcome with the kernel's own `step`,
+//! then the work-groups replay those outcomes concurrently — and must still
+//! agree bit for bit.
 
 use gpu_sim::{
     DeviceSpec, EngineMode, FaultKind, FaultPlan, KernelStats, SchedPolicy, Sim, Watchdog,
@@ -33,7 +35,7 @@ enum Fam {
     C2rCols,
     Oop,
     /// Cross-work-group claims, warp-local-tile variant: runs natively
-    /// parallel through the control-replay engine.
+    /// parallel through the record-then-replay engine.
     P100,
     /// `100!`, original Sung work-group-per-chain variant.
     P100Sung,
@@ -42,7 +44,7 @@ enum Fam {
     /// `100!` with fused per-super-element tile transposition.
     P100Fused,
     /// `100!` with claim-retry backoff (cooldown slices exercise the
-    /// control twin's non-claiming path).
+    /// record pass's non-claiming slices).
     P100Backoff,
 }
 
@@ -91,6 +93,22 @@ struct Observed {
     mem: Vec<u32>,
     stats: KernelStats,
     trace: String,
+}
+
+/// [`run_under`] on the parallel engine inside a `threads`-wide pool.
+fn run_parallel(
+    fam: Fam,
+    rows: usize,
+    cols: usize,
+    instances: usize,
+    sup: usize,
+    threads: usize,
+) -> Observed {
+    pool(threads).install(|| run_under(fam, rows, cols, instances, sup, EngineMode::Parallel))
+}
+
+fn pool(threads: usize) -> rayon::ThreadPool {
+    rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("shim pools build")
 }
 
 /// One traced execution of `fam` on `rows × cols` under `engine`.
@@ -180,7 +198,7 @@ proptest! {
     /// on every kernel family — memory, stats (incl. conflict counters,
     /// claim retries, and f64 chain cycles), and the whole trace. The
     /// `100!` families sweep variants × super_size × fusion × backoff
-    /// through the control-replay engine.
+    /// through the record-then-replay engine.
     #[test]
     fn parallel_engine_is_bit_identical_to_serial(
         rows in 2usize..16,
@@ -197,8 +215,7 @@ proptest! {
                 1
             };
             let serial = run_under(fam, rows, cols, inst, sup, EngineMode::Serial);
-            let par =
-                run_under(fam, rows, cols, inst, sup, EngineMode::Parallel { threads: 3 });
+            let par = run_parallel(fam, rows, cols, inst, sup, 3);
             prop_assert_eq!(
                 &serial.mem, &par.mem,
                 "{:?} {}x{}x{} sup={}: memory diverged", fam, inst, rows, cols, sup
@@ -225,12 +242,9 @@ proptest! {
         instances in 2usize..8,
     ) {
         for fam in [Fam::Bs, Fam::P100Backoff] {
-            let base =
-                run_under(fam, rows, cols, instances, 3, EngineMode::Parallel { threads: 1 });
+            let base = run_parallel(fam, rows, cols, instances, 3, 1);
             for threads in [2usize, 7] {
-                let other = run_under(
-                    fam, rows, cols, instances, 3, EngineMode::Parallel { threads },
-                );
+                let other = run_parallel(fam, rows, cols, instances, 3, threads);
                 prop_assert_eq!(&base.mem, &other.mem, "{:?} threads={} memory", fam, threads);
                 prop_assert_eq!(&base.stats, &other.stats, "{:?} threads={} stats", fam, threads);
                 prop_assert_eq!(&base.trace, &other.trace, "{:?} threads={} trace", fam, threads);
@@ -295,7 +309,7 @@ fn run_p100_ineligible(feature: Ineligible, engine: EngineMode) -> Observed {
 fn ineligible_crosswg_claims_launches_fall_back_to_serial() {
     for feature in [Ineligible::PctScheduler, Ineligible::FaultPlan, Ineligible::Watchdog] {
         let serial = run_p100_ineligible(feature, EngineMode::Serial);
-        let par = run_p100_ineligible(feature, EngineMode::Parallel { threads: 4 });
+        let par = pool(4).install(|| run_p100_ineligible(feature, EngineMode::Parallel));
         assert_eq!(serial.mem, par.mem, "{feature:?}: memory diverged");
         assert_eq!(serial.stats, par.stats, "{feature:?}: stats diverged");
         assert_eq!(serial.trace, par.trace, "{feature:?}: trace diverged");

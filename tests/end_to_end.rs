@@ -70,6 +70,40 @@ fn device_paths_match_reference_on_all_devices() {
 }
 
 #[test]
+fn staged_plan_through_100_is_engine_independent() {
+    use ipt::sim::EngineMode;
+    // Stage 1 (`100!`) and stage 3 (`0100!`: 12800-word instances, more
+    // than a K20 work-group's local memory) both launch the claims-
+    // coordinated `100!` kernel, so the parallel engine records their claim
+    // outcomes serially and replays them on the pool; stage 2 runs BS.
+    let (r, c) = (512, 50);
+    let plan = StagePlan::three_stage(r, c, TileConfig::new(16, 25)).unwrap();
+    let dev = DeviceSpec::tesla_k20();
+    let opts = GpuOptions::tuned_for(&dev);
+    let run = |engine| {
+        let mut sim = Sim::new(dev.clone(), r * c + plan_flag_words(&plan) + 64);
+        sim.set_engine_mode(engine);
+        let mut data = Matrix::iota(r, c).into_vec();
+        let stats = transpose_on_device(&mut sim, &mut data, r, c, &plan, &opts).unwrap();
+        (data, stats)
+    };
+    let (serial_data, serial) = run(EngineMode::Serial);
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(2)
+        .build()
+        .expect("shim pools build");
+    let (par_data, par) = pool.install(|| run(EngineMode::Parallel));
+    let kernels: Vec<&str> = serial.stages.iter().map(|s| s.name.as_str()).collect();
+    assert!(
+        kernels[0].starts_with("PTTWAC100") && kernels[2].starts_with("PTTWAC100"),
+        "{kernels:?}"
+    );
+    assert_eq!(serial_data, par_data);
+    assert_eq!(serial.stages, par.stages);
+    assert_eq!(serial.overhead_s.to_bits(), par.overhead_s.to_bits());
+}
+
+#[test]
 fn host_offload_sync_and_async_agree() {
     let (r, c) = (720, 180);
     let dev = DeviceSpec::tesla_k20();
