@@ -47,12 +47,7 @@ pub use fault::{
 pub use lanes::{LaneAddrs, LaneVals, LaneWrites, Lanes, MAX_LANES};
 pub use mem::{Buffer, GlobalMem, LocalMem, MemTraffic, TrafficSnapshot};
 pub use occupancy::{occupancy, KernelResources, Limiter, Occupancy};
-pub use queue::{
-    simulate_engines, simulate_queues, simulate_queues_dep, try_simulate_engines,
-    try_simulate_engines_at, try_simulate_queues_crash, try_simulate_queues_dep,
-    try_simulate_shards_at, Cmd, ECmd, EngineCrash, FleetTimeline, QCmd, QueueError, ShardLoad,
-    Span, Timeline,
-};
+pub use queue::{simulate, simulate_device, Cmd, EngineCrash, QueueError, Span, Timeline};
 pub use report::{KernelStats, PipelineStats, TimeBounds};
 pub use sched::{
     explore, ExploreConfig, ExploreOutcome, PctScheduler, Pick, RoundRobin, ScheduleFailure,

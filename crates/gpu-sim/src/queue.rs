@@ -3,7 +3,9 @@
 //!
 //! OpenCL command queues (CUDA streams) are in-order sequences of commands;
 //! commands from *different* queues may overlap when they use different
-//! hardware engines. The modelled engines:
+//! hardware engines. One greedy loop, [`simulate`], schedules every
+//! timeline in the workspace over an arbitrary engine set;
+//! [`simulate_device`] supplies one device's engines:
 //!
 //! * one **compute** engine (kernels serialise among themselves),
 //! * one or two **copy** engines (`DeviceSpec::copy_engines`): with two,
@@ -18,62 +20,72 @@ use crate::fault::FaultSource;
 use serde::Serialize;
 use std::sync::Arc;
 
-/// One queued command.
+/// One queued command: `duration_s` of work on `engine`, optionally waiting
+/// on another queue's command (an OpenCL event) besides its own queue's
+/// order.
 ///
 /// Labels are `Arc<str>`: the DES hot loop stamps every scheduled [`Span`]
 /// with its command's label, and serving streams replay thousands of cached
 /// command lists — a reference-count bump per span instead of a heap copy.
 #[derive(Debug, Clone)]
-pub enum Cmd {
-    /// Host-to-device copy of `bytes`.
-    H2D {
-        /// Transfer size in bytes.
-        bytes: f64,
-    },
-    /// Device-to-host copy of `bytes`.
-    D2H {
-        /// Transfer size in bytes.
-        bytes: f64,
-    },
-    /// Kernel execution of known simulated duration.
-    Kernel {
-        /// Simulated kernel time, seconds.
-        time_s: f64,
-        /// Label for the timeline (shared, cheap to clone per span).
-        name: Arc<str>,
-    },
+pub struct Cmd {
+    /// Engine id; on a device 0 = H2D copy, 1 = D2H copy, 2 = compute.
+    pub engine: usize,
+    /// Duration, seconds.
+    pub duration_s: f64,
+    /// Label for the timeline (shared, cheap to clone per span).
+    pub label: Arc<str>,
+    /// Cross-queue event wait: `(queue, index)` of the prerequisite.
+    pub wait: Option<(usize, usize)>,
+    /// `Some(true)` for an H2D copy, `Some(false)` for a D2H copy: the
+    /// commands a [`FaultSource`] may fail. `None` for everything else.
+    pub transfer: Option<bool>,
 }
 
 impl Cmd {
-    fn engine(&self, dev: &DeviceSpec) -> usize {
-        match self {
-            Cmd::H2D { .. } => 0,
-            Cmd::D2H { .. } => {
-                if dev.copy_engines >= 2 {
-                    1
-                } else {
-                    0
-                }
-            }
-            Cmd::Kernel { .. } => 2,
+    /// Host-to-device copy of `bytes` on `dev`'s H2D copy engine.
+    #[must_use]
+    pub fn h2d(dev: &DeviceSpec, bytes: f64) -> Self {
+        Self::copy(dev, bytes, true)
+    }
+
+    /// Device-to-host copy of `bytes`: its own copy engine when `dev` has
+    /// two, else the H2D engine.
+    #[must_use]
+    pub fn d2h(dev: &DeviceSpec, bytes: f64) -> Self {
+        Self::copy(dev, bytes, false)
+    }
+
+    fn copy(dev: &DeviceSpec, bytes: f64, h2d: bool) -> Self {
+        let (engine, dir) =
+            if h2d { (0, "H2D") } else { (usize::from(dev.copy_engines >= 2), "D2H") };
+        Self {
+            engine,
+            duration_s: dev.pcie.transfer_time(bytes),
+            label: format!("{dir} {:.1} MB", bytes / 1e6).into(),
+            wait: None,
+            transfer: Some(h2d),
         }
     }
 
-    fn duration(&self, dev: &DeviceSpec) -> f64 {
-        match self {
-            Cmd::H2D { bytes } | Cmd::D2H { bytes } => dev.pcie.transfer_time(*bytes),
-            Cmd::Kernel { time_s, .. } => *time_s,
-        }
+    /// Kernel execution of known simulated duration on the compute engine.
+    #[must_use]
+    pub fn kernel(time_s: f64, name: impl Into<Arc<str>>) -> Self {
+        Self::on(2, time_s, name)
     }
 
-    fn label(&self) -> Arc<str> {
-        match self {
-            Cmd::H2D { bytes } => format!("H2D {:.1} MB", bytes / 1e6).into(),
-            Cmd::D2H { bytes } => format!("D2H {:.1} MB", bytes / 1e6).into(),
-            // Kernel labels are pre-shared: a span stamp is one refcount
-            // bump, not an allocation.
-            Cmd::Kernel { name, .. } => Arc::clone(name),
-        }
+    /// `duration_s` of work on an explicit engine — for multi-device
+    /// layouts (per-device compute plus shared or private PCIe links).
+    #[must_use]
+    pub fn on(engine: usize, duration_s: f64, label: impl Into<Arc<str>>) -> Self {
+        Self { engine, duration_s, label: label.into(), wait: None, transfer: None }
+    }
+
+    /// This command, waiting on event `(queue, index)`.
+    #[must_use]
+    pub fn after(mut self, queue: usize, index: usize) -> Self {
+        self.wait = Some((queue, index));
+        self
     }
 }
 
@@ -114,7 +126,7 @@ impl Timeline {
 
     /// Start time of queue `q`'s first span, or `None` when the queue issued
     /// no commands. `start − arrival` is a request's queue wait under
-    /// [`try_simulate_engines_at`].
+    /// [`simulate`] with arrivals.
     #[must_use]
     pub fn queue_start_s(&self, q: usize) -> Option<f64> {
         self.spans
@@ -200,46 +212,6 @@ impl Timeline {
     }
 }
 
-/// A command plus an optional OpenCL-event dependency: the command may not
-/// start before command `(queue, index)` has completed (in addition to the
-/// usual in-order constraint of its own queue).
-#[derive(Debug, Clone)]
-pub struct QCmd {
-    /// The command.
-    pub cmd: Cmd,
-    /// Cross-queue event wait: `(queue, index)` of the prerequisite.
-    pub wait: Option<(usize, usize)>,
-}
-
-impl QCmd {
-    /// A command with no cross-queue dependency.
-    #[must_use]
-    pub fn plain(cmd: Cmd) -> Self {
-        Self { cmd, wait: None }
-    }
-
-    /// A command waiting on event `(queue, index)`.
-    #[must_use]
-    pub fn after(cmd: Cmd, queue: usize, index: usize) -> Self {
-        Self { cmd, wait: Some((queue, index)) }
-    }
-}
-
-/// Greedy in-order list scheduling of `queues` on the device's engines.
-///
-/// Semantics: command `i` of queue `q` becomes *ready* when command `i−1` of
-/// the same queue finished; each engine runs one command at a time; among
-/// ready commands an engine picks the earliest-submitted (queue-major
-/// round-robin, matching driver FIFO behaviour).
-#[must_use]
-pub fn simulate_queues(dev: &DeviceSpec, queues: &[Vec<Cmd>]) -> Timeline {
-    let wrapped: Vec<Vec<QCmd>> = queues
-        .iter()
-        .map(|q| q.iter().cloned().map(QCmd::plain).collect())
-        .collect();
-    simulate_queues_dep(dev, &wrapped)
-}
-
 /// Why the DES could not complete a schedule.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueueError {
@@ -300,41 +272,10 @@ impl std::fmt::Display for QueueError {
 
 impl std::error::Error for QueueError {}
 
-/// [`simulate_queues`] with cross-queue event dependencies.
-///
-/// # Panics
-/// Panics if a dependency points at a nonexistent command (a malformed
-/// schedule), or if dependencies deadlock (cycle). Fallible callers (and
-/// fault-injection campaigns) use [`try_simulate_queues_dep`] instead.
-#[must_use]
-pub fn simulate_queues_dep(dev: &DeviceSpec, queues: &[Vec<QCmd>]) -> Timeline {
-    match try_simulate_queues_dep(dev, queues, None) {
-        Ok(tl) => tl,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// [`simulate_queues_dep`] returning typed errors, with optional transfer
-/// fault injection: when `fault` fires an H2D/D2H failure, the matching
-/// transfer command errors out instead of completing, and the caller
-/// decides how to retry (re-simulating a single-shot plan succeeds; a
-/// chaos campaign keeps drawing, so callers bound their retries).
-///
-/// # Errors
-/// [`QueueError::BadDependency`] / [`QueueError::Deadlock`] on malformed
-/// schedules; [`QueueError::TransferFault`] when the fault source fires.
-pub fn try_simulate_queues_dep(
-    dev: &DeviceSpec,
-    queues: &[Vec<QCmd>],
-    fault: Option<&dyn FaultSource>,
-) -> Result<Timeline, QueueError> {
-    try_simulate_queues_crash(dev, queues, fault, None)
-}
-
-/// A scheduled mid-stream engine death for [`try_simulate_queues_crash`]:
-/// `engine` stops executing at `at_s` (seconds on the DES clock, including
-/// setup). Any command on that engine whose completion would land after
-/// `at_s` fails the schedule with [`QueueError::EngineCrash`].
+/// A scheduled mid-stream engine death for [`simulate`]: `engine` stops
+/// executing at `at_s` (seconds on the DES clock, including setup). Any
+/// command on that engine whose completion would land after `at_s` fails
+/// the schedule with [`QueueError::EngineCrash`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineCrash {
     /// The engine that dies (0 = H2D copy, 1 = D2H copy, 2 = compute).
@@ -343,28 +284,45 @@ pub struct EngineCrash {
     pub at_s: f64,
 }
 
-/// [`try_simulate_queues_dep`] with an optional mid-stream engine crash.
+/// Greedy in-order list scheduling of `queues` over `engines` engines.
 ///
-/// The DES schedules greedily as usual; the moment it would complete a
-/// command on the crashed engine past the crash instant, the whole schedule
-/// errors out with [`QueueError::EngineCrash`]. Everything scheduled up to
-/// that point was finished strictly before the crash and may be treated as
-/// durable by a journaling caller (the out-of-core streaming executor
-/// resumes from its last committed chunk rather than re-running the whole
-/// schedule).
+/// Semantics: command `i` of queue `q` becomes *ready* when command `i−1`
+/// of the same queue finished and its event wait (if any) completed; each
+/// engine runs one command at a time; among ready head commands the
+/// earliest start wins, ties going to the lowest queue id (submission
+/// order, as a GPU runtime dispatches its queues FIFO). Queue `q` may not
+/// start before `arrivals[q]` (missing entries mean "available at
+/// `setup_s`"): this is how serving models admission — the gap between a
+/// request's arrival and its first span is its queue wait.
+///
+/// Two optional hooks:
+/// * `fault` is consulted for each picked H2D/D2H transfer; when it fires,
+///   the transfer errors out instead of completing and the caller decides
+///   how to retry (re-simulating a single-shot plan succeeds; a chaos
+///   campaign keeps drawing, so callers bound their retries).
+/// * `crash` kills an engine: the moment the DES would complete a command
+///   on it past the crash instant, the schedule errors out. Everything
+///   scheduled up to that point finished strictly before the crash and may
+///   be treated as durable by a journaling caller (out-of-core streaming
+///   resumes from its last committed chunk).
 ///
 /// # Errors
-/// The [`try_simulate_queues_dep`] errors, plus [`QueueError::EngineCrash`]
-/// when the crash preempts a command.
-pub fn try_simulate_queues_crash(
-    dev: &DeviceSpec,
-    queues: &[Vec<QCmd>],
+/// [`QueueError::BadDependency`] for an out-of-range wait target or engine
+/// id; [`QueueError::Deadlock`] when no queue can make progress;
+/// [`QueueError::TransferFault`] when the fault source fires;
+/// [`QueueError::EngineCrash`] when the crash preempts a command.
+pub fn simulate(
+    engines: usize,
+    setup_s: f64,
+    queues: &[Vec<Cmd>],
+    arrivals: &[f64],
     fault: Option<&dyn FaultSource>,
     crash: Option<EngineCrash>,
 ) -> Result<Timeline, QueueError> {
-    let setup_s = dev.queue_create_overhead_s * queues.len() as f64;
-    let mut engine_free = [setup_s; 3];
-    let mut queue_ready: Vec<f64> = vec![setup_s; queues.len()];
+    let mut engine_free = vec![setup_s; engines];
+    let mut queue_ready: Vec<f64> = (0..queues.len())
+        .map(|q| setup_s.max(arrivals.get(q).copied().unwrap_or(setup_s)))
+        .collect();
     let mut next_idx: Vec<usize> = vec![0; queues.len()];
     let mut end_time: Vec<Vec<Option<f64>>> =
         queues.iter().map(|q| vec![None; q.len()]).collect();
@@ -372,12 +330,14 @@ pub fn try_simulate_queues_crash(
     let total_cmds: usize = queues.iter().map(Vec::len).sum();
 
     for _ in 0..total_cmds {
-        // Candidate head commands whose event dependency is satisfied.
         let mut best: Option<(f64, usize)> = None; // (start_time, queue)
         for (q, cmds) in queues.iter().enumerate() {
             let i = next_idx[q];
             if i >= cmds.len() {
                 continue;
+            }
+            if cmds[i].engine >= engines {
+                return Err(QueueError::BadDependency { queue: q, index: i });
             }
             let dep_end = match cmds[i].wait {
                 None => setup_s,
@@ -391,8 +351,7 @@ pub fn try_simulate_queues_crash(
                     }
                 }
             };
-            let engine = cmds[i].cmd.engine(dev);
-            let start = queue_ready[q].max(engine_free[engine]).max(dep_end);
+            let start = queue_ready[q].max(engine_free[cmds[i].engine]).max(dep_end);
             // Earliest start wins; tie → lowest queue id (submission order).
             if best.is_none_or(|(bs, bq)| start < bs || (start == bs && q < bq)) {
                 best = Some((start, q));
@@ -400,144 +359,23 @@ pub fn try_simulate_queues_crash(
         }
         let (start, q) = best.ok_or(QueueError::Deadlock)?;
         let i = next_idx[q];
-        let cmd = &queues[q][i].cmd;
-        if let Some(f) = fault {
-            let dir = match cmd {
-                Cmd::H2D { .. } => Some(true),
-                Cmd::D2H { .. } => Some(false),
-                Cmd::Kernel { .. } => None,
-            };
-            if let Some(h2d) = dir {
-                if f.on_transfer(h2d, q, i) {
-                    return Err(QueueError::TransferFault {
-                        queue: q,
-                        index: i,
-                        h2d,
-                        label: cmd.label(),
-                    });
-                }
+        let cmd = &queues[q][i];
+        if let (Some(f), Some(h2d)) = (fault, cmd.transfer) {
+            if f.on_transfer(h2d, q, i) {
+                return Err(QueueError::TransferFault {
+                    queue: q,
+                    index: i,
+                    h2d,
+                    label: cmd.label.clone(),
+                });
             }
         }
-        let engine = cmd.engine(dev);
-        let end = start + cmd.duration(dev);
+        let end = start + cmd.duration_s;
         if let Some(c) = crash {
-            if engine == c.engine && end > c.at_s {
+            if cmd.engine == c.engine && end > c.at_s {
                 return Err(QueueError::EngineCrash { engine: c.engine, at_s: c.at_s });
             }
         }
-        spans.push(Span { queue: q, index: i, engine, start_s: start, end_s: end, label: cmd.label() });
-        engine_free[engine] = end;
-        queue_ready[q] = end;
-        end_time[q][i] = Some(end);
-        next_idx[q] += 1;
-    }
-
-    let total_s = spans.iter().map(|s| s.end_s).fold(setup_s, f64::max);
-    Ok(Timeline { spans, total_s, setup_s })
-}
-
-/// A fully generic scheduled command for [`simulate_engines`]: runs on an
-/// explicit engine id for a given duration, optionally waiting on another
-/// command (cross-queue event).
-#[derive(Debug, Clone)]
-pub struct ECmd {
-    /// Engine id in `0..num_engines`.
-    pub engine: usize,
-    /// Duration, seconds.
-    pub duration_s: f64,
-    /// Label for the timeline (shared, cheap to clone per span).
-    pub label: Arc<str>,
-    /// Cross-queue event wait: `(queue, index)` of the prerequisite.
-    pub wait: Option<(usize, usize)>,
-}
-
-/// Generic in-order list scheduling over an arbitrary engine set — the
-/// multi-device generalisation of [`simulate_queues_dep`] (per-device
-/// compute engines plus shared or private PCIe links).
-///
-/// # Panics
-/// Panics on malformed dependencies (out of range or deadlocked) or an
-/// engine id out of range. Use [`try_simulate_engines`] for a typed error
-/// instead.
-#[must_use]
-pub fn simulate_engines(num_engines: usize, setup_s: f64, queues: &[Vec<ECmd>]) -> Timeline {
-    match try_simulate_engines(num_engines, setup_s, queues) {
-        Ok(tl) => tl,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// [`simulate_engines`] with malformed inputs reported as a typed
-/// [`QueueError`] instead of a panic.
-///
-/// # Errors
-/// [`QueueError::BadDependency`] for an out-of-range wait target or
-/// engine id; [`QueueError::Deadlock`] when no queue can make progress.
-pub fn try_simulate_engines(
-    num_engines: usize,
-    setup_s: f64,
-    queues: &[Vec<ECmd>],
-) -> Result<Timeline, QueueError> {
-    try_simulate_engines_at(num_engines, setup_s, queues, &[])
-}
-
-/// [`try_simulate_engines`] with per-queue **arrival times**: queue `q` may
-/// not start before `arrivals[q]` (missing entries mean "available at
-/// `setup_s`"). This is how the serving layer models admission: a request
-/// that arrives while the engines are busy starts late, and the gap between
-/// its arrival and its first span is its queue wait.
-///
-/// # Errors
-/// Same as [`try_simulate_engines`].
-pub fn try_simulate_engines_at(
-    num_engines: usize,
-    setup_s: f64,
-    queues: &[Vec<ECmd>],
-    arrivals: &[f64],
-) -> Result<Timeline, QueueError> {
-    let mut engine_free = vec![setup_s; num_engines];
-    let mut queue_ready: Vec<f64> = (0..queues.len())
-        .map(|q| setup_s.max(arrivals.get(q).copied().unwrap_or(setup_s)))
-        .collect();
-    let mut next_idx: Vec<usize> = vec![0; queues.len()];
-    let mut end_time: Vec<Vec<Option<f64>>> =
-        queues.iter().map(|q| vec![None; q.len()]).collect();
-    let mut spans = Vec::new();
-    let total_cmds: usize = queues.iter().map(Vec::len).sum();
-
-    for _ in 0..total_cmds {
-        let mut best: Option<(f64, usize)> = None;
-        for (q, cmds) in queues.iter().enumerate() {
-            let i = next_idx[q];
-            if i >= cmds.len() {
-                continue;
-            }
-            if cmds[i].engine >= num_engines {
-                return Err(QueueError::BadDependency { queue: q, index: i });
-            }
-            let dep_end = match cmds[i].wait {
-                None => setup_s,
-                Some((dq, di)) => {
-                    if dq >= queues.len() || di >= queues[dq].len() {
-                        return Err(QueueError::BadDependency { queue: q, index: i });
-                    }
-                    match end_time[dq][di] {
-                        Some(t) => t,
-                        None => continue,
-                    }
-                }
-            };
-            let start = queue_ready[q].max(engine_free[cmds[i].engine]).max(dep_end);
-            if best.is_none_or(|(bs, bq)| start < bs || (start == bs && q < bq)) {
-                best = Some((start, q));
-            }
-        }
-        let Some((start, q)) = best else {
-            return Err(QueueError::Deadlock);
-        };
-        let i = next_idx[q];
-        let cmd = &queues[q][i];
-        let end = start + cmd.duration_s;
         spans.push(Span {
             queue: q,
             index: i,
@@ -556,49 +394,21 @@ pub fn try_simulate_engines_at(
     Ok(Timeline { spans, total_s, setup_s })
 }
 
-/// One shard's DES load for [`try_simulate_shards_at`]: its command queues
-/// and per-queue arrival times (same conventions as
-/// [`try_simulate_engines_at`]).
-#[derive(Debug, Clone, Copy)]
-pub struct ShardLoad<'a> {
-    /// Command queues, one per batch.
-    pub queues: &'a [Vec<ECmd>],
-    /// Per-queue arrival times; missing entries mean "available at setup".
-    pub arrivals: &'a [f64],
-}
-
-/// Timelines of a fleet round: one [`Timeline`] per shard plus the
-/// fleet-wide makespan.
-#[derive(Debug, Clone)]
-pub struct FleetTimeline {
-    /// Per-shard timelines, in [`try_simulate_shards_at`] input order.
-    pub shards: Vec<Timeline>,
-    /// Fleet makespan: the latest shard completion (`setup_s` when every
-    /// shard is idle).
-    pub makespan_s: f64,
-}
-
-/// Simulate several shards' rounds at once. Each shard owns an independent
-/// block of `num_engines` engines — shards never contend with each other,
-/// only their own queues do — so per-shard timelines are identical to
-/// running [`try_simulate_engines_at`] per shard, and the fleet makespan is
-/// their max.
+/// [`simulate`] on one device: its three engines (0 = H2D copy, 1 = D2H
+/// copy, 2 = compute, as [`Cmd::h2d`], [`Cmd::d2h`] and [`Cmd::kernel`]
+/// target them) after `queues.len() × queue_create_overhead_s` of up-front
+/// queue creation.
 ///
 /// # Errors
-/// The first shard's [`QueueError`], in input order.
-pub fn try_simulate_shards_at(
-    num_engines: usize,
-    setup_s: f64,
-    shards: &[ShardLoad<'_>],
-) -> Result<FleetTimeline, QueueError> {
-    let mut timelines = Vec::with_capacity(shards.len());
-    let mut makespan_s = setup_s;
-    for shard in shards {
-        let t = try_simulate_engines_at(num_engines, setup_s, shard.queues, shard.arrivals)?;
-        makespan_s = makespan_s.max(t.total_s);
-        timelines.push(t);
-    }
-    Ok(FleetTimeline { shards: timelines, makespan_s })
+/// As [`simulate`].
+pub fn simulate_device(
+    dev: &DeviceSpec,
+    queues: &[Vec<Cmd>],
+    fault: Option<&dyn FaultSource>,
+    crash: Option<EngineCrash>,
+) -> Result<Timeline, QueueError> {
+    let setup_s = dev.queue_create_overhead_s * queues.len() as f64;
+    simulate(3, setup_s, queues, &[], fault, crash)
 }
 
 #[cfg(test)]
@@ -606,18 +416,23 @@ mod tests {
     use super::*;
     use crate::device::DeviceSpec;
 
+    fn run(dev: &DeviceSpec, queues: &[Vec<Cmd>]) -> Timeline {
+        simulate_device(dev, queues, None, None).unwrap()
+    }
+
     fn kernel(t: f64) -> Cmd {
-        Cmd::Kernel { time_s: t, name: "k".into() }
+        Cmd::kernel(t, "k")
     }
 
     #[test]
     fn single_queue_serialises() {
         let dev = DeviceSpec::tesla_k20();
         let mb = 10.0 * 1e6;
-        let tl = simulate_queues(&dev, &[vec![Cmd::H2D { bytes: mb }, kernel(0.004), Cmd::D2H { bytes: mb }]]);
+        let tl = run(&dev, &[vec![Cmd::h2d(&dev, mb), kernel(0.004), Cmd::d2h(&dev, mb)]]);
         let t_copy = dev.pcie.transfer_time(mb);
         let expect = dev.queue_create_overhead_s + t_copy + 0.004 + t_copy;
         assert!((tl.total_s - expect).abs() < 1e-9, "{} vs {expect}", tl.total_s);
+        assert_eq!(&*tl.spans[0].label, "H2D 10.0 MB");
     }
 
     #[test]
@@ -626,7 +441,7 @@ mod tests {
         // Queue 0: long kernel; queue 1: D2H copy — different engines, so
         // they overlap and the makespan is max, not sum.
         let t_copy = dev.pcie.transfer_time(50e6);
-        let tl = simulate_queues(&dev, &[vec![kernel(0.02)], vec![Cmd::D2H { bytes: 50e6 }]]);
+        let tl = run(&dev, &[vec![kernel(0.02)], vec![Cmd::d2h(&dev, 50e6)]]);
         let expect = tl.setup_s + 0.02f64.max(t_copy);
         assert!((tl.total_s - expect).abs() < 1e-9);
     }
@@ -634,35 +449,31 @@ mod tests {
     #[test]
     fn same_engine_commands_serialise_across_queues() {
         let dev = DeviceSpec::tesla_k20();
-        let tl = simulate_queues(&dev, &[vec![kernel(0.01)], vec![kernel(0.01)]]);
+        let tl = run(&dev, &[vec![kernel(0.01)], vec![kernel(0.01)]]);
         assert!((tl.total_s - (tl.setup_s + 0.02)).abs() < 1e-9);
     }
 
     #[test]
     fn h2d_d2h_overlap_only_with_two_copy_engines() {
-        let k20 = DeviceSpec::tesla_k20(); // 2 copy engines
-        let gtx = DeviceSpec::gtx580(); // 1 copy engine
-        let queues = vec![vec![Cmd::H2D { bytes: 50e6 }], vec![Cmd::D2H { bytes: 50e6 }]];
-        let t = k20.pcie.transfer_time(50e6);
-        let tl_k20 = simulate_queues(&k20, &queues);
-        assert!((tl_k20.total_s - (tl_k20.setup_s + t)).abs() < 1e-9, "overlapped");
-        let t_gtx = gtx.pcie.transfer_time(50e6);
-        let tl_gtx = simulate_queues(&gtx, &queues);
-        assert!((tl_gtx.total_s - (tl_gtx.setup_s + 2.0 * t_gtx)).abs() < 1e-9, "serialised");
+        for (dev, copies) in [(DeviceSpec::tesla_k20(), 1.0), (DeviceSpec::gtx580(), 2.0)] {
+            let tl = run(&dev, &[vec![Cmd::h2d(&dev, 50e6)], vec![Cmd::d2h(&dev, 50e6)]]);
+            let t = dev.pcie.transfer_time(50e6);
+            assert!((tl.total_s - (tl.setup_s + copies * t)).abs() < 1e-9, "{}", dev.name);
+        }
     }
 
     #[test]
     fn queue_creation_overhead_scales() {
         let dev = DeviceSpec::tesla_k20();
-        let one = simulate_queues(&dev, &[vec![kernel(0.001)]]);
-        let many = simulate_queues(&dev, &(0..16).map(|_| vec![kernel(0.001)]).collect::<Vec<_>>());
+        let one = run(&dev, &[vec![kernel(0.001)]]);
+        let many = run(&dev, &(0..16).map(|_| vec![kernel(0.001)]).collect::<Vec<_>>());
         assert!(many.setup_s > one.setup_s * 10.0);
     }
 
     #[test]
     fn in_order_within_queue() {
         let dev = DeviceSpec::tesla_k20();
-        let tl = simulate_queues(&dev, &[vec![kernel(0.01), Cmd::D2H { bytes: 1e6 }]]);
+        let tl = run(&dev, &[vec![kernel(0.01), Cmd::d2h(&dev, 1e6)]]);
         // D2H must start after the kernel even though engines differ.
         assert!(tl.spans[1].start_s >= tl.spans[0].end_s - 1e-12);
     }
@@ -670,10 +481,7 @@ mod tests {
     #[test]
     fn gantt_renders_lanes() {
         let dev = DeviceSpec::tesla_k20();
-        let tl = simulate_queues(
-            &dev,
-            &[vec![Cmd::H2D { bytes: 10e6 }, kernel(0.004), Cmd::D2H { bytes: 10e6 }]],
-        );
+        let tl = run(&dev, &[vec![Cmd::h2d(&dev, 10e6), kernel(0.004), Cmd::d2h(&dev, 10e6)]]);
         let g = tl.gantt(40, &["H2D", "D2H", "GPU"]);
         assert_eq!(g.lines().count(), 4, "3 engine lanes + axis");
         assert!(g.contains("H2D |"));
@@ -681,45 +489,34 @@ mod tests {
     }
 
     #[test]
-    fn generic_engines_overlap_and_serialise() {
-        // Two queues on distinct engines overlap; same engine serialises.
-        let q = |e: usize| {
-            vec![ECmd { engine: e, duration_s: 1.0, label: "x".into(), wait: None }]
-        };
-        let tl = simulate_engines(2, 0.0, &[q(0), q(1)]);
-        assert!((tl.total_s - 1.0).abs() < 1e-12, "distinct engines overlap");
-        let tl = simulate_engines(2, 0.0, &[q(0), q(0)]);
-        assert!((tl.total_s - 2.0).abs() < 1e-12, "same engine serialises");
-    }
-
-    #[test]
-    fn generic_engines_honour_dependencies() {
-        let queues = vec![
-            vec![ECmd { engine: 0, duration_s: 1.0, label: "a".into(), wait: None }],
-            vec![ECmd { engine: 1, duration_s: 1.0, label: "b".into(), wait: Some((0, 0)) }],
-        ];
-        let tl = simulate_engines(2, 0.0, &queues);
-        assert!((tl.total_s - 2.0).abs() < 1e-12, "b waits for a despite free engine");
+    fn generic_engines_overlap_serialise_and_honour_dependencies() {
+        let q = |e: usize| vec![Cmd::on(e, 1.0, "x")];
+        let total =
+            |queues: &[Vec<Cmd>]| simulate(2, 0.0, queues, &[], None, None).unwrap().total_s;
+        assert_eq!(total(&[q(0), q(1)]), 1.0, "distinct engines overlap");
+        assert_eq!(total(&[q(0), q(0)]), 2.0, "same engine serialises");
+        let dep = [q(0), vec![Cmd::on(1, 1.0, "b").after(0, 0)]];
+        assert_eq!(total(&dep), 2.0, "b waits for a despite a free engine");
+        // A bad engine id is a typed error, not a panic.
+        let err = simulate(1, 0.0, &[q(9)], &[], None, None).unwrap_err();
+        assert_eq!(err, QueueError::BadDependency { queue: 0, index: 0 });
     }
 
     #[test]
     fn arrivals_delay_queues_and_expose_waits() {
-        let q = |e: usize| {
-            vec![ECmd { engine: e, duration_s: 1.0, label: "x".into(), wait: None }]
+        let q = |e: usize| vec![Cmd::on(e, 1.0, "x")];
+        let at = |n, queues: &[Vec<Cmd>], arrivals: &[f64]| {
+            simulate(n, 0.0, queues, arrivals, None, None).unwrap()
         };
         // Same engine, second queue arrives at t=0.25: it still waits for
         // the engine (start 1.0), so its queue wait is 0.75.
-        let tl = try_simulate_engines_at(1, 0.0, &[q(0), q(0)], &[0.0, 0.25]).unwrap();
-        assert!((tl.total_s - 2.0).abs() < 1e-12);
-        assert!((tl.queue_start_s(1).unwrap() - 1.0).abs() < 1e-12);
+        let tl = at(1, &[q(0), q(0)], &[0.0, 0.25]);
+        assert_eq!(tl.total_s, 2.0);
+        assert_eq!(tl.queue_start_s(1), Some(1.0));
         // Distinct engines, late arrival dominates: starts exactly on arrival.
-        let tl = try_simulate_engines_at(2, 0.0, &[q(0), q(1)], &[0.0, 0.5]).unwrap();
-        assert!((tl.queue_start_s(1).unwrap() - 0.5).abs() < 1e-12);
-        assert!((tl.total_s - 1.5).abs() < 1e-12);
-        // No arrivals → identical to the plain variant.
-        let a = try_simulate_engines(2, 0.1, &[q(0), q(1)]).unwrap();
-        let b = try_simulate_engines_at(2, 0.1, &[q(0), q(1)], &[]).unwrap();
-        assert_eq!(a.total_s, b.total_s);
+        let tl = at(2, &[q(0), q(1)], &[0.0, 0.5]);
+        assert_eq!(tl.queue_start_s(1), Some(0.5));
+        assert_eq!(tl.total_s, 1.5);
         // An empty queue has no first span.
         assert_eq!(tl.queue_start_s(7), None);
     }
@@ -729,104 +526,29 @@ mod tests {
         // The §7.6 shape: splitting kernel+D2H into Q chunks over Q queues
         // shortens the makespan vs one queue, until overhead wins.
         let dev = DeviceSpec::tesla_k20();
-        let total_kernel = 0.004;
-        let total_bytes = 51.8e6;
-        let sync = simulate_queues(
-            &dev,
-            &[vec![kernel(total_kernel), Cmd::D2H { bytes: total_bytes }]],
-        );
-        let q = 4;
+        let (total_kernel, total_bytes, q) = (0.004, 51.8e6, 4);
+        let sync = run(&dev, &[vec![kernel(total_kernel), Cmd::d2h(&dev, total_bytes)]]);
         let chunks: Vec<Vec<Cmd>> = (0..q)
-            .map(|_| {
-                vec![
-                    kernel(total_kernel / q as f64),
-                    Cmd::D2H { bytes: total_bytes / q as f64 },
-                ]
-            })
+            .map(|_| vec![kernel(total_kernel / q as f64), Cmd::d2h(&dev, total_bytes / q as f64)])
             .collect();
-        let asy = simulate_queues(&dev, &chunks);
+        let asy = run(&dev, &chunks);
         assert!(asy.total_s < sync.total_s, "async {} < sync {}", asy.total_s, sync.total_s);
     }
 
     #[test]
     fn engine_crash_preempts_inflight_command() {
         let dev = DeviceSpec::tesla_k20();
-        let queues: Vec<Vec<QCmd>> = vec![vec![
-            QCmd::plain(Cmd::H2D { bytes: 10e6 }),
-            QCmd::plain(kernel(0.004)),
-            QCmd::plain(Cmd::D2H { bytes: 10e6 }),
-        ]];
-        let healthy = try_simulate_queues_crash(&dev, &queues, None, None).unwrap();
+        let queues = [vec![Cmd::h2d(&dev, 10e6), kernel(0.004), Cmd::d2h(&dev, 10e6)]];
+        let crashed =
+            |engine, at_s| simulate_device(&dev, &queues, None, Some(EngineCrash { engine, at_s }));
+        let healthy = run(&dev, &queues);
         // Crash the D2H engine just before the final copy completes.
-        let crash = EngineCrash { engine: 1, at_s: healthy.total_s - 1e-6 };
-        let err = try_simulate_queues_crash(&dev, &queues, None, Some(crash)).unwrap_err();
-        assert_eq!(err, QueueError::EngineCrash { engine: 1, at_s: crash.at_s });
+        let at_s = healthy.total_s - 1e-6;
+        assert_eq!(crashed(1, at_s).unwrap_err(), QueueError::EngineCrash { engine: 1, at_s });
         // A crash after the makespan never fires.
-        let late = EngineCrash { engine: 1, at_s: healthy.total_s + 1.0 };
-        let tl = try_simulate_queues_crash(&dev, &queues, None, Some(late)).unwrap();
-        assert_eq!(tl.spans.len(), 3);
+        assert_eq!(crashed(1, healthy.total_s + 1.0).unwrap().spans.len(), 3);
         // A crash on an unused engine never fires either.
-        let other = EngineCrash { engine: 1, at_s: 0.0 };
-        let compute_only: Vec<Vec<QCmd>> = vec![vec![QCmd::plain(kernel(0.01))]];
-        assert!(try_simulate_queues_crash(&dev, &compute_only, None, Some(other)).is_ok());
-    }
-
-    #[test]
-    fn crash_none_matches_plain_dep_simulation() {
-        let dev = DeviceSpec::tesla_k20();
-        let queues: Vec<Vec<QCmd>> = vec![
-            vec![QCmd::plain(Cmd::H2D { bytes: 5e6 }), QCmd::plain(kernel(0.002))],
-            vec![QCmd::after(kernel(0.003), 0, 1), QCmd::plain(Cmd::D2H { bytes: 5e6 })],
-        ];
-        let a = try_simulate_queues_dep(&dev, &queues, None).unwrap();
-        let b = try_simulate_queues_crash(&dev, &queues, None, None).unwrap();
-        assert_eq!(a.total_s, b.total_s);
-        assert_eq!(a.spans.len(), b.spans.len());
-    }
-
-    #[test]
-    fn shard_timelines_match_independent_runs() {
-        let q = |e: usize, d: f64| {
-            vec![ECmd { engine: e, duration_s: d, label: "x".into(), wait: None }]
-        };
-        let s0 = [q(0, 1.0), q(0, 2.0)];
-        let a0 = [0.0, 0.5];
-        let s1 = [q(1, 4.0)];
-        let a1 = [0.25];
-        let fleet = try_simulate_shards_at(
-            2,
-            0.1,
-            &[
-                ShardLoad { queues: &s0, arrivals: &a0 },
-                ShardLoad { queues: &s1, arrivals: &a1 },
-            ],
-        )
-        .unwrap();
-        // Shards own independent engine blocks: each timeline equals the
-        // single-shard simulation of its own load.
-        let solo0 = try_simulate_engines_at(2, 0.1, &s0, &a0).unwrap();
-        let solo1 = try_simulate_engines_at(2, 0.1, &s1, &a1).unwrap();
-        assert_eq!(fleet.shards.len(), 2);
-        assert_eq!(fleet.shards[0].total_s, solo0.total_s);
-        assert_eq!(fleet.shards[1].total_s, solo1.total_s);
-        assert_eq!(fleet.shards[0].spans.len(), solo0.spans.len());
-        // Makespan is the max shard completion.
-        assert_eq!(fleet.makespan_s, solo0.total_s.max(solo1.total_s));
-    }
-
-    #[test]
-    fn idle_fleet_makespan_is_setup_and_errors_propagate() {
-        let fleet = try_simulate_shards_at(1, 0.3, &[]).unwrap();
-        assert!(fleet.shards.is_empty());
-        assert_eq!(fleet.makespan_s, 0.3);
-        // A bad engine index in any shard fails the whole call.
-        let bad = [vec![ECmd { engine: 9, duration_s: 1.0, label: "x".into(), wait: None }]];
-        let err = try_simulate_shards_at(
-            1,
-            0.0,
-            &[ShardLoad { queues: &bad, arrivals: &[] }],
-        )
-        .unwrap_err();
-        assert!(matches!(err, QueueError::BadDependency { queue: 0, index: 0 }));
+        let crash = Some(EngineCrash { engine: 1, at_s: 0.0 });
+        assert!(simulate_device(&dev, &[vec![kernel(0.01)]], None, crash).is_ok());
     }
 }

@@ -10,10 +10,10 @@
 //! rendezvous hashing guarantees only the crashed shard's shapes move.
 //!
 //! Rounds run fleet-wide: every healthy shard drains its backlog
-//! ([`Server::prepare_round`]), the combined launches go through one
-//! multi-shard DES call ([`gpu_sim::try_simulate_shards_at`] — shards own
-//! independent engine blocks, so per-shard timing is unchanged), and the
-//! fleet makespan is the latest shard completion.
+//! ([`Server::prepare_round`]), every shard's launches are simulated on
+//! its own engines ([`Server::simulate_round`] — shards contend for
+//! nothing) before any shard finishes its round, and the fleet makespan
+//! is the latest shard completion.
 //!
 //! Crash and warm restart are first-class: [`Fleet::crash_shard`] hands
 //! back the victim's warm-start snapshot and its undrained requests (the
@@ -30,7 +30,7 @@ use crate::serve::{
     ROOT_SPAN, ROUTE_SPAN,
 };
 use gpu_sim::sched::mix64;
-use gpu_sim::{try_simulate_shards_at, DeviceSpec, ShardLoad, Timeline};
+use gpu_sim::DeviceSpec;
 use ipt_obs::{
     Alert, Counter, Level, Recorder, SloClass, SpanCtx, Telemetry, TelemetryConfig,
 };
@@ -269,9 +269,9 @@ impl Fleet {
         Ok(s)
     }
 
-    /// Run one fleet-wide round: drain every healthy shard, simulate all
-    /// launches in one multi-shard DES call, and finish each shard's round
-    /// with its own timeline.
+    /// Run one fleet-wide round: drain every healthy shard, simulate every
+    /// shard's launches, then finish each shard's round with its own
+    /// timeline.
     ///
     /// # Errors
     /// See [`Server::prepare_round`]; a malformed DES schedule propagates
@@ -280,31 +280,17 @@ impl Fleet {
         &mut self,
         rec: &R,
     ) -> Result<FleetRound, TransposeError> {
-        let num_engines = self.cfg.serve.link.num_engines(self.cfg.serve.devices);
-        let setup_s = self.dev.queue_create_overhead_s;
-        let mut prepared = Vec::new();
+        let mut timed = Vec::new();
         for (s, shard) in self.shards.iter_mut().enumerate() {
             if shard.healthy {
-                prepared.push((s, shard.server.prepare_round(rec)?));
+                let p = shard.server.prepare_round(rec)?;
+                let tl = shard.server.simulate_round(&p)?;
+                timed.push((s, p, tl));
             }
         }
-        let loads: Vec<ShardLoad<'_>> = prepared
-            .iter()
-            .map(|(_, p)| ShardLoad { queues: p.queues(), arrivals: p.arrivals() })
-            .collect();
-        let fleet_tl = try_simulate_shards_at(num_engines, setup_s, &loads)?;
-        let makespan_s = if loads.iter().all(|l| l.queues.is_empty()) {
-            0.0
-        } else {
-            fleet_tl.makespan_s
-        };
-        let mut rounds = Vec::with_capacity(prepared.len());
-        for ((s, p), tl) in prepared.into_iter().zip(fleet_tl.shards) {
-            let tl = if p.is_launchless() {
-                Timeline { spans: Vec::new(), total_s: 0.0, setup_s: 0.0 }
-            } else {
-                tl
-            };
+        let makespan_s = timed.iter().map(|(_, _, tl)| tl.total_s).fold(0.0, f64::max);
+        let mut rounds = Vec::with_capacity(timed.len());
+        for (s, p, tl) in timed {
             rounds.push((s, self.shards[s].server.finish_round(p, tl, rec)));
         }
 
@@ -443,6 +429,10 @@ mod tests {
             .map(|(_, r)| r.sim_total_s)
             .fold(0.0f64, f64::max);
         assert!((round.makespan_s - max_shard).abs() < 1e-12);
+        // A round with nothing to drain takes no simulated time.
+        let idle = f.process_rounds(&rec).unwrap();
+        assert!(idle.is_empty());
+        assert_eq!(idle.makespan_s, 0.0);
     }
 
     #[test]

@@ -17,10 +17,10 @@ use crate::recover::{
     transpose_with_recovery, verify_exact, RecoveryPolicy, RecoveryReport, TransposeError,
 };
 use gpu_sim::{
-    simulate_queues_dep, try_simulate_queues_dep, Buffer, Cmd, DeviceSpec, FaultPlan, LaunchError,
-    PipelineStats, QCmd, QueueError, Sim, Timeline,
+    simulate_device, Buffer, Cmd, DeviceSpec, FaultPlan, LaunchError, PipelineStats, QueueError,
+    Sim, Timeline,
 };
-use ipt_core::stages::{StageOp, StagePlan, TileConfig};
+use ipt_core::stages::{StageOp, StagePlan};
 use ipt_core::{InstancedTranspose, Matrix};
 use ipt_obs::Recorder;
 
@@ -41,6 +41,16 @@ pub struct HostReport {
 }
 
 impl HostReport {
+    fn new(timeline: Timeline, bytes: f64, kernels: PipelineStats, queues: usize) -> Self {
+        Self {
+            total_s: timeline.total_s,
+            effective_gbps: 2.0 * bytes / timeline.total_s / 1e9,
+            timeline,
+            kernels,
+            queues,
+        }
+    }
+
     /// Emit this report into a [`Recorder`]: the DES timeline (one span per
     /// queue command, one display track per engine, busy-fraction gauges),
     /// every device-side kernel's counters, and end-to-end gauges. `t0_s`
@@ -64,6 +74,29 @@ fn matrix_bytes(rows: usize, cols: usize) -> f64 {
     ipt_core::check::bytes_f64(rows, cols, 4)
 }
 
+/// The synchronous scheme's one queue: `[H2D, kernels…, flag memsets,
+/// recovery penalty, D2H]`, the last two only when nonzero.
+fn sync_queue(dev: &DeviceSpec, bytes: f64, kernels: &PipelineStats, penalty_s: f64) -> Vec<Cmd> {
+    let mut q = vec![Cmd::h2d(dev, bytes)];
+    q.extend(kernels.stages.iter().map(|st| Cmd::kernel(st.time_s, st.name.as_str())));
+    if kernels.overhead_s > 0.0 {
+        q.push(Cmd::kernel(kernels.overhead_s, "flag memsets"));
+    }
+    if penalty_s > 0.0 {
+        q.push(Cmd::kernel(penalty_s, "recovery penalty"));
+    }
+    q.push(Cmd::d2h(dev, bytes));
+    q
+}
+
+/// Report of the fault-free synchronous scheme over `kernels`.
+fn sync_report(dev: &DeviceSpec, rows: usize, cols: usize, kernels: PipelineStats) -> HostReport {
+    let bytes = matrix_bytes(rows, cols);
+    let timeline = simulate_device(dev, &[sync_queue(dev, bytes, &kernels, 0.0)], None, None)
+        .expect("a fault-free one-queue schedule always completes");
+    HostReport::new(timeline, bytes, kernels, 1)
+}
+
 /// Synchronous scheme: one queue, full H2D, all stages, full D2H.
 ///
 /// Functionally executes and verifies the transposition on a fresh
@@ -81,31 +114,13 @@ pub fn run_host_sync(
     let mut sim = Sim::new(dev.clone(), rows * cols + plan_flag_words(plan) + 64);
     let mut data = Matrix::iota(rows, cols).into_vec();
     let stats = transpose_on_device(&mut sim, &mut data, rows, cols, plan, opts)?;
-
-    let bytes = matrix_bytes(rows, cols);
-    let mut q = vec![QCmd::plain(Cmd::H2D { bytes })];
-    for st in &stats.stages {
-        q.push(QCmd::plain(Cmd::Kernel { time_s: st.time_s, name: st.name.as_str().into() }));
-    }
-    if stats.overhead_s > 0.0 {
-        q.push(QCmd::plain(Cmd::Kernel { time_s: stats.overhead_s, name: "flag memsets".into() }));
-    }
-    q.push(QCmd::plain(Cmd::D2H { bytes }));
-    let timeline = simulate_queues_dep(dev, &[q]);
-    Ok(HostReport {
-        total_s: timeline.total_s,
-        effective_gbps: 2.0 * bytes / timeline.total_s / 1e9,
-        timeline,
-        kernels: stats,
-        queues: 1,
-    })
+    Ok(sync_report(dev, rows, cols, stats))
 }
 
-/// Split an instanced stage into `q` chunks along its leading instances.
-/// Returns `(instance_ranges, word_offsets, word_lengths)`.
-fn chunk_ranges(total_instances: usize, instance_words: usize, q: usize) -> Vec<(usize, usize)> {
-    // (first_instance, count) per chunk, last chunk takes the remainder.
-    let _ = instance_words;
+/// Split an instanced stage into at most `q` nonempty chunks along its
+/// leading instances: `(first_instance, count)` per chunk, the last chunk
+/// taking the remainder.
+fn chunk_ranges(total_instances: usize, q: usize) -> Vec<(usize, usize)> {
     let per = total_instances.div_ceil(q);
     (0..q)
         .map(|c| {
@@ -223,13 +238,10 @@ fn run_host_async_body(
     kernels.overhead_s += s1.overhead_s;
 
     // Stages 2 and 3, chunked along N′.
-    let chunks = chunk_ranges(np, 0, q);
-    let mut chunk_cmds: Vec<Vec<QCmd>> = Vec::new();
+    let chunks = chunk_ranges(np, q);
+    let mut chunk_cmds: Vec<Vec<Cmd>> = Vec::new();
     // Queue 0 carries H2D + stage1 first.
-    let mut q0 = vec![
-        QCmd::plain(Cmd::H2D { bytes }),
-        QCmd::plain(Cmd::Kernel { time_s: stage1_time, name: "stage1 100!".into() }),
-    ];
+    let mut q0 = vec![Cmd::h2d(dev, bytes), Cmd::kernel(stage1_time, "stage1 100!")];
 
     let inst2_per_np = mp; // stage-2 instances per N′ slot
     let words_per_np = mp * tile.m * tile.n; // words per N′ slot
@@ -250,17 +262,12 @@ fn run_host_async_body(
         let st3 = crate::pipeline::run_instanced_public(sim, sub, flags, &op3, opts)?;
 
         let d2h_bytes = len as f64 * 4.0;
-        let mut cmds = Vec::new();
-        let wait_stage1 = Some((0usize, 1usize)); // stage1 is queue 0, index 1
-        cmds.push(QCmd {
-            cmd: Cmd::Kernel { time_s: st2.time_s, name: format!("stage2 chunk {ci}").into() },
-            wait: wait_stage1,
-        });
-        cmds.push(QCmd::plain(Cmd::Kernel {
-            time_s: st3.time_s,
-            name: format!("stage3 chunk {ci}").into(),
-        }));
-        cmds.push(QCmd::plain(Cmd::D2H { bytes: d2h_bytes }));
+        let cmds = vec![
+            // Stage 1 is queue 0, index 1.
+            Cmd::kernel(st2.time_s, format!("stage2 chunk {ci}")).after(0, 1),
+            Cmd::kernel(st3.time_s, format!("stage3 chunk {ci}")),
+            Cmd::d2h(dev, d2h_bytes),
+        ];
         kernels.stages.push(st2);
         kernels.stages.push(st3);
         if ci == 0 {
@@ -278,19 +285,13 @@ fn run_host_async_body(
     while queues.len() < q {
         queues.push(Vec::new());
     }
-    let timeline = try_simulate_queues_dep(dev, &queues, sim.fault_source())?;
+    let timeline = simulate_device(dev, &queues, sim.fault_source(), None)?;
 
     // Verify the chunked execution.
     let result = sim.download_u32(data);
     verify_exact(&host, &result, rows, cols)?;
 
-    Ok(HostReport {
-        total_s: timeline.total_s,
-        effective_gbps: 2.0 * bytes / timeline.total_s / 1e9,
-        timeline,
-        kernels,
-        queues: queues.len(),
-    })
+    Ok(HostReport::new(timeline, bytes, kernels, queues.len()))
 }
 
 /// Out-of-place transposition from the host (Table 3's "GPU out-of-place +
@@ -315,56 +316,24 @@ pub fn run_host_oop(
         host.transposed().into_vec(),
         "OOP kernel incorrect"
     );
-    let bytes = matrix_bytes(rows, cols);
-    let q = vec![
-        QCmd::plain(Cmd::H2D { bytes }),
-        QCmd::plain(Cmd::Kernel { time_s: stats.time_s, name: stats.name.as_str().into() }),
-        QCmd::plain(Cmd::D2H { bytes }),
-    ];
-    let timeline = simulate_queues_dep(dev, &[q]);
-    Ok(HostReport {
-        total_s: timeline.total_s,
-        effective_gbps: 2.0 * bytes / timeline.total_s / 1e9,
-        timeline,
-        kernels: PipelineStats { stages: vec![stats], overhead_s: 0.0 },
-        queues: 1,
-    })
-}
-
-/// Build the 3-stage plan the host schemes expect.
-///
-/// # Errors
-/// Propagates tile divisibility failures.
-pub fn three_stage_plan(
-    rows: usize,
-    cols: usize,
-    tile: TileConfig,
-) -> Result<StagePlan, ipt_core::stages::PlanError> {
-    StagePlan::three_stage(rows, cols, tile)
+    Ok(sync_report(dev, rows, cols, PipelineStats { stages: vec![stats], overhead_s: 0.0 }))
 }
 
 /// Run the DES timeline, resubmitting on injected transfer failures
 /// (bounded by the policy's retry budget, each resubmission charging
-/// backoff into the report). Each observed fault is routed through the
-/// recorder as a typed `transfer_fault` event plus a
-/// [`Counter::TransferFaultsInjected`] increment — silent under
-/// [`ipt_obs::NoopRecorder`], countable in Prometheus otherwise.
-///
-/// [`Counter::TransferFaultsInjected`]: ipt_obs::Counter::TransferFaultsInjected
-fn simulate_with_transfer_retry<R: Recorder>(
+/// backoff into the report).
+fn simulate_with_transfer_retry(
     dev: &DeviceSpec,
-    queues: &[Vec<QCmd>],
+    queues: &[Vec<Cmd>],
     sim: &Sim,
     policy: &RecoveryPolicy,
     report: &mut RecoveryReport,
-    rec: &R,
 ) -> Result<Timeline, TransposeError> {
     let mut attempt = 0usize;
     loop {
-        match try_simulate_queues_dep(dev, queues, sim.fault_source()) {
+        match simulate_device(dev, queues, sim.fault_source(), None) {
             Ok(tl) => return Ok(tl),
             Err(e @ QueueError::TransferFault { .. }) => {
-                record_transfer_fault(rec, "host", &e);
                 if attempt >= policy.max_stage_retries {
                     return Err(TransposeError::RecoveryExhausted {
                         attempts: attempt + 1,
@@ -408,35 +377,6 @@ pub fn run_host_sync_recovering(
     policy: &RecoveryPolicy,
     fault: Option<FaultPlan>,
 ) -> Result<(HostReport, RecoveryReport), TransposeError> {
-    run_host_sync_recovering_rec(
-        dev,
-        rows,
-        cols,
-        plan,
-        opts,
-        policy,
-        fault,
-        &ipt_obs::NoopRecorder,
-    )
-}
-
-/// [`run_host_sync_recovering`] with observability: injected transfer
-/// faults are routed through `rec` as typed events plus the
-/// `TransferFaultsInjected` counter.
-///
-/// # Errors
-/// Same as [`run_host_sync_recovering`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_host_sync_recovering_rec<R: Recorder>(
-    dev: &DeviceSpec,
-    rows: usize,
-    cols: usize,
-    plan: &StagePlan,
-    opts: &GpuOptions,
-    policy: &RecoveryPolicy,
-    fault: Option<FaultPlan>,
-    rec: &R,
-) -> Result<(HostReport, RecoveryReport), TransposeError> {
     // 2× data room keeps the out-of-place fallback reachable.
     let mut sim =
         Sim::new(dev.clone(), 2 * rows * cols + plan_flag_words(plan).max(1) + 64);
@@ -448,32 +388,10 @@ pub fn run_host_sync_recovering_rec<R: Recorder>(
         transpose_with_recovery(&mut sim, &mut data, rows, cols, plan, opts, policy)?;
 
     let bytes = matrix_bytes(rows, cols);
-    let mut q = vec![QCmd::plain(Cmd::H2D { bytes })];
-    for st in &stats.stages {
-        q.push(QCmd::plain(Cmd::Kernel { time_s: st.time_s, name: st.name.as_str().into() }));
-    }
-    if stats.overhead_s > 0.0 {
-        q.push(QCmd::plain(Cmd::Kernel { time_s: stats.overhead_s, name: "flag memsets".into() }));
-    }
-    if report.penalty_s > 0.0 {
-        q.push(QCmd::plain(Cmd::Kernel {
-            time_s: report.penalty_s,
-            name: "recovery penalty".into(),
-        }));
-    }
-    q.push(QCmd::plain(Cmd::D2H { bytes }));
-    let timeline = simulate_with_transfer_retry(dev, &[q], &sim, policy, &mut report, rec)?;
+    let q = sync_queue(dev, bytes, &stats, report.penalty_s);
+    let timeline = simulate_with_transfer_retry(dev, &[q], &sim, policy, &mut report)?;
     report.faults = sim.fault_records();
-    Ok((
-        HostReport {
-            total_s: timeline.total_s,
-            effective_gbps: 2.0 * bytes / timeline.total_s / 1e9,
-            timeline,
-            kernels: stats,
-            queues: 1,
-        },
-        report,
-    ))
+    Ok((HostReport::new(timeline, bytes, stats, 1), report))
 }
 
 /// Asynchronous host scheme with coarse-grained recovery. The chunked
@@ -546,6 +464,7 @@ pub fn run_host_async_recovering(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ipt_core::stages::TileConfig;
     use ipt_core::TileHeuristic;
 
     // Large enough that PCIe transfers dwarf queue-creation overhead (the

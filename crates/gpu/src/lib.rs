@@ -59,7 +59,7 @@ pub use explore::{
 };
 pub use host::{
     run_host_async, run_host_async_recovering, run_host_oop, run_host_sync,
-    run_host_sync_recovering, run_host_sync_recovering_rec, HostReport,
+    run_host_sync_recovering, HostReport,
 };
 pub use multi::{run_multi_gpu, LinkTopology, MultiReport};
 pub use oop::OopTranspose;

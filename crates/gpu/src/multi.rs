@@ -27,7 +27,7 @@
 use crate::opts::GpuOptions;
 use crate::pipeline::{plan_flag_words, run_plan};
 use crate::recover::{TransposeError, VerifyError};
-use gpu_sim::{try_simulate_engines, DeviceSpec, ECmd, Sim, Timeline};
+use gpu_sim::{simulate, Cmd, DeviceSpec, Sim, Timeline};
 use ipt_core::stages::StagePlan;
 use ipt_core::{Matrix, TileHeuristic};
 use serde::Serialize;
@@ -185,32 +185,17 @@ pub fn run_multi_gpu(
     let block_bytes = ipt_core::check::bytes_f64(md, cols, 4);
     let xfer = dev.pcie.transfer_time(block_bytes);
     let setup = dev.queue_create_overhead_s * d_count as f64;
-    let queues: Vec<Vec<ECmd>> = (0..d_count)
+    let queues: Vec<Vec<Cmd>> = (0..d_count)
         .map(|d| {
             let (h2d_e, d2h_e) = link.link_engines(d_count, d);
             vec![
-                ECmd {
-                    engine: h2d_e,
-                    duration_s: xfer,
-                    label: format!("H2D block {d}").into(),
-                    wait: None,
-                },
-                ECmd {
-                    engine: d,
-                    duration_s: kernel_s[d],
-                    label: format!("3-stage block {d}").into(),
-                    wait: None,
-                },
-                ECmd {
-                    engine: d2h_e,
-                    duration_s: xfer,
-                    label: format!("D2H panel {d}").into(),
-                    wait: None,
-                },
+                Cmd::on(h2d_e, xfer, format!("H2D block {d}")),
+                Cmd::on(d, kernel_s[d], format!("3-stage block {d}")),
+                Cmd::on(d2h_e, xfer, format!("D2H panel {d}")),
             ]
         })
         .collect();
-    let timeline = try_simulate_engines(link.num_engines(d_count), setup, &queues)?;
+    let timeline = simulate(link.num_engines(d_count), setup, &queues, &[], None, None)?;
     let bytes = ipt_core::check::bytes_f64(rows, cols, 4);
     Ok(MultiReport {
         devices: d_count,

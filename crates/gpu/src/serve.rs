@@ -63,7 +63,7 @@ use crate::recover::{
     RecoveryReport, TransposeError,
 };
 use gpu_sim::sched::mix64;
-use gpu_sim::{try_simulate_engines_at, DeviceSpec, ECmd, EngineMode, Sim, Timeline};
+use gpu_sim::{simulate, Cmd, DeviceSpec, EngineMode, Sim, Timeline};
 use ipt_core::stages::{StagePlan, TileConfig};
 use ipt_core::tiles::TileHeuristic;
 use ipt_core::{decide_scheme, FallbackReason, PlanDecision, Scheme};
@@ -469,40 +469,22 @@ pub struct RoundReport {
 }
 
 /// A drained, executed round awaiting its DES timing: the half-open state
-/// between [`Server::prepare_round`] and [`Server::finish_round`]. The
-/// fleet uses the split to batch every shard's launches into one
-/// multi-shard DES call; single servers use [`Server::process_round`].
+/// between [`Server::prepare_round`] and [`Server::finish_round`], timed
+/// by [`Server::simulate_round`]. The fleet uses the split to simulate
+/// every shard's round before it finishes any; single servers use
+/// [`Server::process_round`].
 pub struct PreparedRound {
     results: Vec<ServedResult>,
     /// Absolute admission time of each result, parallel to `results` —
     /// the root of each request's trace span starts here.
     result_arrivals_s: Vec<f64>,
-    queues: Vec<Vec<ECmd>>,
+    /// DES command queues, one per launched batch.
+    queues: Vec<Vec<Cmd>>,
+    /// Per-queue arrival times (seconds relative to the round start).
     arrivals: Vec<f64>,
     /// (DES queue index, result indices) per launched batch.
     launched: Vec<(usize, Vec<usize>)>,
     batched_requests: u64,
-}
-
-impl PreparedRound {
-    /// The round's DES command queues, one per launched batch.
-    #[must_use]
-    pub fn queues(&self) -> &[Vec<ECmd>] {
-        &self.queues
-    }
-
-    /// Per-queue arrival times (seconds relative to the round start).
-    #[must_use]
-    pub fn arrivals(&self) -> &[f64] {
-        &self.arrivals
-    }
-
-    /// True when the round launched nothing (empty, identity-only, or
-    /// fully shed).
-    #[must_use]
-    pub fn is_launchless(&self) -> bool {
-        self.queues.is_empty()
-    }
 }
 
 /// Plan-cache snapshot format version. Bump on breaking layout changes;
@@ -996,7 +978,7 @@ impl Server {
         }
 
         // One DES queue per launched batch: [H2D, compute, D2H].
-        let mut queues: Vec<Vec<ECmd>> = Vec::new();
+        let mut queues: Vec<Vec<Cmd>> = Vec::new();
         let mut arrivals: Vec<f64> = Vec::new();
         let mut launched: Vec<(usize, Vec<usize>)> = Vec::new();
         let mut batched_requests = 0u64;
@@ -1045,24 +1027,9 @@ impl Server {
                 let (h2d_e, d2h_e) = self.cfg.link.link_engines(self.cfg.devices, device);
                 let xfer = self.dev.pcie.transfer_time(batch_bytes);
                 queues.push(vec![
-                    ECmd {
-                        engine: h2d_e,
-                        duration_s: xfer,
-                        label: format!("H2D batch {q}").into(),
-                        wait: None,
-                    },
-                    ECmd {
-                        engine: device,
-                        duration_s: kernel_s,
-                        label: format!("{} batch {q}", key.scheme.name()).into(),
-                        wait: None,
-                    },
-                    ECmd {
-                        engine: d2h_e,
-                        duration_s: xfer,
-                        label: format!("D2H batch {q}").into(),
-                        wait: None,
-                    },
+                    Cmd::on(h2d_e, xfer, format!("H2D batch {q}")),
+                    Cmd::on(device, kernel_s, format!("{} batch {q}", key.scheme.name())),
+                    Cmd::on(d2h_e, xfer, format!("D2H batch {q}")),
                 ]);
                 arrivals.push(arrival.max(0.0));
                 launched.push((q, idxs));
@@ -1080,10 +1047,24 @@ impl Server {
         })
     }
 
+    /// Simulate a prepared round's launches on this server's engines, each
+    /// batch's queue starting no earlier than its arrival. A round that
+    /// launched nothing (empty, identity-only or fully shed) has an empty
+    /// timeline.
+    ///
+    /// # Errors
+    /// A malformed DES schedule, as [`TransposeError::Transfer`].
+    pub fn simulate_round(&self, prepared: &PreparedRound) -> Result<Timeline, TransposeError> {
+        if prepared.queues.is_empty() {
+            return Ok(Timeline { spans: Vec::new(), total_s: 0.0, setup_s: 0.0 });
+        }
+        let setup_s = self.dev.queue_create_overhead_s;
+        Ok(simulate(self.num_engines(), setup_s, &prepared.queues, &prepared.arrivals, None, None)?)
+    }
+
     /// Apply a simulated timeline to a prepared round: back-fill queue
     /// waits, advance the server clock, emit counters and spans. The
-    /// timeline must come from simulating exactly `prepared.queues()` with
-    /// `prepared.arrivals()`.
+    /// timeline must come from [`Server::simulate_round`] on `prepared`.
     pub fn finish_round<R: Recorder>(
         &mut self,
         prepared: PreparedRound,
@@ -1209,16 +1190,7 @@ impl Server {
         rec: &R,
     ) -> Result<RoundReport, TransposeError> {
         let prepared = self.prepare_round(rec)?;
-        let timeline = if prepared.is_launchless() {
-            Timeline { spans: Vec::new(), total_s: 0.0, setup_s: 0.0 }
-        } else {
-            try_simulate_engines_at(
-                self.num_engines(),
-                self.dev.queue_create_overhead_s,
-                &prepared.queues,
-                &prepared.arrivals,
-            )?
-        };
+        let timeline = self.simulate_round(&prepared)?;
         Ok(self.finish_round(prepared, timeline, rec))
     }
 

@@ -39,10 +39,7 @@ use crate::recover::{
     TransposeError,
 };
 use gpu_sim::fault::{FaultKind, FaultPlan, FaultSource};
-use gpu_sim::queue::{
-    try_simulate_queues_crash, try_simulate_queues_dep, Cmd, EngineCrash, QCmd, QueueError,
-    Timeline,
-};
+use gpu_sim::queue::{simulate_device, Cmd, EngineCrash, QueueError, Timeline};
 use gpu_sim::{ChaosPlan, DeviceSpec, Sim};
 use ipt_core::check;
 use ipt_core::outofcore::{plan_chunks, ChunkPlan};
@@ -443,13 +440,9 @@ pub fn stream_transpose_rec<R: Recorder>(
         for k in est.iter_mut().skip(boundary) {
             *k = mean_k;
         }
-        let full_queues = stream_queues(&plan, &est, path, 0, plan.num_chunks);
-        match try_simulate_queues_crash(
-            dev,
-            &full_queues,
-            None,
-            Some(EngineCrash { engine: *engine, at_s }),
-        ) {
+        let full_queues = stream_queues(dev, &plan, &est, path, 0, plan.num_chunks);
+        let crash = EngineCrash { engine: *engine, at_s };
+        match simulate_device(dev, &full_queues, None, Some(crash)) {
             Err(QueueError::EngineCrash { .. }) => {}
             Ok(_) => {
                 // Degenerate schedule (e.g. crash boundary at the very end):
@@ -784,23 +777,22 @@ fn scatter(
 /// `Overlapped` ping-pongs chunks across two queues (both copy engines
 /// live), `SingleEngine`/`HostChunk` serialize on one.
 fn stream_queues(
+    dev: &DeviceSpec,
     plan: &ChunkPlan,
     kernel_s: &[f64],
     path: StreamPath,
     from: usize,
     to: usize,
-) -> Vec<Vec<QCmd>> {
+) -> Vec<Vec<Cmd>> {
     let nq = if path == StreamPath::Overlapped { 2 } else { 1 };
-    let mut queues: Vec<Vec<QCmd>> = vec![Vec::new(); nq];
+    let mut queues: Vec<Vec<Cmd>> = vec![Vec::new(); nq];
     for i in from..to {
         let bytes = 4.0 * plan.chunk_words(i) as f64;
-        let q = &mut queues[(i - from) % nq];
-        q.push(QCmd::plain(Cmd::H2D { bytes }));
-        q.push(QCmd::plain(Cmd::Kernel {
-            time_s: kernel_s[i],
-            name: format!("chunk {i}").into(),
-        }));
-        q.push(QCmd::plain(Cmd::D2H { bytes }));
+        queues[(i - from) % nq].extend([
+            Cmd::h2d(dev, bytes),
+            Cmd::kernel(kernel_s[i], format!("chunk {i}")),
+            Cmd::d2h(dev, bytes),
+        ]);
     }
     queues
 }
@@ -814,8 +806,8 @@ fn simulate_stream(
     from: usize,
     to: usize,
 ) -> Result<Timeline, TransposeError> {
-    let queues = stream_queues(plan, kernel_s, path, from, to);
-    Ok(try_simulate_queues_dep(dev, &queues, None)?)
+    let queues = stream_queues(dev, plan, kernel_s, path, from, to);
+    Ok(simulate_device(dev, &queues, None, None)?)
 }
 
 #[cfg(test)]

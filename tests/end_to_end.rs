@@ -244,3 +244,25 @@ fn dominance_gate_smoke() {
     assert_eq!(paper_class.map(|p| p.scheme.as_str()), Some("c2r"));
     assert!(summary.passed, "dominance gate failed: {summary:?}");
 }
+
+#[test]
+fn outofcore_resumes_after_engine_crash() {
+    // Whichever engine dies 40% into the stream, the run resumes from the
+    // journal's first uncommitted chunk: the output is exact, every chunk
+    // commits, and no chunk is transferred twice.
+    use ipt::gpu::recover::host_transpose_elems;
+    use ipt::gpu::stream::{stream_transpose, StreamChaos, StreamConfig};
+    let dev = DeviceSpec::tesla_k20();
+    let (rows, cols) = (96, 40);
+    let data: Vec<u32> = (0..(rows * cols) as u32).collect();
+    let cfg = StreamConfig::new(&dev, (rows * cols / 4) as u64);
+    for engine in 0..3 {
+        let chaos = StreamChaos::EngineCrashAt { engine, frac: 0.4 };
+        let (out, rep) = stream_transpose(&dev, &data, rows, cols, 1, &cfg, &chaos).unwrap();
+        assert!(rep.num_chunks >= 4, "engine {engine}: {} chunks", rep.num_chunks);
+        assert_eq!(out, host_transpose_elems(&data, rows, cols, 1), "engine {engine}");
+        assert_eq!(rep.crash_resumes, 1, "engine {engine}");
+        assert!(rep.journal.all_committed(), "engine {engine}");
+        assert!(rep.journal.chunks.iter().all(|c| c.attempts == 1), "engine {engine}");
+    }
+}
