@@ -385,7 +385,7 @@ pub fn run_host_sync_recovering(
     }
     let mut data = Matrix::iota(rows, cols).into_vec();
     let (stats, mut report) =
-        transpose_with_recovery(&mut sim, &mut data, rows, cols, plan, opts, policy)?;
+        transpose_with_recovery(&mut sim, &mut data, rows, cols, 1, plan, opts, policy)?;
 
     let bytes = matrix_bytes(rows, cols);
     let q = sync_queue(dev, bytes, &stats, report.penalty_s);

@@ -66,13 +66,12 @@ pub use oop::OopTranspose;
 pub use opts::{ClaimBackoff, FlagLayout, GpuOptions, Variant100};
 pub use pipeline::{
     plan_flag_words, run_plan, run_plan_rec, run_stage, run_stage_rec, scale_plan_words,
-    select_kernel, transpose_on_device, transpose_on_device_f64, transpose_on_device_rec,
-    StageKernel, MAX_CYCLE_SCAN,
+    select_kernel, transpose_on_device, transpose_on_device_rec, StageKernel, MAX_CYCLE_SCAN,
 };
 pub use recover::{
-    host_transpose, host_transpose_elems, multiset_checksum, transpose_scheme_with_recovery, transpose_with_recovery, transpose_with_recovery_elems,
-    verify_exact, verify_exact_elems, RecoveryPath, RecoveryPolicy, RecoveryReport,
-    StageRetryInfo, TransposeError, VerifyError,
+    host_transpose_elems, multiset_checksum, transpose_scheme_with_recovery,
+    transpose_with_recovery, verify_exact, verify_exact_elems, RecoveryPath, RecoveryPolicy,
+    RecoveryReport, TransposeError, VerifyError,
 };
 pub use fleet::{Fleet, FleetConfig, FleetRound};
 pub use serve::{

@@ -552,53 +552,6 @@ pub fn scale_plan_words(plan: &StagePlan, elem_words: usize) -> StagePlan {
     out
 }
 
-/// [`transpose_on_device`] for `f64` matrices: elements travel as pairs of
-/// 32-bit words; every elementary operation's super-element size doubles.
-/// The result is verified element-exact against the reference permutation.
-///
-/// # Errors
-/// Propagates infeasible launches.
-///
-/// # Panics
-/// Panics on an incorrect transposition or size mismatch.
-pub fn transpose_on_device_f64(
-    sim: &mut Sim,
-    host_data: &mut Vec<f64>,
-    rows: usize,
-    cols: usize,
-    plan: &StagePlan,
-    opts: &GpuOptions,
-) -> Result<PipelineStats, LaunchError> {
-    assert_eq!(host_data.len(), rows * cols);
-    let scaled = scale_plan_words(plan, 2);
-    let words: Vec<u32> = host_data
-        .iter()
-        .flat_map(|v| {
-            let b = v.to_bits();
-            [(b & 0xffff_ffff) as u32, (b >> 32) as u32]
-        })
-        .collect();
-    let data = sim.alloc(words.len());
-    let flags = sim.alloc(plan_flag_words(&scaled).max(1));
-    sim.upload_u32(data, &words);
-    let stats = run_plan(sim, data, flags, &scaled, opts)?;
-    let out_words = sim.download_u32(data);
-    let result: Vec<f64> = out_words
-        .chunks_exact(2)
-        .map(|w| f64::from_bits(u64::from(w[0]) | (u64::from(w[1]) << 32)))
-        .collect();
-    let perm = TransposePerm::new(rows, cols);
-    for (k, &v) in host_data.iter().enumerate() {
-        assert_eq!(
-            result[perm.dest(k)].to_bits(),
-            v.to_bits(),
-            "f64 device transposition incorrect at source offset {k}"
-        );
-    }
-    *host_data = result;
-    Ok(stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -652,6 +605,34 @@ mod tests {
         }
     }
 
+    /// Transpose `src` through the recovery chain as `f64` bits packed in
+    /// (low, high) word pairs, asserting the tuned in-place plan delivered
+    /// it: the chain verified it bit-exact on the primary path, with no
+    /// retry or fallback.
+    fn transpose_f64(
+        sim: &mut Sim,
+        src: &[f64],
+        rows: usize,
+        cols: usize,
+        plan: &StagePlan,
+        opts: &GpuOptions,
+    ) -> PipelineStats {
+        let mut words: Vec<u32> = src
+            .iter()
+            .flat_map(|v| {
+                let b = v.to_bits();
+                [b as u32, (b >> 32) as u32]
+            })
+            .collect();
+        let policy = crate::recover::RecoveryPolicy::default();
+        let (stats, report) = crate::recover::transpose_with_recovery(
+            sim, &mut words, rows, cols, 2, plan, opts, &policy,
+        )
+        .expect("f64 transposition");
+        assert!(report.clean(), "{}: {report:?}", plan.name);
+        stats
+    }
+
     #[test]
     fn f64_three_and_four_stage_verify() {
         let (rows, cols) = (72, 60);
@@ -667,12 +648,8 @@ mod tests {
             let scaled = scale_plan_words(&plan, 2);
             let mut sim =
                 Sim::new(dev.clone(), 2 * rows * cols + plan_flag_words(&scaled) + 64);
-            let mut data: Vec<f64> =
-                (0..rows * cols).map(|k| k as f64 * 1.5 - 7.25).collect();
-            // Verified internally (bit-exact).
-            let stats =
-                transpose_on_device_f64(&mut sim, &mut data, rows, cols, &plan, &opts)
-                    .unwrap();
+            let data: Vec<f64> = (0..rows * cols).map(|k| k as f64 * 1.5 - 7.25).collect();
+            let stats = transpose_f64(&mut sim, &data, rows, cols, &plan, &opts);
             assert!(stats.time_s() > 0.0, "{}", plan.name);
         }
     }
@@ -688,8 +665,8 @@ mod tests {
         let s32 = transpose_on_device(&mut sim, &mut d32, rows, cols, &plan, &opts).unwrap();
         let scaled = scale_plan_words(&plan, 2);
         let mut sim = Sim::new(dev, 2 * rows * cols + plan_flag_words(&scaled) + 64);
-        let mut d64: Vec<f64> = (0..rows * cols).map(|k| k as f64).collect();
-        let s64 = transpose_on_device_f64(&mut sim, &mut d64, rows, cols, &plan, &opts).unwrap();
+        let d64: Vec<f64> = (0..rows * cols).map(|k| k as f64).collect();
+        let s64 = transpose_f64(&mut sim, &d64, rows, cols, &plan, &opts);
         // Same payload GB/s regime: f64 time within ~3x of 2x-the-f32 time.
         let ratio = s64.time_s() / (2.0 * s32.time_s());
         assert!((0.3..3.0).contains(&ratio), "ratio {ratio}");

@@ -9,12 +9,19 @@
 //! * every failure surfaces as a [`TransposeError`] — never a panic,
 //! * every successful return is **verified element-exact** against the
 //!   definitional permutation,
-//! * recovery is layered: per-stage snapshot + multiset-checksum
-//!   validation with bounded retry ([`run_plan_validated_rec`]), then a
-//!   fallback chain ([`transpose_with_recovery`]) that degrades from the
-//!   tuned in-place pipeline through conservative options and an
-//!   out-of-place kernel down to a sequential host transposition, which
-//!   cannot fail.
+//! * recovery is one chain of [`RecoveryPath`] rungs, each tried from the
+//!   restored input only when every rung above it failed:
+//!   1. **primary** — the paper's in-place kernels: a stage plan with
+//!      per-stage snapshot + multiset-checksum validation and bounded
+//!      retry, or the C2R passes (one attempt),
+//!   2. **conservative options** — a stage plan re-run with
+//!      [`GpuOptions::baseline_for`],
+//!   3. **out-of-place** — the out-of-place kernel, for one-word elements
+//!      when the device has room for a second copy,
+//!   4. **host sequential** — a host transposition, which cannot fail.
+//!
+//! [`transpose_with_recovery`] runs the chain under an explicit stage
+//! plan, [`transpose_scheme_with_recovery`] under a planner decision.
 //!
 //! The per-stage checksum is a *multiset* invariant (wrapping sum + xor of
 //! all words): any transposition stage is a permutation, so the multiset
@@ -307,33 +314,14 @@ impl RecoveryReport {
             && self.faults.is_empty()
     }
 
-    /// Emit this report into a [`Recorder`]: retry
-    /// counters under the `recovery` scope, one instant event per injected
-    /// fault that fired, and the penalty/path as gauges. `ts_us` places the
-    /// fault events on the recorder's global clock.
-    pub fn record<R: ipt_obs::Recorder>(&self, rec: &R, ts_us: f64) {
-        if !rec.enabled() {
-            return;
-        }
-        use ipt_obs::Counter;
-        rec.add("recovery", Counter::FaultsInjected, self.faults.len() as u64);
-        rec.add("recovery", Counter::StageRetries, self.stage_retries as u64);
-        rec.add("recovery", Counter::TransferRetries, self.transfer_retries as u64);
-        rec.add("recovery", Counter::SchemeRetries, self.scheme_retries as u64);
-        rec.gauge("recovery", "penalty_s", self.penalty_s);
-        for f in &self.faults {
-            rec.event(ts_us, "fault", &format!("{:?} at {}: {}", f.kind, f.site, f.detail));
-        }
-        if let Some(e) = &self.primary_error {
-            rec.event(ts_us, "primary_path_abandoned", e);
-        }
-    }
-
-    /// [`RecoveryReport::record`] with causal provenance: every emitted
-    /// event detail is prefixed with the request's trace id, so recovery
-    /// incidents in a serving trace can be joined back to the request
-    /// that suffered them.
-    pub fn record_traced<R: ipt_obs::Recorder>(&self, rec: &R, ts_us: f64, trace_id: u64) {
+    /// Emit this report into a [`Recorder`]: retry counters under the
+    /// `recovery` scope, the penalty as a gauge, and one instant event per
+    /// injected fault that fired (plus one when the primary was abandoned).
+    /// `ts_us` places the events on the recorder's global clock. Every
+    /// event detail is prefixed with the request's `trace_id`, so recovery
+    /// incidents in a serving trace join back to the request that suffered
+    /// them.
+    pub fn record<R: Recorder>(&self, rec: &R, ts_us: f64, trace_id: u64) {
         if !rec.enabled() {
             return;
         }
@@ -392,7 +380,9 @@ pub fn verify_exact(
 /// element's words travel together.
 ///
 /// # Errors
-/// [`VerifyError`] naming the first mismatching element.
+/// [`VerifyError`] naming the first mismatching element, or the sizes
+/// when `src` and `result` are not both `rows × cols` elements (`rows`,
+/// `cols` ≥ 1) of `elem_words` ≥ 1 words.
 pub fn verify_exact_elems(
     src: &[u32],
     result: &[u32],
@@ -400,7 +390,20 @@ pub fn verify_exact_elems(
     cols: usize,
     elem_words: usize,
 ) -> Result<(), VerifyError> {
-    let perm = TransposePerm::new(rows, cols);
+    let words = rows.checked_mul(cols).and_then(|n| n.checked_mul(elem_words));
+    let Some(perm) = TransposePerm::try_new(rows, cols)
+        .filter(|_| elem_words > 0 && words == Some(src.len()) && result.len() == src.len())
+    else {
+        return Err(VerifyError {
+            stage: None,
+            detail: format!(
+                "{} source and {} result words are not {rows}×{cols} elements of \
+                 {elem_words} words",
+                src.len(),
+                result.len()
+            ),
+        });
+    };
     for (k, chunk) in src.chunks_exact(elem_words).enumerate() {
         let d = perm.dest(k);
         let got = &result[d * elem_words..(d + 1) * elem_words];
@@ -416,13 +419,8 @@ pub fn verify_exact_elems(
     Ok(())
 }
 
-/// Sequential host transposition — the reference path of last resort.
-#[must_use]
-pub fn host_transpose(src: &[u32], rows: usize, cols: usize) -> Vec<u32> {
-    host_transpose_elems(src, rows, cols, 1)
-}
-
-/// [`host_transpose`] for super-elements of `elem_words` words each.
+/// Sequential host transposition of super-elements of `elem_words` words
+/// each — the reference path, and the recovery chain's last resort.
 #[must_use]
 pub fn host_transpose_elems(
     src: &[u32],
@@ -439,13 +437,13 @@ pub fn host_transpose_elems(
     out
 }
 
-/// Outcome of the validated per-stage execution.
+/// What a successful validated plan run spent on recovery.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct StageRetryInfo {
+struct StageRetryInfo {
     /// Retries spent across all stages.
-    pub stage_retries: usize,
+    stage_retries: usize,
     /// Simulated seconds charged to failed attempts and backoff.
-    pub penalty_s: f64,
+    penalty_s: f64,
 }
 
 /// Execute `plan` stage by stage with snapshot/validate/retry recovery.
@@ -461,15 +459,10 @@ pub struct StageRetryInfo {
 ///
 /// Successful stage attempts emit kernel-launch and stage spans on `rec`,
 /// on the cumulative DES clock starting at `t0_s` (via [`run_stage_rec`]),
-/// so a serving-layer trace context pushed around this call captures
-/// genuine device-level child spans; pass [`NoopRecorder`] to record
-/// nothing.
-///
-/// # Errors
-/// [`TransposeError::RecoveryExhausted`] when retries run out;
-/// [`TransposeError::Launch`] for deterministic launch failures.
+/// so a serving-layer trace context pushed around the chain captures
+/// genuine device-level child spans.
 #[allow(clippy::too_many_arguments)]
-pub fn run_plan_validated_rec<R: Recorder>(
+fn run_plan_validated<R: Recorder>(
     sim: &Sim,
     data: Buffer,
     flags: Buffer,
@@ -528,17 +521,190 @@ pub fn run_plan_validated_rec<R: Recorder>(
     Ok((out, info))
 }
 
-/// Full in-place transposition with verification and a fallback chain.
+/// The in-place attempt at the head of the recovery chain. It decides
+/// which rungs follow it.
+#[derive(Clone, Copy)]
+enum InPlace<'p> {
+    /// An element-granular stage plan: validated per stage with retries,
+    /// then re-run with conservative options.
+    Staged(&'p StagePlan),
+    /// The C2R passes: one span-silent attempt, no stage retry, no
+    /// conservative re-run.
+    C2R,
+}
+
+/// The chain's input checks: `elem_words` ≥ 1, a word count that fits the
+/// address space, and a payload of exactly that many words.
+fn check_input(
+    host_data: &[u32],
+    rows: usize,
+    cols: usize,
+    elem_words: usize,
+) -> Result<(), TransposeError> {
+    let what = if elem_words == 0 {
+        "elem_words must be ≥ 1".to_string()
+    } else {
+        match ipt_core::check::checked_bytes(rows, cols, elem_words)
+            .and_then(|w| usize::try_from(w).ok())
+        {
+            None => format!("{rows}×{cols}×{elem_words} words overflows the address space"),
+            Some(words) if words != host_data.len() => format!(
+                "host data has {} words but the matrix needs {words} ({rows}×{cols} elements \
+                 of {elem_words} words)",
+                host_data.len(),
+            ),
+            Some(_) => return Ok(()),
+        }
+    };
+    Err(TransposeError::InvalidConfig { what })
+}
+
+/// Walk the rungs Primary → ConservativeOptions → OutOfPlace →
+/// HostSequential below `head`, on input that passed [`check_input`].
+/// Each rung after the primary starts from the restored input and runs
+/// only when every rung above it failed.
+#[allow(clippy::too_many_arguments)]
+fn run_chain<R: Recorder>(
+    sim: &mut Sim,
+    host_data: &mut Vec<u32>,
+    rows: usize,
+    cols: usize,
+    elem_words: usize,
+    head: InPlace<'_>,
+    opts: &GpuOptions,
+    policy: &RecoveryPolicy,
+    rec: &R,
+    t0_s: f64,
+) -> Result<(PipelineStats, RecoveryReport), TransposeError> {
+    use RecoveryPath::{ConservativeOptions, HostSequential, OutOfPlace, Primary};
+    let words = host_data.len();
+    let alloc = |sim: &mut Sim, need: usize| {
+        sim.try_alloc(need).ok_or(TransposeError::DeviceOom { need, free: sim.free_words() })
+    };
+    let mut primary_error = None;
+    // The device rungs share one data buffer; a stage plan, scaled to
+    // whole elements, adds its claim flags.
+    let scaled;
+    let (data, staged) = match head {
+        InPlace::Staged(plan) => {
+            let plan = if elem_words == 1 {
+                plan
+            } else {
+                scaled = crate::pipeline::scale_plan_words(plan, elem_words);
+                &scaled
+            };
+            let data = alloc(sim, words)?;
+            let flags = alloc(sim, plan_flag_words(plan).max(1))?;
+            (Some(data), Some((plan, flags)))
+        }
+        InPlace::C2R if elem_words == 1 => (Some(alloc(sim, words)?), None),
+        // The C2R kernels move single words: wide elements have no device
+        // rung, so nothing is allocated.
+        InPlace::C2R => {
+            if !policy.allow_fallback {
+                return Err(TransposeError::InvalidConfig {
+                    what: format!(
+                        "c2r device kernels are word-granular; {elem_words}-word elements \
+                         need the host fallback, which the policy disallows"
+                    ),
+                });
+            }
+            primary_error = Some(
+                "c2r device kernels are word-granular; wide elements served by the host path"
+                    .to_string(),
+            );
+            (None, None)
+        }
+    };
+    let original = host_data.clone();
+    let verified = |sim: &Sim, buf: Buffer| -> Result<Vec<u32>, TransposeError> {
+        let result = sim.download_u32(buf);
+        verify_exact_elems(&original, &result, rows, cols, elem_words)?;
+        Ok(result)
+    };
+
+    let (path, stats, info, result) = 'walk: {
+        if let Some(data) = data {
+            sim.upload_u32(data, &original);
+            for rung in [Primary, ConservativeOptions, OutOfPlace] {
+                let attempt = match (rung, staged) {
+                    (Primary | ConservativeOptions, Some((plan, flags))) => {
+                        let conservative;
+                        let opts = if rung == Primary {
+                            opts
+                        } else {
+                            // A fresh, simpler execution: the retry budget
+                            // resets.
+                            sim.upload_u32(data, &original);
+                            conservative = GpuOptions::baseline_for(sim.device());
+                            &conservative
+                        };
+                        run_plan_validated(sim, data, flags, plan, opts, policy, rec, t0_s)
+                            .and_then(|(stats, info)| Ok((stats, info, verified(sim, data)?)))
+                    }
+                    (Primary, None) => {
+                        crate::c2r::transpose_c2r_on_device(sim, data, rows, cols, opts.wg_size)
+                            .map_err(TransposeError::from)
+                            .and_then(|stats| {
+                                Ok((stats, StageRetryInfo::default(), verified(sim, data)?))
+                            })
+                    }
+                    // The kernel moves single words and needs room for a
+                    // second copy; no room just means keep degrading.
+                    (OutOfPlace, _) if elem_words == 1 => {
+                        sim.upload_u32(data, &original);
+                        alloc(sim, words).and_then(|dst| {
+                            let oop = crate::oop::OopTranspose { src: data, dst, rows, cols };
+                            let stages = vec![sim.launch(&oop)?];
+                            let result = verified(sim, dst)?;
+                            sim.upload_u32(data, &result);
+                            let stats = PipelineStats { stages, overhead_s: 0.0 };
+                            Ok((stats, StageRetryInfo::default(), result))
+                        })
+                    }
+                    _ => continue,
+                };
+                match attempt {
+                    Ok((stats, info, result)) => break 'walk (rung, stats, info, result),
+                    Err(e) if rung == Primary => {
+                        if !policy.allow_fallback {
+                            return Err(e);
+                        }
+                        primary_error = Some(e.to_string());
+                    }
+                    Err(_) => {}
+                }
+            }
+        }
+        // The host rung cannot fail.
+        let result = host_transpose_elems(&original, rows, cols, elem_words);
+        if let Some(data) = data {
+            sim.upload_u32(data, &result);
+        }
+        (HostSequential, PipelineStats::default(), StageRetryInfo::default(), result)
+    };
+    *host_data = result;
+    let report = RecoveryReport {
+        stage_retries: info.stage_retries,
+        penalty_s: info.penalty_s,
+        faults: sim.fault_records(),
+        primary_error,
+        ..RecoveryReport::new(path)
+    };
+    Ok((stats, report))
+}
+
+/// Full in-place transposition under an explicit stage plan, verified
+/// element-exact, with the whole recovery chain behind it: the plan with
+/// `opts`, the plan with [`GpuOptions::baseline_for`], the out-of-place
+/// kernel, the host.
 ///
-/// The primary attempt runs [`run_plan_validated_rec`] with the requested
-/// options and finishes with an element-exact check against the
-/// definitional permutation. If anything fails and the policy allows
-/// fallback, execution degrades in order:
-///
-/// 1. **conservative options** — the same plan re-run from the restored
-///    input with [`GpuOptions::baseline_for`],
-/// 2. **out-of-place** — the OOP kernel, if 2× memory is available,
-/// 3. **host sequential** — always correct.
+/// Elements are `elem_words` 32-bit words each (1 for `f32`/`u32`, 2 for
+/// `f64`). `plan` is element-granular and is scaled with
+/// [`crate::pipeline::scale_plan_words`] before execution; validation and
+/// verification act on whole elements. The out-of-place kernel moves
+/// single words, so for `elem_words > 1` the chain skips from conservative
+/// options to the host.
 ///
 /// On success `host_data` holds the (verified) transposed matrix and the
 /// report says which path delivered it; the device data buffer holds the
@@ -548,91 +714,18 @@ pub fn run_plan_validated_rec<R: Recorder>(
 /// [`TransposeError`] when fallback is disallowed or the configuration is
 /// unusable. With fallback enabled the function only fails on config
 /// errors — the host-sequential tail cannot fail.
+#[allow(clippy::too_many_arguments)]
 pub fn transpose_with_recovery(
     sim: &mut Sim,
     host_data: &mut Vec<u32>,
     rows: usize,
     cols: usize,
-    plan: &StagePlan,
-    opts: &GpuOptions,
-    policy: &RecoveryPolicy,
-) -> Result<(PipelineStats, RecoveryReport), TransposeError> {
-    transpose_with_recovery_elems(sim, host_data, rows, cols, 1, plan, opts, policy)
-}
-
-/// [`transpose_with_recovery`] for super-elements of `elem_words` 32-bit
-/// words each (2 for `f64`): `plan` is element-granular and is scaled with
-/// [`crate::pipeline::scale_plan_words`] before execution; validation and
-/// verification act on whole elements. The out-of-place kernel fallback is
-/// word-granular, so for `elem_words > 1` the chain skips straight from
-/// conservative options to the host path.
-///
-/// # Errors
-/// Same contract as [`transpose_with_recovery`].
-#[allow(clippy::too_many_arguments)]
-pub fn transpose_with_recovery_elems(
-    sim: &mut Sim,
-    host_data: &mut Vec<u32>,
-    rows: usize,
-    cols: usize,
     elem_words: usize,
     plan: &StagePlan,
     opts: &GpuOptions,
     policy: &RecoveryPolicy,
 ) -> Result<(PipelineStats, RecoveryReport), TransposeError> {
-    transpose_with_recovery_elems_rec(
-        sim,
-        host_data,
-        rows,
-        cols,
-        elem_words,
-        plan,
-        opts,
-        policy,
-        &NoopRecorder,
-        0.0,
-    )
-}
-
-/// [`transpose_with_recovery_elems`] instrumented with a [`Recorder`]:
-/// the validated primary and conservative attempts emit device-level
-/// spans on the cumulative DES clock starting at `t0_s`. With
-/// [`NoopRecorder`] this is exactly [`transpose_with_recovery_elems`].
-///
-/// # Errors
-/// Same contract as [`transpose_with_recovery`].
-#[allow(clippy::too_many_arguments)]
-pub fn transpose_with_recovery_elems_rec<R: Recorder>(
-    sim: &mut Sim,
-    host_data: &mut Vec<u32>,
-    rows: usize,
-    cols: usize,
-    elem_words: usize,
-    plan: &StagePlan,
-    opts: &GpuOptions,
-    policy: &RecoveryPolicy,
-    rec: &R,
-    t0_s: f64,
-) -> Result<(PipelineStats, RecoveryReport), TransposeError> {
-    if elem_words == 0 {
-        return Err(TransposeError::InvalidConfig { what: "elem_words must be ≥ 1".into() });
-    }
-    let Some(words_total) = ipt_core::check::checked_bytes(rows, cols, elem_words)
-        .and_then(|w| usize::try_from(w).ok())
-    else {
-        return Err(TransposeError::InvalidConfig {
-            what: format!("{rows}×{cols}×{elem_words} words overflows the address space"),
-        });
-    };
-    if host_data.len() != words_total {
-        return Err(TransposeError::InvalidConfig {
-            what: format!(
-                "host data has {} words but the matrix is {rows}×{cols} elements of \
-                 {elem_words} words = {words_total} words",
-                host_data.len(),
-            ),
-        });
-    }
+    check_input(host_data, rows, cols, elem_words)?;
     if plan.rows != rows || plan.cols != cols {
         return Err(TransposeError::InvalidConfig {
             what: format!(
@@ -641,99 +734,8 @@ pub fn transpose_with_recovery_elems_rec<R: Recorder>(
             ),
         });
     }
-    let scaled;
-    let plan = if elem_words == 1 {
-        plan
-    } else {
-        scaled = crate::pipeline::scale_plan_words(plan, elem_words);
-        &scaled
-    };
-    let words = words_total;
-    let flag_words = plan_flag_words(plan).max(1);
-    let data = sim.try_alloc(words).ok_or(TransposeError::DeviceOom {
-        need: words,
-        free: sim.free_words(),
-    })?;
-    let flags = sim.try_alloc(flag_words).ok_or(TransposeError::DeviceOom {
-        need: flag_words,
-        free: sim.free_words(),
-    })?;
-    let original = host_data.clone();
-    sim.upload_u32(data, &original);
-
-    let mut report = RecoveryReport::new(RecoveryPath::Primary);
-    let mut record_outcome =
-        |report: &mut RecoveryReport, sim: &Sim, stats: PipelineStats, result: Vec<u32>| {
-            report.faults = sim.fault_records();
-            *host_data = result;
-            (stats, report.clone())
-        };
-
-    // Primary: requested options, per-stage validation, final exact check.
-    let primary = run_plan_validated_rec(sim, data, flags, plan, opts, policy, rec, t0_s).and_then(
-        |(stats, info)| {
-            let result = sim.download_u32(data);
-            verify_exact_elems(&original, &result, rows, cols, elem_words)?;
-            Ok((stats, info, result))
-        },
-    );
-    match primary {
-        Ok((stats, info, result)) => {
-            report.stage_retries = info.stage_retries;
-            report.penalty_s = info.penalty_s;
-            return Ok(record_outcome(&mut report, sim, stats, result));
-        }
-        Err(e) => {
-            if !policy.allow_fallback {
-                return Err(e);
-            }
-            report.primary_error = Some(e.to_string());
-        }
-    }
-
-    // Fallback 1: conservative options from a restored input. The retry
-    // budget resets — this is a fresh, simpler execution.
-    sim.upload_u32(data, &original);
-    report.path = RecoveryPath::ConservativeOptions;
-    let conservative = GpuOptions::baseline_for(sim.device());
-    if let Ok((stats, info, result)) =
-        run_plan_validated_rec(sim, data, flags, plan, &conservative, policy, rec, t0_s)
-            .and_then(|(stats, info)| {
-            let result = sim.download_u32(data);
-            verify_exact_elems(&original, &result, rows, cols, elem_words)?;
-            Ok((stats, info, result))
-        })
-    {
-        report.stage_retries += info.stage_retries;
-        report.penalty_s += info.penalty_s;
-        return Ok(record_outcome(&mut report, sim, stats, result));
-    }
-
-    // Fallback 2: out-of-place kernel, if the device can hold a second
-    // copy. Allocation failure is not an error here — just the signal to
-    // keep degrading. The kernel moves single words, so it only applies to
-    // word-sized elements.
-    sim.upload_u32(data, &original);
-    report.path = RecoveryPath::OutOfPlace;
-    if elem_words == 1 {
-        if let Some(dst) = sim.try_alloc(words) {
-            let oop = crate::oop::OopTranspose { src: data, dst, rows, cols };
-            if let Ok(stats) = sim.launch(&oop) {
-                let result = sim.download_u32(dst);
-                if verify_exact(&original, &result, rows, cols).is_ok() {
-                    sim.upload_u32(data, &result);
-                    let pipeline = PipelineStats { stages: vec![stats], overhead_s: 0.0 };
-                    return Ok(record_outcome(&mut report, sim, pipeline, result));
-                }
-            }
-        }
-    }
-
-    // Fallback 3: sequential host transposition — cannot fail.
-    report.path = RecoveryPath::HostSequential;
-    let result = host_transpose_elems(&original, rows, cols, elem_words);
-    sim.upload_u32(data, &result);
-    Ok(record_outcome(&mut report, sim, PipelineStats::default(), result))
+    let head = InPlace::Staged(plan);
+    run_chain(sim, host_data, rows, cols, elem_words, head, opts, policy, &NoopRecorder, 0.0)
 }
 
 /// Execute a typed [`PlanDecision`](ipt_core::PlanDecision) with the full
@@ -747,8 +749,8 @@ pub fn transpose_with_recovery_elems_rec<R: Recorder>(
 /// * [`Scheme::C2R`](ipt_core::Scheme): the C2R device passes with an
 ///   element-exact check; on failure the chain degrades to the
 ///   out-of-place kernel and then the host path,
-/// * every staged scheme (`staged`, `gcd-tiled`, `square-tiled`):
-///   [`transpose_with_recovery_elems`] on the decision's plan.
+/// * every staged scheme (`staged`, `gcd-tiled`, `square-tiled`): the
+///   chain of [`transpose_with_recovery`] on the decision's plan.
 ///
 /// `elem_words` is the element size in 32-bit words (1 for `f32`/`u32`,
 /// 2 for `f64`). C2R device kernels are word-granular, so wide elements on
@@ -806,121 +808,31 @@ pub fn transpose_scheme_with_recovery_rec<R: Recorder>(
     t0_s: f64,
 ) -> Result<(PipelineStats, RecoveryReport), TransposeError> {
     use ipt_core::Scheme;
-    if elem_words == 0 {
-        return Err(TransposeError::InvalidConfig { what: "elem_words must be ≥ 1".into() });
-    }
-    let Some(words) = ipt_core::check::checked_bytes(rows, cols, elem_words)
-        .and_then(|w| usize::try_from(w).ok())
-    else {
-        return Err(TransposeError::InvalidConfig {
-            what: format!("{rows}×{cols}×{elem_words} words overflows the address space"),
-        });
-    };
-    if host_data.len() != words {
-        return Err(TransposeError::InvalidConfig {
-            what: format!(
-                "host data has {} words but the matrix needs {words} ({rows}×{cols} elements \
-                 of {elem_words} words)",
-                host_data.len(),
-            ),
-        });
-    }
-
-    match decision.scheme {
+    check_input(host_data, rows, cols, elem_words)?;
+    let plan;
+    let head = match decision.scheme {
         // Degenerate short-circuit: a 1×n or m×1 matrix transposes to
         // itself in linear storage. No device work, no failure modes.
-        Scheme::Identity => Ok((PipelineStats::default(), RecoveryReport::new(RecoveryPath::Primary))),
-
-        // C2R/R2C decomposition: total over every shape, so the chain is
-        // device kernels → out-of-place retry → host tail.
-        Scheme::C2R => {
-            let mut report = RecoveryReport::new(RecoveryPath::Primary);
-            let original = host_data.clone();
-            if elem_words == 1 {
-                let data = sim.try_alloc(words).ok_or(TransposeError::DeviceOom {
-                    need: words,
-                    free: sim.free_words(),
-                })?;
-                sim.upload_u32(data, &original);
-                let attempt =
-                    crate::c2r::transpose_c2r_on_device(sim, data, rows, cols, opts.wg_size)
-                        .map_err(TransposeError::from)
-                        .and_then(|stats| {
-                            let result = sim.download_u32(data);
-                            verify_exact(&original, &result, rows, cols)?;
-                            Ok((stats, result))
-                        });
-                match attempt {
-                    Ok((stats, result)) => {
-                        report.faults = sim.fault_records();
-                        *host_data = result;
-                        return Ok((stats, report));
-                    }
-                    Err(e) => {
-                        if !policy.allow_fallback {
-                            return Err(e);
-                        }
-                        report.primary_error = Some(e.to_string());
-                    }
-                }
-                // Out-of-place fallback, if a second copy fits.
-                sim.upload_u32(data, &original);
-                report.path = RecoveryPath::OutOfPlace;
-                if let Some(dst) = sim.try_alloc(words) {
-                    let oop = crate::oop::OopTranspose { src: data, dst, rows, cols };
-                    if let Ok(stats) = sim.launch(&oop) {
-                        let result = sim.download_u32(dst);
-                        if verify_exact(&original, &result, rows, cols).is_ok() {
-                            sim.upload_u32(data, &result);
-                            report.faults = sim.fault_records();
-                            *host_data = result;
-                            return Ok((
-                                PipelineStats { stages: vec![stats], overhead_s: 0.0 },
-                                report,
-                            ));
-                        }
-                    }
-                }
-            } else {
-                if !policy.allow_fallback {
-                    return Err(TransposeError::InvalidConfig {
-                        what: format!(
-                            "c2r device kernels are word-granular; {elem_words}-word elements \
-                             need the host fallback, which the policy disallows"
-                        ),
-                    });
-                }
-                report.primary_error = Some(
-                    "c2r device kernels are word-granular; wide elements served by the host \
-                     path"
-                        .into(),
-                );
-            }
-            // Host tail — cannot fail.
-            report.path = RecoveryPath::HostSequential;
-            report.faults = sim.fault_records();
-            *host_data = host_transpose_elems(&original, rows, cols, elem_words);
-            Ok((PipelineStats::default(), report))
+        Scheme::Identity => {
+            return Ok((PipelineStats::default(), RecoveryReport::new(RecoveryPath::Primary)));
         }
-
-        // Staged family: square-tiled, heuristic staged and gcd-tiled all
-        // execute as (possibly degenerate) stage plans under the standard
-        // validated-recovery chain.
+        Scheme::C2R => InPlace::C2R,
+        // Square-tiled, heuristic staged and gcd-tiled all execute as
+        // (possibly degenerate) stage plans.
         Scheme::SquareTiled | Scheme::Staged | Scheme::GcdTiled => {
-            let plan = decision
+            plan = decision
                 .staged_plan(rows, cols)
                 .expect("staged-family schemes always yield a plan");
-            transpose_with_recovery_elems_rec(
-                sim, host_data, rows, cols, elem_words, &plan, opts, policy, rec, t0_s,
-            )
+            InPlace::Staged(&plan)
         }
-    }
+    };
+    run_chain(sim, host_data, rows, cols, elem_words, head, opts, policy, rec, t0_s)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::{DeviceSpec, FaultKind, FaultPlan};
+    use gpu_sim::{ChaosConfig, ChaosPlan, DeviceSpec, FaultKind, FaultPlan};
     use ipt_core::stages::TileConfig;
     use ipt_core::Matrix;
 
@@ -928,31 +840,36 @@ mod tests {
         StagePlan::three_stage(72, 60, TileConfig::new(12, 10)).unwrap()
     }
 
-    fn sim_for(plan: &StagePlan, extra: usize) -> Sim {
-        Sim::new(
-            DeviceSpec::tesla_k20(),
-            plan.rows * plan.cols + plan_flag_words(plan).max(1) + extra,
-        )
+    /// The 72×60 3-stage plan through the chain on a K20 of `capacity`
+    /// words (default: data + flags + 64), with `fault` armed. A success
+    /// must deliver the exact transpose.
+    fn run_72x60(
+        capacity: Option<usize>,
+        fault: Option<FaultPlan>,
+        policy: RecoveryPolicy,
+    ) -> Result<(PipelineStats, RecoveryReport), TransposeError> {
+        let plan = plan_72x60();
+        let capacity = capacity.unwrap_or(72 * 60 + plan_flag_words(&plan).max(1) + 64);
+        let mut sim = Sim::new(DeviceSpec::tesla_k20(), capacity);
+        if let Some(f) = fault {
+            sim.set_fault_plan(f);
+        }
+        let opts = GpuOptions::tuned_for(sim.device());
+        let mut data = Matrix::iota(72, 60).into_vec();
+        let out = transpose_with_recovery(&mut sim, &mut data, 72, 60, 1, &plan, &opts, &policy);
+        if out.is_ok() {
+            assert_eq!(data, Matrix::iota(72, 60).transposed().into_vec());
+        }
+        out
+    }
+
+    fn no_retries(allow_fallback: bool) -> RecoveryPolicy {
+        RecoveryPolicy { max_stage_retries: 0, allow_fallback, ..RecoveryPolicy::default() }
     }
 
     #[test]
     fn clean_run_takes_primary_path() {
-        let plan = plan_72x60();
-        let mut sim = sim_for(&plan, 64);
-        let opts = GpuOptions::tuned_for(sim.device());
-        let mut data = Matrix::iota(72, 60).into_vec();
-        let want = Matrix::iota(72, 60).transposed().into_vec();
-        let (stats, report) = transpose_with_recovery(
-            &mut sim,
-            &mut data,
-            72,
-            60,
-            &plan,
-            &opts,
-            &RecoveryPolicy::default(),
-        )
-        .unwrap();
-        assert_eq!(data, want);
+        let (stats, report) = run_72x60(None, None, RecoveryPolicy::default()).unwrap();
         assert!(report.clean(), "{report:?}");
         assert_eq!(stats.stages.len(), 3);
     }
@@ -960,19 +877,12 @@ mod tests {
     #[test]
     fn size_mismatch_is_invalid_config() {
         let plan = plan_72x60();
-        let mut sim = sim_for(&plan, 64);
+        let mut sim = Sim::new(DeviceSpec::tesla_k20(), 2 * 72 * 60);
         let opts = GpuOptions::tuned_for(sim.device());
+        let policy = RecoveryPolicy::default();
         let mut data = vec![0u32; 10];
-        let err = transpose_with_recovery(
-            &mut sim,
-            &mut data,
-            72,
-            60,
-            &plan,
-            &opts,
-            &RecoveryPolicy::default(),
-        )
-        .unwrap_err();
+        let err = transpose_with_recovery(&mut sim, &mut data, 72, 60, 1, &plan, &opts, &policy)
+            .unwrap_err();
         assert!(matches!(err, TransposeError::InvalidConfig { .. }), "{err}");
     }
 
@@ -981,60 +891,25 @@ mod tests {
         let plan = plan_72x60();
         let mut sim = Sim::new(DeviceSpec::tesla_k20(), 48 * 90 + 4096);
         let opts = GpuOptions::tuned_for(sim.device());
+        let policy = RecoveryPolicy::default();
         let mut data = Matrix::iota(48, 90).into_vec();
-        let err = transpose_with_recovery(
-            &mut sim,
-            &mut data,
-            48,
-            90,
-            &plan,
-            &opts,
-            &RecoveryPolicy::default(),
-        )
-        .unwrap_err();
+        let err = transpose_with_recovery(&mut sim, &mut data, 48, 90, 1, &plan, &opts, &policy)
+            .unwrap_err();
         assert!(matches!(err, TransposeError::InvalidConfig { .. }), "{err}");
     }
 
     #[test]
     fn oom_is_typed() {
-        let plan = plan_72x60();
-        let mut sim = Sim::new(DeviceSpec::tesla_k20(), 16);
-        let opts = GpuOptions::tuned_for(sim.device());
-        let mut data = Matrix::iota(72, 60).into_vec();
-        let err = transpose_with_recovery(
-            &mut sim,
-            &mut data,
-            72,
-            60,
-            &plan,
-            &opts,
-            &RecoveryPolicy::default(),
-        )
-        .unwrap_err();
+        let err = run_72x60(Some(16), None, RecoveryPolicy::default()).unwrap_err();
         assert!(matches!(err, TransposeError::DeviceOom { .. }), "{err}");
     }
 
     #[test]
     fn kernel_abort_recovers_by_stage_retry() {
-        let plan = plan_72x60();
-        let mut sim = sim_for(&plan, 64);
         // Abort the kernel early: the stage snapshot is restored and the
         // stage retried; the fault is single-shot so the retry is clean.
-        sim.set_fault_plan(FaultPlan::exact(7, FaultKind::AbortKernel, 5, 0));
-        let opts = GpuOptions::tuned_for(sim.device());
-        let mut data = Matrix::iota(72, 60).into_vec();
-        let want = Matrix::iota(72, 60).transposed().into_vec();
-        let (_, report) = transpose_with_recovery(
-            &mut sim,
-            &mut data,
-            72,
-            60,
-            &plan,
-            &opts,
-            &RecoveryPolicy::default(),
-        )
-        .unwrap();
-        assert_eq!(data, want);
+        let fault = FaultPlan::exact(7, FaultKind::AbortKernel, 5, 0);
+        let (_, report) = run_72x60(None, Some(fault), RecoveryPolicy::default()).unwrap();
         assert_eq!(report.path, RecoveryPath::Primary);
         assert!(report.stage_retries >= 1, "{report:?}");
         assert!(report.penalty_s > 0.0);
@@ -1044,23 +919,8 @@ mod tests {
 
     #[test]
     fn dropped_global_atomic_recovers() {
-        let plan = plan_72x60();
-        let mut sim = sim_for(&plan, 64);
-        sim.set_fault_plan(FaultPlan::exact(11, FaultKind::DropGlobalAtomic, 3, 0));
-        let opts = GpuOptions::tuned_for(sim.device());
-        let mut data = Matrix::iota(72, 60).into_vec();
-        let want = Matrix::iota(72, 60).transposed().into_vec();
-        let (_, report) = transpose_with_recovery(
-            &mut sim,
-            &mut data,
-            72,
-            60,
-            &plan,
-            &opts,
-            &RecoveryPolicy::default(),
-        )
-        .unwrap();
-        assert_eq!(data, want);
+        let fault = FaultPlan::exact(11, FaultKind::DropGlobalAtomic, 3, 0);
+        let (_, report) = run_72x60(None, Some(fault), RecoveryPolicy::default()).unwrap();
         // A dropped claim corrupts data (caught by checksum → stage retry)
         // or goes unnoticed if the double-claim happened to be benign.
         assert!(report.faults.len() <= 1);
@@ -1068,39 +928,79 @@ mod tests {
 
     #[test]
     fn no_fallback_policy_surfaces_the_error() {
-        let plan = plan_72x60();
-        let mut sim = sim_for(&plan, 64);
         // Keep aborting: trigger 1 fires almost immediately; with retries
         // at 0 the primary path dies and fallback is disallowed.
-        sim.set_fault_plan(FaultPlan::exact(3, FaultKind::AbortKernel, 1, 0));
-        let opts = GpuOptions::tuned_for(sim.device());
-        let mut data = Matrix::iota(72, 60).into_vec();
-        let policy =
-            RecoveryPolicy { max_stage_retries: 0, retry_backoff_s: 1e-4, allow_fallback: false, seed: 0 };
-        let err =
-            transpose_with_recovery(&mut sim, &mut data, 72, 60, &plan, &opts, &policy)
-                .unwrap_err();
+        let fault = FaultPlan::exact(3, FaultKind::AbortKernel, 1, 0);
+        let err = run_72x60(None, Some(fault), no_retries(false)).unwrap_err();
         assert!(matches!(err, TransposeError::RecoveryExhausted { .. }), "{err}");
     }
 
     #[test]
     fn exhausted_retries_fall_back_and_still_verify() {
-        let plan = plan_72x60();
-        let mut sim = sim_for(&plan, 64);
-        sim.set_fault_plan(FaultPlan::exact(3, FaultKind::AbortKernel, 1, 0));
-        let opts = GpuOptions::tuned_for(sim.device());
-        let mut data = Matrix::iota(72, 60).into_vec();
-        let want = Matrix::iota(72, 60).transposed().into_vec();
         // Zero retries: the abort exhausts the primary path instantly, but
         // the fault is consumed, so the conservative re-run succeeds.
-        let policy =
-            RecoveryPolicy { max_stage_retries: 0, retry_backoff_s: 1e-4, allow_fallback: true, seed: 0 };
-        let (_, report) =
-            transpose_with_recovery(&mut sim, &mut data, 72, 60, &plan, &opts, &policy)
-                .unwrap();
-        assert_eq!(data, want);
+        let fault = FaultPlan::exact(3, FaultKind::AbortKernel, 1, 0);
+        let (_, report) = run_72x60(None, Some(fault), no_retries(true)).unwrap();
         assert_eq!(report.path, RecoveryPath::ConservativeOptions);
         assert!(report.primary_error.is_some());
+    }
+
+    #[test]
+    fn device_failures_land_on_out_of_place_or_host() {
+        // Every in-place device attempt aborts at its first warp step (one
+        // fault per attempt, no stage retries), then the fault budget is
+        // spent: the out-of-place kernel runs clean when a second copy
+        // fits, and the host takes over when it does not.
+        let dev = DeviceSpec::tesla_k20();
+        let opts = GpuOptions::tuned_for(&dev);
+        let plan = plan_72x60();
+        let c2r = decide(127, 61);
+        assert_eq!(c2r.scheme, ipt_core::Scheme::C2R);
+        let c2r_scratch = crate::c2r::c2r_scratch_words(&dev, 127, 61, opts.wg_size);
+        // (head, rows, cols, device attempts to kill, words held besides the data)
+        let cases = [
+            (InPlace::Staged(&plan), 72, 60, 2, plan_flag_words(&plan).max(1)),
+            (InPlace::C2R, 127, 61, 1, c2r_scratch),
+        ];
+        for (head, rows, cols, kills, held) in cases {
+            for room in [true, false] {
+                let run = |allow_fallback: bool| {
+                    let second_copy = if room { rows * cols } else { 0 };
+                    let mut sim = Sim::new(dev.clone(), rows * cols + held + second_copy + 64);
+                    // No transfer faults; every warp step aborts, up to `kills`.
+                    let chaos =
+                        ChaosConfig { abort_rate: 1.0, ..ChaosConfig::transfers(0.0, 0.0, kills) };
+                    sim.set_chaos_plan(ChaosPlan::new(5, chaos));
+                    let policy = no_retries(allow_fallback);
+                    let mut data = Matrix::iota(rows, cols).into_vec();
+                    let out = match head {
+                        InPlace::Staged(plan) => transpose_with_recovery(
+                            &mut sim, &mut data, rows, cols, 1, plan, &opts, &policy,
+                        ),
+                        InPlace::C2R => transpose_scheme_with_recovery(
+                            &mut sim, &mut data, rows, cols, 1, &c2r, &opts, &policy,
+                        ),
+                    };
+                    out.map(|(stats, report)| (stats, report, data))
+                };
+                let case = format!("{rows}x{cols} room={room}");
+                let (stats, report, data) = run(true).unwrap();
+                assert_eq!(data, Matrix::iota(rows, cols).transposed().into_vec(), "{case}");
+                let (want_path, want_stages) = if room {
+                    (RecoveryPath::OutOfPlace, 1)
+                } else {
+                    (RecoveryPath::HostSequential, 0)
+                };
+                assert_eq!(report.path, want_path, "{case}");
+                assert_eq!(stats.stages.len(), want_stages, "{case}");
+                assert_eq!(report.faults.len(), kills, "{case}");
+                assert_eq!((report.stage_retries, report.penalty_s), (0, 0.0), "{case}");
+                let primary_error = report.primary_error.expect("primary error recorded");
+                // Without fallback the primary's own error comes back.
+                let err = run(false).unwrap_err();
+                assert_eq!(err.to_string(), primary_error, "{case}");
+            }
+        }
     }
 
     #[test]
@@ -1137,8 +1037,21 @@ mod tests {
     #[test]
     fn host_transpose_is_exact() {
         let src = Matrix::iota(7, 13).into_vec();
-        let out = host_transpose(&src, 7, 13);
+        let out = host_transpose_elems(&src, 7, 13, 1);
         assert_eq!(out, Matrix::iota(7, 13).transposed().into_vec());
+        verify_exact(&src, &out, 7, 13).unwrap();
+    }
+
+    #[test]
+    fn verify_rejects_malformed_input_without_panicking() {
+        let src = Matrix::iota(7, 13).into_vec();
+        let out = host_transpose_elems(&src, 7, 13, 1);
+        // A correct transposition truncated by one element, on either side.
+        assert!(verify_exact(&src, &out[..out.len() - 1], 7, 13).is_err());
+        assert!(verify_exact(&src[..src.len() - 1], &out, 7, 13).is_err());
+        // Zero-word elements, and a degenerate shape.
+        assert!(verify_exact_elems(&src, &out, 7, 13, 0).is_err());
+        assert!(verify_exact(&[], &[], 0, 13).is_err());
         verify_exact(&src, &out, 7, 13).unwrap();
     }
 
@@ -1164,27 +1077,35 @@ mod tests {
         ipt_core::decide_scheme(rows, cols, &ipt_core::TileHeuristic::default())
     }
 
+    /// `d` through the chain on a K20 of `capacity` words, for counting
+    /// data in `elem_words`-word elements; the result must be exact.
+    fn run_scheme(
+        d: &ipt_core::PlanDecision,
+        rows: usize,
+        cols: usize,
+        elem_words: usize,
+        capacity: usize,
+    ) -> (PipelineStats, RecoveryReport) {
+        let mut sim = Sim::new(DeviceSpec::tesla_k20(), capacity);
+        let opts = GpuOptions::tuned_for(sim.device());
+        let policy = RecoveryPolicy::default();
+        let src: Vec<u32> = (0..(rows * cols * elem_words) as u32).collect();
+        let mut data = src.clone();
+        let out = transpose_scheme_with_recovery(
+            &mut sim, &mut data, rows, cols, elem_words, d, &opts, &policy,
+        )
+        .unwrap();
+        assert_eq!(data, host_transpose_elems(&src, rows, cols, elem_words));
+        out
+    }
+
     #[test]
     fn scheme_recovery_identity_short_circuits() {
         let d = decide(1, 513);
         assert_eq!(d.scheme, ipt_core::Scheme::Identity);
         // A deliberately tiny device: the identity path must not need it.
-        let mut sim = Sim::new(DeviceSpec::tesla_k20(), 4);
-        let opts = GpuOptions::tuned_for(sim.device());
-        let mut data = Matrix::iota(1, 513).into_vec();
-        let want = data.clone();
-        let (stats, report) = transpose_scheme_with_recovery(
-            &mut sim,
-            &mut data,
-            1,
-            513,
-            1,
-            &d,
-            &opts,
-            &RecoveryPolicy::default(),
-        )
-        .unwrap();
-        assert_eq!(data, want, "1×n transposes to itself in storage");
+        // A 1×n matrix transposes to itself in storage.
+        let (stats, report) = run_scheme(&d, 1, 513, 1, 4);
         assert!(report.clean(), "{report:?}");
         assert!(stats.stages.is_empty(), "no kernels ran");
     }
@@ -1195,22 +1116,7 @@ mod tests {
         let (r, c) = (127, 61);
         let d = decide(r, c);
         assert_eq!(d.scheme, ipt_core::Scheme::C2R);
-        let mut sim = Sim::new(DeviceSpec::tesla_k20(), 2 * r * c + 64);
-        let opts = GpuOptions::tuned_for(sim.device());
-        let mut data = Matrix::iota(r, c).into_vec();
-        let want = Matrix::iota(r, c).transposed().into_vec();
-        let (stats, report) = transpose_scheme_with_recovery(
-            &mut sim,
-            &mut data,
-            r,
-            c,
-            1,
-            &d,
-            &opts,
-            &RecoveryPolicy::default(),
-        )
-        .unwrap();
-        assert_eq!(data, want);
+        let (stats, report) = run_scheme(&d, r, c, 1, 2 * r * c + 64);
         assert_eq!(report.path, RecoveryPath::Primary);
         assert_eq!(stats.stages.len(), 2, "gcd = 1: row shuffle + column shuffle");
     }
@@ -1224,22 +1130,7 @@ mod tests {
             reason: ipt_core::FallbackReason::NoFeasibleTile { rows: r, cols: c },
             tile: None,
         };
-        let mut sim = Sim::new(DeviceSpec::tesla_k20(), 2 * r * c + 64);
-        let opts = GpuOptions::tuned_for(sim.device());
-        let mut data = Matrix::iota(r, c).into_vec();
-        let want = Matrix::iota(r, c).transposed().into_vec();
-        let (stats, report) = transpose_scheme_with_recovery(
-            &mut sim,
-            &mut data,
-            r,
-            c,
-            1,
-            &d,
-            &opts,
-            &RecoveryPolicy::default(),
-        )
-        .unwrap();
-        assert_eq!(data, want);
+        let (stats, report) = run_scheme(&d, r, c, 1, 2 * r * c + 64);
         assert_eq!(report.path, RecoveryPath::Primary);
         assert_eq!(stats.stages.len(), 3, "gcd > 1: rotate + row shuffle + column shuffle");
     }
@@ -1247,23 +1138,7 @@ mod tests {
     #[test]
     fn scheme_recovery_c2r_wide_elements_use_verified_host_path() {
         let (r, c) = (127, 61);
-        let d = decide(r, c);
-        let mut sim = Sim::new(DeviceSpec::tesla_k20(), 2 * 2 * r * c + 64);
-        let opts = GpuOptions::tuned_for(sim.device());
-        let mut data: Vec<u32> = (0..2 * r * c).map(|x| x as u32) .collect();
-        let original = data.clone();
-        let (_, report) = transpose_scheme_with_recovery(
-            &mut sim,
-            &mut data,
-            r,
-            c,
-            2,
-            &d,
-            &opts,
-            &RecoveryPolicy::default(),
-        )
-        .unwrap();
-        assert_eq!(data, host_transpose_elems(&original, r, c, 2));
+        let (_, report) = run_scheme(&decide(r, c), r, c, 2, 2 * 2 * r * c + 64);
         assert_eq!(report.path, RecoveryPath::HostSequential);
         assert!(report.primary_error.is_some(), "fallback is recorded, never silent");
     }
@@ -1275,22 +1150,7 @@ mod tests {
         let d = decide(61, 61);
         assert_eq!(d.scheme, ipt_core::Scheme::SquareTiled);
         assert_eq!(d.tile, None);
-        let mut sim = Sim::new(DeviceSpec::tesla_k20(), 4 * 61 * 61 + 16_384);
-        let opts = GpuOptions::tuned_for(sim.device());
-        let mut data = Matrix::iota(61, 61).into_vec();
-        let want = Matrix::iota(61, 61).transposed().into_vec();
-        let (_, report) = transpose_scheme_with_recovery(
-            &mut sim,
-            &mut data,
-            61,
-            61,
-            1,
-            &d,
-            &opts,
-            &RecoveryPolicy::default(),
-        )
-        .unwrap();
-        assert_eq!(data, want);
+        let (_, report) = run_scheme(&d, 61, 61, 1, 4 * 61 * 61 + 16_384);
         assert!(report.clean(), "{report:?}");
     }
 
@@ -1299,19 +1159,12 @@ mod tests {
         let plan = plan_72x60();
         let mut sim = Sim::new(DeviceSpec::tesla_k20(), 4 * 72 * 60 + 32_768);
         let opts = GpuOptions::tuned_for(sim.device());
+        let policy = RecoveryPolicy::default();
         let mut data: Vec<u32> = (0..2 * 72 * 60).map(|x| (x * 7 + 3) as u32).collect();
         let original = data.clone();
-        let (_, report) = transpose_with_recovery_elems(
-            &mut sim,
-            &mut data,
-            72,
-            60,
-            2,
-            &plan,
-            &opts,
-            &RecoveryPolicy::default(),
-        )
-        .unwrap();
+        let (_, report) =
+            transpose_with_recovery(&mut sim, &mut data, 72, 60, 2, &plan, &opts, &policy)
+                .unwrap();
         assert_eq!(data, host_transpose_elems(&original, 72, 60, 2));
         assert!(report.clean(), "{report:?}");
     }

@@ -1144,7 +1144,7 @@ impl Server {
                     &[("device", res.device as f64)],
                 );
                 if !res.recovery.clean() {
-                    res.recovery.record_traced(rec, arrival_us + e2e_us, tid);
+                    res.recovery.record(rec, arrival_us + e2e_us, tid);
                 }
             }
         }

@@ -62,6 +62,7 @@ fn device_run(
         &mut data,
         rows,
         cols,
+        1,
         plan,
         &opts,
         &RecoveryPolicy::default(),

@@ -31,7 +31,7 @@ fn run_recovering(
     let opts = GpuOptions::tuned_for(sim.device());
     let mut data = Matrix::iota(rows, cols).into_vec();
     let want = Matrix::iota(rows, cols).transposed().into_vec();
-    match transpose_with_recovery(&mut sim, &mut data, rows, cols, &plan, &opts, policy) {
+    match transpose_with_recovery(&mut sim, &mut data, rows, cols, 1, &plan, &opts, policy) {
         Ok((_, report)) => {
             // The recovery layer claims verified output; check it really is.
             if data != want {

@@ -141,7 +141,7 @@ fn chaos_campaign_200_runs_all_recover() {
         let mut data = Matrix::iota(rows, cols).into_vec();
         let want = Matrix::iota(rows, cols).transposed().into_vec();
         let (_, report) =
-            transpose_with_recovery(&mut sim, &mut data, rows, cols, &plan, &opts, &policy)
+            transpose_with_recovery(&mut sim, &mut data, rows, cols, 1, &plan, &opts, &policy)
                 .unwrap_or_else(|e| panic!("campaign run {i} (seed {seed}) died: {e}"));
         assert_eq!(data, want, "campaign run {i} (seed {seed}) silently corrupted the result");
         if report.primary_error.as_deref().is_some_and(|e| e.contains("stalled")) {

@@ -190,17 +190,58 @@ fn any_shape_api_on_two_threads_matches_its_seq_paths() {
 
 #[test]
 fn f64_device_path_matches_f32_semantics() {
-    use ipt::gpu::{scale_plan_words, transpose_on_device_f64};
+    // f64 elements travel through the recovery chain as (low, high) word
+    // pairs; the tuned in-place plan delivers them bit-exact.
+    use ipt::gpu::{scale_plan_words, transpose_with_recovery, RecoveryPolicy};
     let (r, c) = (48, 90);
     let plan = StagePlan::three_stage(r, c, TileConfig::new(8, 9)).unwrap();
     let dev = DeviceSpec::tesla_k20();
     let opts = GpuOptions::tuned_for(&dev);
     let scaled = scale_plan_words(&plan, 2);
     let mut sim = Sim::new(dev, 2 * r * c + plan_flag_words(&scaled) + 64);
-    let mut data: Vec<f64> = (0..r * c).map(|k| (k as f64).sin()).collect();
-    // Bit-exact verification happens inside.
-    let stats = transpose_on_device_f64(&mut sim, &mut data, r, c, &plan, &opts).unwrap();
+    let src: Vec<f64> = (0..r * c).map(|k| (k as f64).sin()).collect();
+    let mut data: Vec<u32> = src
+        .iter()
+        .flat_map(|v| {
+            let b = v.to_bits();
+            [b as u32, (b >> 32) as u32]
+        })
+        .collect();
+    let policy = RecoveryPolicy::default();
+    let (stats, report) =
+        transpose_with_recovery(&mut sim, &mut data, r, c, 2, &plan, &opts, &policy).unwrap();
+    assert!(report.clean(), "{report:?}");
     assert!(stats.time_s() > 0.0);
+    for (k, v) in src.iter().enumerate() {
+        let d = (k % c) * r + k / c;
+        let got = u64::from(data[2 * d]) | (u64::from(data[2 * d + 1]) << 32);
+        assert_eq!(got, v.to_bits(), "element {k}");
+    }
+}
+
+#[test]
+fn injected_abort_is_recovered_by_the_chain() {
+    // A kernel abort mid-plan: the chain restores the stage's snapshot and
+    // retries it once, on the primary rung, and the data comes out exact.
+    use ipt::gpu::{transpose_with_recovery, RecoveryPath, RecoveryPolicy};
+    use ipt::sim::{FaultKind, FaultPlan};
+    let (r, c) = (72, 60);
+    let plan = StagePlan::three_stage(r, c, TileConfig::new(12, 10)).unwrap();
+    let dev = DeviceSpec::tesla_k20();
+    let opts = GpuOptions::tuned_for(&dev);
+    let mut sim = Sim::new(dev, 2 * r * c + plan_flag_words(&plan).max(1) + 64);
+    sim.set_fault_plan(FaultPlan::exact(7, FaultKind::AbortKernel, 5, 0));
+    let mut data = Matrix::iota(r, c).into_vec();
+    let policy = RecoveryPolicy::default();
+    let (stats, report) =
+        transpose_with_recovery(&mut sim, &mut data, r, c, 1, &plan, &opts, &policy).unwrap();
+    assert_eq!(data, Matrix::iota(r, c).transposed().into_vec());
+    assert_eq!(report.path, RecoveryPath::Primary);
+    assert_eq!(report.stage_retries, 1, "{report:?}");
+    assert_eq!(report.faults.len(), 1);
+    assert_eq!(report.faults[0].kind, FaultKind::AbortKernel);
+    assert!(report.penalty_s > 0.0);
+    assert_eq!(stats.stages.len(), 3, "the failed attempt is rolled back");
 }
 
 #[test]
