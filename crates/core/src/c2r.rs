@@ -12,9 +12,32 @@
 //!
 //! where `c = gcd(M, N)`, `a = M/c`, `b = N/c`. Every line permutes
 //! independently of every other line of its pass, so there are no
-//! per-element claim flags, no atomics, and perfect load balance; the
-//! scratch requirement is one line (`max(M, N)` elements) per worker —
-//! never a second matrix.
+//! per-element claim flags, no atomics, and perfect load balance.
+//!
+//! ## Host passes
+//!
+//! The per-element gathers on [`C2rGeometry`] are the reference that the
+//! device kernels and the tests pin; the host passes never evaluate them
+//! per element. Each row, and each block of columns, instead gets a
+//! *walker* built once from the geometry: construction does every `/`,
+//! `%` and `u128` step, and the walk then names the source of each
+//! output element with adds and conditional subtracts only.
+//!
+//! * The row shuffle gathers one row at a time through a row walker.
+//! * The rotate and the column shuffle work on blocks of `W` adjacent
+//!   columns, `W = 64 B ÷ size_of::<T>()` (16 for `f32`). A block is
+//!   staged row by row, one cache line per row. Its walker then names,
+//!   output row by output row, the staged row each column gathers from,
+//!   and the block is written back one line per row. A one-column pass
+//!   would use 4 bytes of each 64-byte line it touches.
+//! * The scratch is one row, or one `M·W` block per worker. `W` narrows
+//!   on tall shapes to keep a block under 2 MiB, or one column when a
+//!   column alone is larger — never a second matrix.
+//!
+//! [`transpose_c2r_seq`] and [`transpose_c2r_par`] check the buffer
+//! length against `M·N` without overflow before any pass offsets a
+//! pointer; the parallel one runs each pass's rows or blocks on the
+//! rayon pool.
 //!
 //! ## Derivation (gather forms)
 //!
@@ -29,7 +52,7 @@
 //! row `(t mod M + ⌊(t div M)/b⌋) mod M` with `t = J·N + j`. For
 //! `c = 1` these collapse exactly to the two coprime-phase formulas of
 //! [`crate::coprime`] — the coprime module is the `c = 1` slice of this
-//! one.
+//! one, and its entry points run these passes.
 //!
 //! ```
 //! use ipt_core::{Matrix, transpose_matrix_c2r};
@@ -38,6 +61,7 @@
 //! assert_eq!(t, a.transposed());
 //! ```
 
+use crate::check::checked_words;
 use crate::elementary::parallel::SharedSlice;
 use crate::matrix::Matrix;
 use crate::numtheory::{gcd, mod_inverse};
@@ -129,216 +153,363 @@ impl C2rGeometry {
     }
 }
 
-/// Stage column `col` of the `M × N` buffer behind `data` into `tmp`,
-/// then overwrite it through the gather `src`: `col[k] = tmp[src(k)]`.
-///
-/// # Safety
-/// `data` holds `M·N` elements, `col < N`, and no other thread accesses
-/// column `col` during the call.
-unsafe fn apply_col_pass<T: Copy>(
-    data: &SharedSlice<'_, T>,
-    geom: &C2rGeometry,
-    col: usize,
-    tmp: &mut Vec<T>,
-    src: impl Fn(usize) -> usize,
-) {
-    let (m, n) = (geom.m, geom.n);
-    tmp.clear();
-    // SAFETY: `r·N + col < M·N` for `r < M`, and it lies in column `col`,
-    // which the caller owns.
-    tmp.extend((0..m).map(|r| unsafe { data.get(r * n + col) }));
-    for k in 0..m {
-        let v = tmp[src(k)];
-        // SAFETY: as above, with `k < M`.
-        unsafe { data.set(k * n + col, v) };
+/// Phase 2 along row `i`: yields [`C2rGeometry::row_shuffle_src_col`] for
+/// output column 0, 1, 2, …. Built once per row, with every `/`, `%` and
+/// `u128` step at construction; a step only adds and conditionally
+/// subtracts. The source column is `x·b + y`. From one output column to
+/// the next, `x` falls by one mod `c`, so `r = (i − x) mod M` rises by
+/// one — or, when `x` wraps to `c − 1`, falls by `c − 1` while
+/// `z = ((j − r) mod N)/c` rises by one and `y = z·a⁻¹ mod b` by `a⁻¹`.
+/// `r` crossing `M` moves `z` by `±a`, that is `y` by `±1`.
+#[derive(Debug)]
+struct RowWalk {
+    /// `x·b`.
+    xb: usize,
+    /// `(i − x) mod M`.
+    r: usize,
+    /// `y < b`.
+    y: usize,
+    m: usize,
+    b: usize,
+    /// `c − 1`.
+    c1: usize,
+    /// `(c − 1)·b`.
+    c1b: usize,
+    a_inv: usize,
+}
+
+impl RowWalk {
+    fn new(geom: &C2rGeometry, i: usize) -> Self {
+        let (m, b, c) = (geom.m, geom.b, geom.c);
+        let s = geom.row_shuffle_src_col(i, 0);
+        // At column 0, x = i mod c ≤ i, so r = i − x needs no wrap.
+        let x = s / b;
+        Self { xb: x * b, r: i - x, y: s % b, m, b, c1: c - 1, c1b: (c - 1) * b, a_inv: geom.a_inv }
+    }
+
+    #[inline]
+    fn next_src(&mut self) -> usize {
+        let s = self.xb + self.y;
+        if self.xb > 0 {
+            self.xb -= self.b;
+            self.r += 1;
+            if self.r == self.m {
+                self.r = 0;
+                self.y += 1;
+                if self.y == self.b {
+                    self.y = 0;
+                }
+            }
+        } else {
+            self.xb = self.c1b;
+            if self.r >= self.c1 {
+                self.r -= self.c1;
+            } else {
+                self.r += self.m - self.c1;
+                self.y = if self.y == 0 { self.b - 1 } else { self.y - 1 };
+            }
+            self.y += self.a_inv;
+            if self.y >= self.b {
+                self.y -= self.b;
+            }
+        }
+        s
     }
 }
 
-/// Stage row `i` into `tmp`, then overwrite it through the phase-2 gather.
-fn apply_row_pass<T: Copy>(row: &mut [T], geom: &C2rGeometry, i: usize, tmp: &mut Vec<T>) {
-    tmp.clear();
-    tmp.extend_from_slice(row);
-    for (j, slot) in row.iter_mut().enumerate() {
-        *slot = tmp[geom.row_shuffle_src_col(i, j)];
+/// A gather walk over a block of adjacent columns `q0, q0 + 1, …`: each
+/// call fills `src[d]` with the row that the next output row of column
+/// `q0 + d` comes from. Built once per block, with the divisions at
+/// construction; a row only adds and conditionally subtracts.
+trait BlockWalk {
+    fn new(geom: &C2rGeometry, q0: usize) -> Self;
+
+    /// Sources of the next output row; `src.len() ≤ N − q0`.
+    fn next_row(&mut self, src: &mut [usize]);
+}
+
+/// Phase 1 over a block: [`C2rGeometry::rotate_src_row`]. Column `q`
+/// rotates by `⌊q/b⌋ mod M`, so along an output row the source row holds
+/// for runs of `b` columns and falls by one (mod `M`) where a run starts;
+/// from one output row to the next, every source rises by one.
+#[derive(Debug)]
+struct RotateBlock {
+    /// Source row of column `q0` for the next output row.
+    src0: usize,
+    /// `d` of the first column past `q0` that starts a run.
+    first_run: usize,
+    m: usize,
+    b: usize,
+}
+
+impl BlockWalk for RotateBlock {
+    fn new(geom: &C2rGeometry, q0: usize) -> Self {
+        let (m, b) = (geom.m, geom.b);
+        Self { src0: geom.rotate_src_row(0, q0), first_run: b - q0 % b, m, b }
+    }
+
+    #[inline]
+    fn next_row(&mut self, src: &mut [usize]) {
+        let (mut s, mut run) = (self.src0, self.first_run);
+        for (d, slot) in src.iter_mut().enumerate() {
+            if d == run {
+                s = if s == 0 { self.m - 1 } else { s - 1 };
+                run += self.b;
+            }
+            *slot = s;
+        }
+        self.src0 += 1;
+        if self.src0 == self.m {
+            self.src0 = 0;
+        }
+    }
+}
+
+/// Phase 3 over a block: [`C2rGeometry::col_shuffle_src_row`], which is
+/// `(t mod M + ⌊t/L⌋) mod M` with `t = J·N + q` and `L = M·b = a·N`,
+/// since `⌊⌊t/M⌋/b⌋ = ⌊t/L⌋`. As `q < N`, `⌊t/L⌋ = ⌊J/a⌋`: it stays
+/// below `c ≤ M` and is the same for every column of an output row, so
+/// along the row the source rises by one per column (mod `M`). Each
+/// output row adds `N` to `t`.
+#[derive(Debug)]
+struct ColBlock {
+    /// `t mod M` at column `q0` of the next output row.
+    t_m: usize,
+    /// `⌊J/a⌋`.
+    k: usize,
+    /// Output rows left until `k` next rises.
+    rows_to_k: usize,
+    m: usize,
+    /// `N mod M`.
+    n_m: usize,
+    a: usize,
+}
+
+impl BlockWalk for ColBlock {
+    fn new(geom: &C2rGeometry, q0: usize) -> Self {
+        let (m, a) = (geom.m, geom.a);
+        Self { t_m: q0 % m, k: 0, rows_to_k: a, m, n_m: geom.n % m, a }
+    }
+
+    #[inline]
+    fn next_row(&mut self, src: &mut [usize]) {
+        let m = self.m;
+        let mut s = self.t_m + self.k;
+        if s >= m {
+            s -= m;
+        }
+        for slot in src {
+            *slot = s;
+            s += 1;
+            if s == m {
+                s = 0;
+            }
+        }
+        self.t_m += self.n_m;
+        if self.t_m >= m {
+            self.t_m -= m;
+        }
+        self.rows_to_k -= 1;
+        if self.rows_to_k == 0 {
+            self.rows_to_k = self.a;
+            self.k += 1;
+        }
+    }
+}
+
+/// The cache line the column passes fill per row of a block.
+const LINE_BYTES: usize = 64;
+
+/// A worker's block scratch budget: tall shapes narrow their blocks to
+/// stay under it, never below one column.
+const BLOCK_SCRATCH_BYTES: usize = 2 << 20;
+
+/// Columns per block: one cache line of `T`s, narrowed so the `M·W`
+/// scratch stays under [`BLOCK_SCRATCH_BYTES`] or one column, whichever
+/// is larger, and never wider than the matrix.
+fn block_width<T>(m_rows: usize, n_cols: usize) -> usize {
+    let size = std::mem::size_of::<T>().max(1);
+    let line = (LINE_BYTES / size).max(1);
+    let cap = (BLOCK_SCRATCH_BYTES / size / m_rows).max(1);
+    line.min(cap).min(n_cols)
+}
+
+/// One host pass of the decomposition.
+#[derive(Debug, Clone, Copy)]
+enum Pass {
+    Rotate,
+    RowShuffle,
+    ColShuffle,
+}
+
+/// A host C2R transposition checked against its buffer: the geometry and
+/// the block width of the column passes. The passes' units — rows, or
+/// blocks of `w` adjacent columns — are disjoint, so they run in any
+/// order on any thread.
+#[derive(Debug)]
+struct HostPlan {
+    geom: C2rGeometry,
+    /// Buffer length, `M·N`.
+    len: usize,
+    /// Columns per block, `1 ≤ w ≤ min(N, LINE_BYTES)`.
+    w: usize,
+}
+
+impl HostPlan {
+    /// # Panics
+    /// Panics if `len` is not `m_rows·n_cols` (products past `u64` never
+    /// match) or a dimension is zero.
+    fn new<T>(len: usize, m_rows: usize, n_cols: usize) -> Self {
+        assert!(
+            checked_words(m_rows, n_cols) == Some(len as u64),
+            "a buffer of {len} elements does not hold a {m_rows}x{n_cols} matrix"
+        );
+        let geom = C2rGeometry::new(m_rows, n_cols);
+        Self { geom, len, w: block_width::<T>(m_rows, n_cols) }
+    }
+
+    /// The passes to run, in order (`c = 1` skips the rotate).
+    fn passes(&self) -> impl Iterator<Item = Pass> {
+        let rotate = self.geom.needs_rotate().then_some(Pass::Rotate);
+        rotate.into_iter().chain([Pass::RowShuffle, Pass::ColShuffle])
+    }
+
+    fn units(&self, pass: Pass) -> usize {
+        match pass {
+            Pass::RowShuffle => self.geom.m,
+            Pass::Rotate | Pass::ColShuffle => self.geom.n.div_ceil(self.w),
+        }
+    }
+
+    /// Run `pass` over `data` on the calling thread.
+    ///
+    /// # Panics
+    /// Panics if `data` is not the buffer length the plan was built for.
+    fn run_seq<T: Copy>(&self, data: &mut [T], pass: Pass) {
+        assert_eq!(data.len(), self.len, "buffer does not match the plan");
+        let data = SharedSlice::new(data);
+        let mut tmp = Vec::new();
+        for unit in 0..self.units(pass) {
+            // SAFETY: the buffer holds `M·N` elements (asserted above) and
+            // this thread holds its only borrow.
+            unsafe { self.run_unit(&data, pass, unit, &mut tmp) };
+        }
+    }
+
+    /// Run `pass` over `data` on the rayon pool, one task per unit, each
+    /// worker keeping one scratch buffer.
+    ///
+    /// # Panics
+    /// As [`HostPlan::run_seq`].
+    fn run_par<T: Copy + Send + Sync>(&self, data: &mut [T], pass: Pass) {
+        assert_eq!(data.len(), self.len, "buffer does not match the plan");
+        let data = SharedSlice::new(data);
+        (0..self.units(pass)).into_par_iter().for_each_init(Vec::new, |tmp, unit| {
+            // SAFETY: the buffer holds `M·N` elements (asserted above), and
+            // each unit — a row or a column block, disjoint from every
+            // other unit of the pass — goes to exactly one task.
+            unsafe { self.run_unit(&data, pass, unit, tmp) }
+        });
+    }
+
+    /// Permute row `unit` or column block `unit` of `pass`.
+    ///
+    /// # Safety
+    /// `data` holds `M·N` elements, `unit < self.units(pass)`, and no other
+    /// thread accesses the unit's elements during the call.
+    unsafe fn run_unit<T: Copy>(
+        &self,
+        data: &SharedSlice<'_, T>,
+        pass: Pass,
+        unit: usize,
+        tmp: &mut Vec<T>,
+    ) {
+        let n = self.geom.n;
+        match pass {
+            Pass::RowShuffle => {
+                let mut walk = RowWalk::new(&self.geom, unit);
+                // SAFETY: row `unit < M` is `unit·N .. unit·N + N ≤ M·N`,
+                // and the caller owns it.
+                unsafe {
+                    data.with_range(unit * n, n, |row| {
+                        tmp.clear();
+                        tmp.extend_from_slice(row);
+                        for slot in row {
+                            *slot = tmp[walk.next_src()];
+                        }
+                    });
+                }
+            }
+            // SAFETY (both arms): the block's columns lie below `N` and
+            // the caller owns them.
+            Pass::Rotate => unsafe { self.gather_block::<T, RotateBlock>(data, unit, tmp) },
+            Pass::ColShuffle => unsafe { self.gather_block::<T, ColBlock>(data, unit, tmp) },
+        }
+    }
+
+    /// Gather block `unit`: stage its columns row by row (one line-wide
+    /// run per row), then rewrite each output row from the staged rows
+    /// that `K` names.
+    ///
+    /// # Safety
+    /// `data` holds `M·N` elements, `unit < N.div_ceil(w)`, and no other
+    /// thread accesses the block's columns during the call.
+    unsafe fn gather_block<T: Copy, K: BlockWalk>(
+        &self,
+        data: &SharedSlice<'_, T>,
+        unit: usize,
+        tmp: &mut Vec<T>,
+    ) {
+        let (m, n) = (self.geom.m, self.geom.n);
+        let q0 = unit * self.w;
+        let w = self.w.min(n - q0);
+        tmp.clear();
+        for r in 0..m {
+            // SAFETY: `q0 + w ≤ N`, so the run `r·N + q0 .. + w` lies in
+            // row `r < M` and in the caller's columns.
+            unsafe { data.with_range(r * n + q0, w, |run| tmp.extend_from_slice(run)) };
+        }
+        let mut walk = K::new(&self.geom, q0);
+        let mut src = [0; LINE_BYTES];
+        let src = &mut src[..w];
+        for k in 0..m {
+            walk.next_row(src);
+            // SAFETY: as above, for row `k < M`.
+            unsafe {
+                data.with_range(k * n + q0, w, |run| {
+                    for (d, (slot, &s)) in run.iter_mut().zip(src.iter()).enumerate() {
+                        *slot = tmp[s * w + d];
+                    }
+                });
+            }
+        }
     }
 }
 
 /// Sequential in-place C2R transposition of a row-major `M × N` buffer.
-/// Total: any `M, N ≥ 1`. Scratch: one line (`max(M, N)` elements).
+/// Total: any `M, N ≥ 1`. Scratch: one row, or one block of `M·W`
+/// elements (see the module docs).
 ///
 /// # Panics
-/// Panics if `data.len() != m_rows·n_cols` or a dimension is zero.
+/// Panics if `data.len()` is not `m_rows·n_cols` (checked, so an
+/// overflowing shape panics too) or a dimension is zero.
 pub fn transpose_c2r_seq<T: Copy>(data: &mut [T], m_rows: usize, n_cols: usize) {
-    assert_eq!(data.len(), m_rows * n_cols);
-    let geom = C2rGeometry::new(m_rows, n_cols);
-    let mut tmp = Vec::with_capacity(m_rows.max(n_cols));
-    if geom.needs_rotate() {
-        let data = SharedSlice::new(data);
-        for q in 0..n_cols {
-            let src = |i| geom.rotate_src_row(i, q);
-            // SAFETY: the length is asserted above, `q < N`, and this
-            // thread holds the only borrow of the buffer.
-            unsafe { apply_col_pass(&data, &geom, q, &mut tmp, src) };
-        }
-    }
-    for (i, row) in data.chunks_exact_mut(n_cols).enumerate() {
-        apply_row_pass(row, &geom, i, &mut tmp);
-    }
-    let data = SharedSlice::new(data);
-    for col in 0..n_cols {
-        let src = |j_out| geom.col_shuffle_src_row(j_out, col);
-        // SAFETY: as for the rotate pass.
-        unsafe { apply_col_pass(&data, &geom, col, &mut tmp, src) };
+    let plan = HostPlan::new::<T>(data.len(), m_rows, n_cols);
+    for pass in plan.passes() {
+        plan.run_seq(data, pass);
     }
 }
 
-/// Rayon-parallel C2R: columns in parallel, rows in parallel, columns in
-/// parallel — each worker keeps one line of scratch.
+/// Rayon-parallel C2R: every pass runs its rows or column blocks in
+/// parallel, each worker keeping one scratch buffer.
 ///
 /// # Panics
 /// As [`transpose_c2r_seq`].
 pub fn transpose_c2r_par<T: Copy + Send + Sync>(data: &mut [T], m_rows: usize, n_cols: usize) {
-    assert_eq!(data.len(), m_rows * n_cols);
-    let geom = C2rGeometry::new(m_rows, n_cols);
-    let col_pass = |data: &mut [T], src_for: &(dyn Fn(usize, usize) -> usize + Sync)| {
-        let data = SharedSlice::new(data);
-        (0..n_cols).into_par_iter().for_each_init(
-            || Vec::with_capacity(m_rows),
-            // SAFETY: the length is asserted above, `col < N`, and each
-            // column (the stride-N offsets ≡ col mod N) goes to one task.
-            |tmp, col| unsafe { apply_col_pass(&data, &geom, col, tmp, |k| src_for(k, col)) },
-        );
-    };
-    if geom.needs_rotate() {
-        col_pass(data, &|i, q| geom.rotate_src_row(i, q));
+    let plan = HostPlan::new::<T>(data.len(), m_rows, n_cols);
+    for pass in plan.passes() {
+        plan.run_par(data, pass);
     }
-    data.par_chunks_exact_mut(n_cols).enumerate().for_each_init(
-        || Vec::with_capacity(n_cols),
-        |tmp, (i, row)| apply_row_pass(row, &geom, i, tmp),
-    );
-    col_pass(data, &|j_out, col| geom.col_shuffle_src_row(j_out, col));
-}
-
-/// Stage column `col` (elements of `ew` words each) into `tmp`, then
-/// overwrite it through the gather `src` — the wide-element twin of
-/// [`apply_col_pass`].
-///
-/// # Safety
-/// `data` holds `M·N·ew` words, `col < N`, and no other thread accesses
-/// column `col` during the call.
-unsafe fn apply_col_pass_elems(
-    data: &SharedSlice<'_, u32>,
-    geom: &C2rGeometry,
-    col: usize,
-    ew: usize,
-    tmp: &mut Vec<u32>,
-    src: impl Fn(usize) -> usize,
-) {
-    let (m, n) = (geom.m, geom.n);
-    tmp.clear();
-    for r in 0..m {
-        // SAFETY: element `r·N + col < M·N` lies in column `col`, which the
-        // caller owns.
-        unsafe { data.push_super(r * n + col, ew, tmp) };
-    }
-    for k in 0..m {
-        let s = src(k) * ew;
-        // SAFETY: as above, with `k < M`; `tmp` holds `M·ew` words.
-        unsafe { data.write_super(k * n + col, ew, &tmp[s..s + ew]) };
-    }
-}
-
-/// Stage row `i` (elements of `ew` words each) into `tmp`, then overwrite
-/// it through the phase-2 gather.
-fn apply_row_pass_elems(
-    row: &mut [u32],
-    geom: &C2rGeometry,
-    i: usize,
-    ew: usize,
-    tmp: &mut Vec<u32>,
-) {
-    tmp.clear();
-    tmp.extend_from_slice(row);
-    for j in 0..geom.n {
-        let s = geom.row_shuffle_src_col(i, j) * ew;
-        row[j * ew..j * ew + ew].copy_from_slice(&tmp[s..s + ew]);
-    }
-}
-
-/// Sequential C2R over `elem_words`-word elements stored as flat `u32`
-/// words — the host reference the recovery chain compares wide-element
-/// (`f64`-class) payloads against. `elem_words = 1` is exactly
-/// [`transpose_c2r_seq`].
-///
-/// # Panics
-/// Panics if `elem_words` is zero or `data.len()` is not
-/// `m_rows·n_cols·elem_words`.
-pub fn transpose_c2r_seq_elems(
-    data: &mut [u32],
-    m_rows: usize,
-    n_cols: usize,
-    elem_words: usize,
-) {
-    assert!(elem_words >= 1, "elements must be at least one word wide");
-    assert_eq!(data.len(), m_rows * n_cols * elem_words);
-    let geom = C2rGeometry::new(m_rows, n_cols);
-    let ew = elem_words;
-    let mut tmp = Vec::with_capacity(m_rows.max(n_cols) * ew);
-    if geom.needs_rotate() {
-        let data = SharedSlice::new(data);
-        for q in 0..n_cols {
-            let src = |i| geom.rotate_src_row(i, q);
-            // SAFETY: the length is asserted above, `q < N`, and this
-            // thread holds the only borrow of the buffer.
-            unsafe { apply_col_pass_elems(&data, &geom, q, ew, &mut tmp, src) };
-        }
-    }
-    for (i, row) in data.chunks_exact_mut(n_cols * ew).enumerate() {
-        apply_row_pass_elems(row, &geom, i, ew, &mut tmp);
-    }
-    let data = SharedSlice::new(data);
-    for col in 0..n_cols {
-        let src = |j_out| geom.col_shuffle_src_row(j_out, col);
-        // SAFETY: as for the rotate pass.
-        unsafe { apply_col_pass_elems(&data, &geom, col, ew, &mut tmp, src) };
-    }
-}
-
-/// Rayon-parallel twin of [`transpose_c2r_seq_elems`]: columns in
-/// parallel, rows in parallel, columns in parallel, each worker holding
-/// one line of scratch.
-///
-/// # Panics
-/// As [`transpose_c2r_seq_elems`].
-pub fn transpose_c2r_par_elems(
-    data: &mut [u32],
-    m_rows: usize,
-    n_cols: usize,
-    elem_words: usize,
-) {
-    assert!(elem_words >= 1, "elements must be at least one word wide");
-    assert_eq!(data.len(), m_rows * n_cols * elem_words);
-    let ew = elem_words;
-    let geom = C2rGeometry::new(m_rows, n_cols);
-    let col_pass = |data: &mut [u32], src_for: &(dyn Fn(usize, usize) -> usize + Sync)| {
-        let data = SharedSlice::new(data);
-        (0..n_cols).into_par_iter().for_each_init(
-            || Vec::with_capacity(m_rows * ew),
-            // SAFETY: the length is asserted above, `col < N`, and each
-            // column (elements ≡ col mod N) goes to exactly one task.
-            |tmp, col| unsafe {
-                apply_col_pass_elems(&data, &geom, col, ew, tmp, |k| src_for(k, col));
-            },
-        );
-    };
-    if geom.needs_rotate() {
-        col_pass(data, &|i, q| geom.rotate_src_row(i, q));
-    }
-    data.par_chunks_exact_mut(n_cols * ew).enumerate().for_each_init(
-        || Vec::with_capacity(n_cols * ew),
-        |tmp, (i, row)| apply_row_pass_elems(row, &geom, i, ew, tmp),
-    );
-    col_pass(data, &|j_out, col| geom.col_shuffle_src_row(j_out, col));
 }
 
 /// Convenience wrapper over [`Matrix`].
@@ -357,6 +528,7 @@ pub fn transpose_matrix_c2r<T: Copy + Send + Sync>(matrix: Matrix<T>) -> Matrix<
 mod tests {
     use super::*;
     use crate::coprime::{minv_for, phase1_src_col, phase2_src_row};
+    use proptest::prelude::*;
 
     /// c = 1, c > 1, degenerate, square, prime — the planner's whole range.
     const SHAPES: &[(usize, usize)] = &[
@@ -457,18 +629,6 @@ mod tests {
     }
 
     #[test]
-    fn par_matches_seq() {
-        for &(m, n) in SHAPES {
-            let mat = Matrix::pattern_f32(m, n);
-            let mut a = mat.as_slice().to_vec();
-            transpose_c2r_seq(&mut a, m, n);
-            let mut b = mat.as_slice().to_vec();
-            transpose_c2r_par(&mut b, m, n);
-            assert_eq!(a, b, "{m}x{n}");
-        }
-    }
-
-    #[test]
     fn paper_class_prime_rows() {
         // 7919 is the 1000th prime — the class the issue names; the column
         // count stays modest so the test runs in milliseconds.
@@ -489,47 +649,173 @@ mod tests {
     }
 
     #[test]
-    fn elems_paths_match_the_packed_wide_reference() {
-        // 2-word elements through the flat-u32 helpers must agree with the
-        // generic-T path over packed u64 elements, on every shape class.
+    fn two_word_elements_match_the_packed_reference() {
+        // `[u32; 2]` elements run through the same generic functions as
+        // words: on every shape class they must land where packed `u64`
+        // elements and the naive transpose put them.
         for &(m, n) in SHAPES {
             let packed: Vec<u64> =
                 (0..m * n).map(|k| (k as u64) << 32 | (k as u64 ^ 0x5a5a)).collect();
-            let mut want_packed = packed.clone();
-            transpose_c2r_seq(&mut want_packed, m, n);
-            let want: Vec<u32> = want_packed
-                .iter()
-                .flat_map(|v| [*v as u32, (*v >> 32) as u32])
-                .collect();
-            let flat: Vec<u32> =
-                packed.iter().flat_map(|v| [*v as u32, (*v >> 32) as u32]).collect();
-            let mut seq = flat.clone();
-            transpose_c2r_seq_elems(&mut seq, m, n, 2);
-            assert_eq!(seq, want, "seq {m}x{n}");
-            let mut par = flat.clone();
-            transpose_c2r_par_elems(&mut par, m, n, 2);
-            assert_eq!(par, want, "par {m}x{n}");
-            // Width 1 collapses to the word path.
-            let mat = Matrix::iota(m, n);
-            let mut one = mat.as_slice().to_vec();
-            transpose_c2r_seq_elems(&mut one, m, n, 1);
-            assert_eq!(one, mat.transposed().into_vec(), "ew=1 {m}x{n}");
+            let mut want = vec![0u64; m * n];
+            for r in 0..m {
+                for q in 0..n {
+                    want[q * m + r] = packed[r * n + q];
+                }
+            }
+            let mut got = packed.clone();
+            transpose_c2r_seq(&mut got, m, n);
+            assert_eq!(got, want, "u64 {m}x{n}");
+            let split = |v: &[u64]| -> Vec<[u32; 2]> {
+                v.iter().map(|&x| [x as u32, (x >> 32) as u32]).collect()
+            };
+            let mut seq = split(&packed);
+            transpose_c2r_seq(&mut seq, m, n);
+            assert_eq!(seq, split(&want), "seq {m}x{n}");
+            let mut par = split(&packed);
+            transpose_c2r_par(&mut par, m, n);
+            assert_eq!(par, split(&want), "par {m}x{n}");
         }
     }
 
+    /// `3 · (usize::MAX / 3 + 2)` wraps to 5: an unchecked length test
+    /// would let a 5-element buffer through and the passes would write far
+    /// past its end.
+    const WRAPPING: (usize, usize) = (3, usize::MAX / 3 + 2);
+
     #[test]
-    fn wide_elements_transpose_too() {
-        // T is generic: a u64 payload models 2-word elements.
-        let (m, n) = (24usize, 36usize);
-        let src: Vec<u64> = (0..m * n).map(|k| (k as u64) << 32 | 0xabcd).collect();
-        let mut data = src.clone();
-        transpose_c2r_seq(&mut data, m, n);
-        let mut want = vec![0u64; m * n];
-        for r in 0..m {
-            for q in 0..n {
-                want[q * m + r] = src[r * n + q];
+    #[should_panic(expected = "does not hold a 3x")]
+    fn seq_rejects_a_shape_whose_size_overflows() {
+        transpose_c2r_seq(&mut [0u8; 5], WRAPPING.0, WRAPPING.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not hold a 3x")]
+    fn par_rejects_a_shape_whose_size_overflows() {
+        transpose_c2r_par(&mut [0u8; 5], WRAPPING.0, WRAPPING.1);
+    }
+
+    #[test]
+    fn tall_shapes_narrow_the_block() {
+        assert_eq!(block_width::<f32>(100, 1000), 16, "one 64-byte line");
+        assert_eq!(block_width::<f32>(100, 5), 5, "never wider than the matrix");
+        assert_eq!(block_width::<u8>(100, 1000), 64);
+        assert_eq!(block_width::<[u8; 100]>(100, 1000), 1);
+        assert_eq!(block_width::<f32>(40_009, 1000), 13, "2 MiB / (40009 · 4 B)");
+        assert_eq!(block_width::<f32>(1 << 20, 1000), 1, "one column is over the cap");
+        // The capped width, with a tail block: 17 = 13 + 4 columns.
+        let (m, n) = (40_009, 17);
+        let plan = HostPlan::new::<f32>(m * n, m, n);
+        assert_eq!(plan.w, 13);
+        let one = HostPlan { w: 1, ..HostPlan::new::<f32>(m * n, m, n) };
+        let mat = Matrix::pattern_f32(m, n);
+        let (mut a, mut b) = (mat.as_slice().to_vec(), mat.as_slice().to_vec());
+        for pass in plan.passes() {
+            plan.run_seq(&mut a, pass);
+            one.run_seq(&mut b, pass);
+            assert!(a == b, "{pass:?} {m}x{n}: 13-column blocks differ from one column");
+        }
+        assert!(a == mat.transposed().into_vec(), "{m}x{n}");
+    }
+
+    /// Shapes up to 160×160 with the class each is forced into:
+    /// 0 → `c = 1`, 1 → `c > 1`, 2 → `a = 1` (`M | N`), 3 → `b = 1`
+    /// (`N | M`).
+    fn classed_shapes() -> impl Strategy<Value = (usize, usize, usize)> {
+        (0usize..4, 1usize..=160, 1usize..=160).prop_map(|(class, x, y)| {
+            let (m, n) = match class {
+                0 => {
+                    let g = gcd(x as u64, y as u64) as usize;
+                    (x / g, y / g)
+                }
+                1 => {
+                    let g = 2 + x % 11;
+                    (g * (1 + x % (160 / g)), g * (1 + y % (160 / g)))
+                }
+                2 => {
+                    let m = 1 + x % 40;
+                    (m, m * (1 + y % (160 / m)))
+                }
+                _ => {
+                    let n = 1 + y % 40;
+                    (n * (1 + x % (160 / n)), n)
+                }
+            };
+            (m, n, class)
+        })
+    }
+
+    /// The sources `K` names over blocks of `w` columns, as `[row][col]`.
+    fn block_walked<K: BlockWalk>(g: &C2rGeometry, w: usize) -> Vec<Vec<usize>> {
+        let mut out = vec![Vec::with_capacity(g.n); g.m];
+        for q0 in (0..g.n).step_by(w) {
+            let mut walk = K::new(g, q0);
+            let mut src = vec![0; w.min(g.n - q0)];
+            for row in &mut out {
+                walk.next_row(&mut src);
+                row.extend_from_slice(&src);
             }
         }
-        assert_eq!(data, want);
+        out
+    }
+
+    /// `f(row, col)` over the whole `M × N` grid.
+    fn grid(g: &C2rGeometry, f: impl Fn(usize, usize) -> usize) -> Vec<Vec<usize>> {
+        (0..g.m).map(|i| (0..g.n).map(|q| f(i, q)).collect()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn walkers_yield_the_geometry_formulas((m, n, class) in classed_shapes()) {
+            let g = C2rGeometry::new(m, n);
+            let forced = [g.c == 1, g.c > 1, g.a == 1, g.b == 1][class];
+            prop_assert!(forced, "{}x{} is not of class {}", m, n, class);
+            let rows: Vec<Vec<usize>> = (0..m)
+                .map(|i| {
+                    let mut walk = RowWalk::new(&g, i);
+                    (0..n).map(|_| walk.next_src()).collect()
+                })
+                .collect();
+            prop_assert!(rows == grid(&g, |i, j| g.row_shuffle_src_col(i, j)), "row shuffle {}x{}", m, n);
+            let rotate = grid(&g, |i, q| g.rotate_src_row(i, q));
+            let cols = grid(&g, |j, q| g.col_shuffle_src_row(j, q));
+            for w in [1, 3, 16, block_width::<f32>(m, n)] {
+                prop_assert!(block_walked::<RotateBlock>(&g, w) == rotate, "rotate {}x{} w={}", m, n, w);
+                prop_assert!(block_walked::<ColBlock>(&g, w) == cols, "col shuffle {}x{} w={}", m, n, w);
+            }
+        }
+
+        #[test]
+        fn block_passes_match_one_column_passes(
+            (m, n, _) in classed_shapes(),
+            w in prop::sample::select(vec![3usize, 16]),
+        ) {
+            let one = HostPlan { w: 1, ..HostPlan::new::<u32>(m * n, m, n) };
+            let wide = HostPlan { w: w.min(n), ..HostPlan::new::<u32>(m * n, m, n) };
+            let mat = Matrix::iota(m, n);
+            let (mut a, mut b) = (mat.as_slice().to_vec(), mat.as_slice().to_vec());
+            for pass in one.passes() {
+                one.run_seq(&mut a, pass);
+                wide.run_seq(&mut b, pass);
+                prop_assert_eq!(&a, &b, "{:?} {}x{} w={}", pass, m, n, w);
+            }
+            prop_assert_eq!(a, mat.transposed().into_vec(), "{}x{}", m, n);
+        }
+
+        #[test]
+        fn par_matches_seq_on_two_threads((m, n, _) in classed_shapes()) {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(2)
+                .build()
+                .expect("shim pools build");
+            let mat = Matrix::pattern_f32(m, n);
+            let mut seq = mat.as_slice().to_vec();
+            transpose_c2r_seq(&mut seq, m, n);
+            let mut par = mat.as_slice().to_vec();
+            pool.install(|| transpose_c2r_par(&mut par, m, n));
+            prop_assert!(seq == par, "{}x{}: par differs from seq", m, n);
+            prop_assert!(seq == mat.transposed().into_vec(), "{}x{}", m, n);
+        }
     }
 }

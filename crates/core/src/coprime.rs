@@ -24,10 +24,17 @@
 //! phase 2 moved it to row `(q·M + r) div N`, i.e. linear offset
 //! `q·M + r`. ∎
 //!
-//! Both phases work on one row / one column at a time, so the scratch
-//! requirement is `max(M, N)` elements per worker — the same
-//! "on-chip-sized, bounded" standard the paper's kernels meet — never a
-//! second matrix.
+//! ## The `c = 1` slice of C2R
+//!
+//! At `c = gcd(M, N) = 1` the C2R decomposition ([`crate::c2r`]) skips its
+//! rotate, and its row and column shuffles are exactly these two phases
+//! (`reduces_to_coprime_formulas_when_c_is_1` pins that). So this module
+//! keeps no pass of its own: [`transpose_coprime_seq`] and
+//! [`transpose_coprime_par`] check that the shape is coprime and run the
+//! C2R host passes — walkers with no per-element division, column
+//! blocks one cache line wide, bounded scratch, never a second matrix.
+//! [`phase1_src_col`], [`phase2_src_row`] and [`minv_for`] stay as the
+//! per-element reference the tests hold those passes to.
 
 //! ```
 //! use ipt_core::{Matrix, transpose_matrix_coprime};
@@ -36,10 +43,9 @@
 //! assert_eq!(t, a.transposed());
 //! ```
 
-use crate::elementary::parallel::SharedSlice;
+use crate::c2r::{transpose_c2r_par, transpose_c2r_seq};
 use crate::matrix::Matrix;
 use crate::numtheory::{gcd, mod_inverse};
-use rayon::prelude::*;
 
 /// Phase-1 gather: the element that ends in column `q_out` of row `r`
 /// comes from column `(q_out − r)·M⁻¹ mod N`.
@@ -77,62 +83,20 @@ pub fn is_coprime_shape(m_rows: usize, n_cols: usize) -> bool {
     m_rows > 1 && n_cols > 1 && gcd(m_rows as u64, n_cols as u64) == 1
 }
 
-fn phase1_row<T: Copy>(row: &mut [T], r: usize, m_rows: usize, minv: usize, tmp: &mut Vec<T>) {
-    let n = row.len();
-    tmp.clear();
-    tmp.extend_from_slice(row);
-    for (q_out, slot) in row.iter_mut().enumerate() {
-        *slot = tmp[phase1_src_col(r, q_out, m_rows, n, minv)];
-    }
-}
-
-/// Phase 2 on column `c` of the `M × N` buffer behind `data`.
-///
-/// # Safety
-/// `data` holds `m_rows·n_cols` elements, `c < n_cols`, and no other
-/// thread accesses column `c` during the call.
-unsafe fn phase2_col<T: Copy>(
-    data: &SharedSlice<'_, T>,
-    c: usize,
-    m_rows: usize,
-    n_cols: usize,
-    tmp: &mut Vec<T>,
-) {
-    tmp.clear();
-    // SAFETY: `r·N + c < M·N` for `r < M`, and it lies in column `c`,
-    // which the caller owns.
-    tmp.extend((0..m_rows).map(|r| unsafe { data.get(r * n_cols + c) }));
-    for j_out in 0..m_rows {
-        let v = tmp[phase2_src_row(j_out, c, m_rows, n_cols)];
-        // SAFETY: as above, with `j_out < M`.
-        unsafe { data.set(j_out * n_cols + c, v) };
-    }
-}
-
 /// Sequential in-place transposition of a row-major `M × N` buffer with
-/// coprime dimensions. Scratch: one row plus one column.
+/// coprime dimensions: the C2R row and column shuffles, which at `c = 1`
+/// are exactly the two phases above.
 ///
 /// # Panics
-/// Panics if `data.len() != m_rows·n_cols` or the dimensions share a
-/// factor.
+/// Panics if the dimensions share a factor or `data.len()` is not
+/// `m_rows·n_cols` (checked, so an overflowing shape panics too).
 pub fn transpose_coprime_seq<T: Copy>(data: &mut [T], m_rows: usize, n_cols: usize) {
-    assert_eq!(data.len(), m_rows * n_cols);
     assert!(is_coprime_shape(m_rows, n_cols), "dimensions must be coprime and > 1");
-    let minv = minv_for(m_rows, n_cols);
-    let mut tmp = Vec::with_capacity(m_rows.max(n_cols));
-    for (r, row) in data.chunks_exact_mut(n_cols).enumerate() {
-        phase1_row(row, r, m_rows, minv, &mut tmp);
-    }
-    let data = SharedSlice::new(data);
-    for c in 0..n_cols {
-        // SAFETY: the length is asserted above, `c < N`, and this thread
-        // holds the only borrow of the buffer.
-        unsafe { phase2_col(&data, c, m_rows, n_cols, &mut tmp) };
-    }
+    transpose_c2r_seq(data, m_rows, n_cols);
 }
 
-/// Rayon-parallel variant: rows in parallel, then columns in parallel
-/// (each worker keeps its own row/column scratch).
+/// Rayon-parallel variant: rows in parallel, then column blocks in
+/// parallel (see [`crate::c2r`]).
 ///
 /// # Panics
 /// As [`transpose_coprime_seq`].
@@ -141,20 +105,8 @@ pub fn transpose_coprime_par<T: Copy + Send + Sync>(
     m_rows: usize,
     n_cols: usize,
 ) {
-    assert_eq!(data.len(), m_rows * n_cols);
     assert!(is_coprime_shape(m_rows, n_cols), "dimensions must be coprime and > 1");
-    let minv = minv_for(m_rows, n_cols);
-    data.par_chunks_exact_mut(n_cols).enumerate().for_each_init(
-        || Vec::with_capacity(n_cols),
-        |tmp, (r, row)| phase1_row(row, r, m_rows, minv, tmp),
-    );
-    let data = SharedSlice::new(data);
-    (0..n_cols).into_par_iter().for_each_init(
-        || Vec::with_capacity(m_rows),
-        // SAFETY: the length is asserted above, `c < N`, and each column
-        // (the stride-N offsets ≡ c mod N) goes to exactly one task.
-        |tmp, c| unsafe { phase2_col(&data, c, m_rows, n_cols, tmp) },
-    );
+    transpose_c2r_par(data, m_rows, n_cols);
 }
 
 /// Convenience wrapper over [`Matrix`].
@@ -229,6 +181,19 @@ mod tests {
     fn non_coprime_rejected() {
         let mut data = vec![0u32; 24];
         transpose_coprime_seq(&mut data, 6, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not hold a 3x")]
+    fn seq_rejects_a_shape_whose_size_overflows() {
+        // Coprime, and `3 · (usize::MAX / 3 + 2)` wraps to 5.
+        transpose_coprime_seq(&mut [0u8; 5], 3, usize::MAX / 3 + 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not hold a 3x")]
+    fn par_rejects_a_shape_whose_size_overflows() {
+        transpose_coprime_par(&mut [0u8; 5], 3, usize::MAX / 3 + 2);
     }
 
     #[test]

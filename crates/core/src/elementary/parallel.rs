@@ -76,22 +76,20 @@ impl<'a, T: Copy> SharedSlice<'a, T> {
         Self { ptr: data.as_mut_ptr(), len: data.len(), _borrow: PhantomData }
     }
 
-    /// Read element `i`.
+    /// Run `f` on the `n` elements from `start` on, as a slice of their
+    /// own.
     ///
     /// # Safety
-    /// `i < len`, and no other thread writes element `i` concurrently.
-    pub(crate) unsafe fn get(&self, i: usize) -> T {
-        debug_assert!(i < self.len);
-        unsafe { self.ptr.add(i).read() }
-    }
-
-    /// Overwrite element `i` with `v`.
-    ///
-    /// # Safety
-    /// `i < len`, and no other thread accesses element `i` concurrently.
-    pub(crate) unsafe fn set(&self, i: usize, v: T) {
-        debug_assert!(i < self.len);
-        unsafe { self.ptr.add(i).write(v) };
+    /// `start + n <= len`, and no other thread accesses those elements
+    /// during the call.
+    pub(crate) unsafe fn with_range<R>(
+        &self,
+        start: usize,
+        n: usize,
+        f: impl FnOnce(&mut [T]) -> R,
+    ) -> R {
+        debug_assert!(start <= self.len && n <= self.len - start);
+        f(unsafe { std::slice::from_raw_parts_mut(self.ptr.add(start), n) })
     }
 
     /// Copy super-element `from` over super-element `to`.

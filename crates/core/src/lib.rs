@@ -52,7 +52,4 @@ pub use scheme::{decide_scheme, FallbackReason, PlanDecision, Scheme};
 pub use stages::{StagePlan, TileConfig};
 pub use tiles::TileHeuristic;
 pub use coprime::{transpose_coprime_par, transpose_coprime_seq, transpose_matrix_coprime};
-pub use c2r::{
-    transpose_c2r_par, transpose_c2r_par_elems, transpose_c2r_seq, transpose_c2r_seq_elems,
-    transpose_matrix_c2r, C2rGeometry,
-};
+pub use c2r::{transpose_c2r_par, transpose_c2r_seq, transpose_matrix_c2r, C2rGeometry};

@@ -18,6 +18,15 @@ fn expected(op: &InstancedTranspose) -> Vec<u32> {
     want
 }
 
+/// Host C2R on `data`: the (sequential, parallel) results.
+fn host_c2r<T: Copy + Send + Sync>(data: Vec<T>, rows: usize, cols: usize) -> (Vec<T>, Vec<T>) {
+    let mut seq = data.clone();
+    ipt_core::transpose_c2r_seq(&mut seq, rows, cols);
+    let mut par = data;
+    ipt_core::transpose_c2r_par(&mut par, rows, cols);
+    (seq, par)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -123,8 +132,8 @@ proptest! {
     }
 
     /// Host parallel ≡ host sequential ≡ naive reference for C2R across
-    /// arbitrary shapes and 1–2-word elements (the recovery chain serves
-    /// wide elements through the host path).
+    /// arbitrary shapes and 1–2-word elements, both through the generic
+    /// functions (`u32` and `[u32; 2]` elements).
     #[test]
     fn c2r_host_paths_agree_for_wide_elements(
         rows in 1usize..48, cols in 1usize..48, elem_words in 1usize..3,
@@ -140,11 +149,14 @@ proptest! {
                 }
             }
         }
-        let mut seq = payload.clone();
-        ipt_core::c2r::transpose_c2r_seq_elems(&mut seq, rows, cols, elem_words);
+        let (seq, par) = if elem_words == 1 {
+            host_c2r(payload, rows, cols)
+        } else {
+            let pairs: Vec<[u32; 2]> = payload.chunks_exact(2).map(|p| [p[0], p[1]]).collect();
+            let (seq, par) = host_c2r(pairs, rows, cols);
+            (seq.concat(), par.concat())
+        };
         prop_assert_eq!(&seq, &want, "sequential");
-        let mut par = payload.clone();
-        ipt_core::c2r::transpose_c2r_par_elems(&mut par, rows, cols, elem_words);
         prop_assert_eq!(&par, &want, "parallel ≡ reference");
     }
 

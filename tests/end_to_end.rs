@@ -189,6 +189,27 @@ fn any_shape_api_on_two_threads_matches_its_seq_paths() {
 }
 
 #[test]
+fn host_c2r_column_blocks_on_two_threads_match_the_reference() {
+    // f32 blocks are 16 columns wide: 997 = 62·16 + 5 leaves a tail block,
+    // and 600×450 (c = 150) runs the rotate pass. 40009 rows cap a block
+    // at 13 columns (2 MiB of scratch): the 3-column shape sits under the
+    // cap, the 17-column one is cut to 13 + 4.
+    use ipt::core::{transpose_in_place_any, transpose_matrix_c2r};
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(2)
+        .build()
+        .expect("shim pools build");
+    let m = Matrix::pattern_f32(1009, 997);
+    let want = m.transposed();
+    assert_eq!(pool.install(|| transpose_in_place_any(m)), want, "1009x997");
+    for (r, c) in [(600, 450), (40_009, 3), (40_009, 17)] {
+        let m = Matrix::pattern_f32(r, c);
+        let want = m.transposed();
+        assert_eq!(pool.install(|| transpose_matrix_c2r(m)), want, "{r}x{c}");
+    }
+}
+
+#[test]
 fn f64_device_path_matches_f32_semantics() {
     // f64 elements travel through the recovery chain as (low, high) word
     // pairs; the tuned in-place plan delivers them bit-exact.
