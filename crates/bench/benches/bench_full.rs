@@ -10,13 +10,15 @@ use ipt_core::stages::StagePlan;
 use ipt_core::Matrix;
 use ipt_gpu::opts::GpuOptions;
 use ipt_gpu::pipeline::{plan_flag_words, transpose_on_device};
+use ipt_obs::NoopRecorder;
 use std::hint::black_box;
 
 fn run_once(dev: &DeviceSpec, r: usize, c: usize, plan: &StagePlan) -> f64 {
     let opts = GpuOptions::tuned_for(dev);
     let mut sim = Sim::new(dev.clone(), r * c + plan_flag_words(plan) + 64);
     let mut data = Matrix::iota(r, c).into_vec();
-    let stats = transpose_on_device(&mut sim, &mut data, r, c, plan, &opts).expect("plan runs");
+    let stats = transpose_on_device(&mut sim, &mut data, r, c, plan, &opts, &NoopRecorder)
+        .expect("plan runs");
     stats.throughput_gbps((r * c * 4) as f64)
 }
 

@@ -6,6 +6,7 @@ use ipt_core::{InstancedTranspose, Matrix};
 use ipt_gpu::opts::{FlagLayout, Variant100};
 use ipt_gpu::pttwac010::Pttwac010;
 use ipt_gpu::pttwac100::Pttwac100;
+use ipt_obs::NoopRecorder;
 use std::time::Instant;
 
 /// Run a `010!` tile-transposition workload (the Fig. 6 / §7.1 kernel) and
@@ -28,7 +29,7 @@ pub fn run_010(
     let data: Vec<u32> = (0..op.total_len() as u32).collect();
     sim.upload_u32(buf, &data);
     let k = Pttwac010 { data: buf, instances, rows: m, cols: n, wg_size, flags, backoff: None };
-    let stats = sim.launch(&k).expect("feasible 010 launch");
+    let stats = sim.launch(&k, &NoopRecorder, 0.0).expect("feasible 010 launch");
     let mut want = data;
     op.apply_seq(&mut want);
     assert_eq!(sim.download_u32(buf), want, "010! kernel incorrect");
@@ -69,7 +70,7 @@ pub fn run_100(
         fuse_tile: None,
         backoff: None,
     };
-    let stats = sim.launch(&k).expect("feasible 100 launch");
+    let stats = sim.launch(&k, &NoopRecorder, 0.0).expect("feasible 100 launch");
     let op = InstancedTranspose::new(1, rows, cols, super_size);
     let mut want = v;
     op.apply_seq(&mut want);

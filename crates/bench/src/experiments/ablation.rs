@@ -21,6 +21,7 @@ use ipt_core::stages::StagePlan;
 use ipt_core::Matrix;
 use ipt_gpu::opts::{FlagLayout, GpuOptions, Variant100};
 use ipt_gpu::pipeline::{plan_flag_words, transpose_on_device};
+use ipt_obs::NoopRecorder;
 use serde::Serialize;
 
 /// One ablated configuration's anchors.
@@ -82,7 +83,7 @@ fn anchors(dev: &DeviceSpec) -> (f64, f64, f64) {
     let run_plan_time = |plan: &StagePlan| {
         let mut sim = gpu_sim::Sim::new(dev.clone(), rows * cols + plan_flag_words(plan) + 64);
         let mut data = Matrix::iota(rows, cols).into_vec();
-        transpose_on_device(&mut sim, &mut data, rows, cols, plan, &opts)
+        transpose_on_device(&mut sim, &mut data, rows, cols, plan, &opts, &NoopRecorder)
             .expect("plan runs")
             .time_s()
     };

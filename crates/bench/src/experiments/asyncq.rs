@@ -11,6 +11,8 @@ use gpu_sim::DeviceSpec;
 use ipt_core::stages::StagePlan;
 use ipt_gpu::host::{run_host_async, run_host_sync};
 use ipt_gpu::opts::GpuOptions;
+use ipt_gpu::recover::RecoveryPolicy;
+use ipt_obs::NoopRecorder;
 use serde::Serialize;
 
 /// One (size, Q) measurement.
@@ -51,19 +53,19 @@ pub const QS: [usize; 6] = [1, 2, 4, 8, 12, 16];
 pub fn run(dev: &DeviceSpec, scale: Scale) -> (Vec<Row>, Summary) {
     let opts = GpuOptions::tuned_for(dev);
     let mut rows = Vec::new();
+    let policy = RecoveryPolicy::default();
     for (r, c) in async_sizes(scale) {
         let tile = super::table2::tile3_for(r, c, Scale::Full);
         let plan = StagePlan::three_stage(r, c, tile).expect("tile divides");
-        let sync = run_host_sync(dev, r, c, &plan, &opts).expect("sync run");
-        rows.push(Row {
-            rows: r,
-            cols: c,
-            q: 1,
-            effective_gbps: sync.effective_gbps,
-            total_s: sync.total_s,
-        });
-        for q in QS.into_iter().skip(1) {
-            let rep = run_host_async(dev, r, c, &plan, &opts, q).expect("async run");
+        for q in QS {
+            // Q = 1 is the synchronous scheme.
+            let (rep, report) = if q == 1 {
+                run_host_sync(dev, r, c, &plan, &opts, &policy, None, &NoopRecorder)
+            } else {
+                run_host_async(dev, r, c, &plan, &opts, q, &policy, None, &NoopRecorder)
+            }
+            .expect("host run");
+            assert!(report.clean(), "{r}x{c} q={q} left the primary path: {report:?}");
             rows.push(Row {
                 rows: r,
                 cols: c,

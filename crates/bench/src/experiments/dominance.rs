@@ -24,6 +24,7 @@ use ipt_core::{decide_scheme, Matrix, Scheme, TileHeuristic};
 use ipt_gpu::opts::GpuOptions;
 use ipt_gpu::pipeline::{plan_flag_words, transpose_on_device};
 use ipt_gpu::{c2r_scratch_words, transpose_c2r_on_device};
+use ipt_obs::NoopRecorder;
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -120,7 +121,7 @@ fn measure_plan(dev: &DeviceSpec, r: usize, c: usize, plan: &StagePlan) -> Optio
     let opts = GpuOptions::tuned_for(dev);
     let mut sim = Sim::new(dev.clone(), r * c + plan_flag_words(plan) + 64);
     let mut data = Matrix::iota(r, c).into_vec();
-    let stats = transpose_on_device(&mut sim, &mut data, r, c, plan, &opts).ok()?;
+    let stats = transpose_on_device(&mut sim, &mut data, r, c, plan, &opts, &NoopRecorder).ok()?;
     Some(stats.throughput_gbps((r * c * 4) as f64))
 }
 

@@ -23,7 +23,8 @@ use gpu_sim::fault::{ChaosConfig, ChaosPlan, FaultKind, FaultPlan};
 use gpu_sim::DeviceSpec;
 use ipt_core::outofcore::plan_chunks;
 use ipt_gpu::recover::host_transpose_elems;
-use ipt_gpu::stream::{stream_transpose, StreamChaos, StreamConfig, StreamPath};
+use ipt_gpu::stream::{stream_transpose_rec, StreamChaos, StreamConfig, StreamPath};
+use ipt_obs::NoopRecorder;
 use serde::Serialize;
 
 use crate::workloads::Scale;
@@ -173,7 +174,8 @@ pub fn run(dev: &DeviceSpec, scale: Scale) -> (Vec<ModeRow>, Summary, String) {
     let data: Vec<u32> = (0..(rows * cols) as u32).map(|x| x.wrapping_mul(2_654_435_761)).collect();
     let budget = ((rows * cols) as u64) / 3;
     let cfg = StreamConfig::new(dev, budget);
-    let (out, rep) = stream_transpose(dev, &data, rows, cols, 1, &cfg, &StreamChaos::None)
+    let none = StreamChaos::None;
+    let (out, rep) = stream_transpose_rec(dev, &data, rows, cols, 1, &cfg, &none, &NoopRecorder)
         .expect("fault-free stream");
     let reference = host_transpose_elems(&data, rows, cols, 1);
     assert_eq!(out, reference, "fault-free stream must be bit-exact");
@@ -207,7 +209,7 @@ pub fn run(dev: &DeviceSpec, scale: Scale) -> (Vec<ModeRow>, Summary, String) {
         let (mode, chaos) = campaign_chaos(seed, num_chunks);
         let row = &mut rows_out[mode_index(mode)];
         row.runs += 1;
-        match stream_transpose(dev, &cdata, cr, cc, 1, &ccfg, &chaos) {
+        match stream_transpose_rec(dev, &cdata, cr, cc, 1, &ccfg, &chaos, &NoopRecorder) {
             Ok((cout, crep)) => {
                 row.transfer_faults += crep.transfer_faults as u64;
                 row.kernel_faults += crep.kernel_faults as u64;
@@ -353,7 +355,7 @@ mod tests {
             let data = campaign_data(seed);
             let (mode, chaos) = campaign_chaos(seed, num_chunks);
             let (out, rep) =
-                stream_transpose(&dev, &data, cr, cc, 1, &cfg, &chaos).unwrap();
+                stream_transpose_rec(&dev, &data, cr, cc, 1, &cfg, &chaos, &NoopRecorder).unwrap();
             assert_eq!(out, host_transpose_elems(&data, cr, cc, 1), "seed {seed} ({mode})");
             assert!(rep.journal.all_committed(), "seed {seed} ({mode})");
         }

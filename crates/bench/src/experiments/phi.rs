@@ -11,6 +11,7 @@ use ipt_core::stages::StagePlan;
 use ipt_core::Matrix;
 use ipt_gpu::opts::GpuOptions;
 use ipt_gpu::pipeline::{plan_flag_words, transpose_on_device};
+use ipt_obs::NoopRecorder;
 use serde::Serialize;
 
 /// The experiment's aggregate result.
@@ -38,7 +39,7 @@ pub fn run(scale: Scale) -> Report {
         let run_one = |plan: &StagePlan| -> f64 {
             let mut sim = Sim::new(dev.clone(), r * c + plan_flag_words(plan) + 64);
             let mut data = Matrix::iota(r, c).into_vec();
-            let stats = transpose_on_device(&mut sim, &mut data, r, c, plan, &opts)
+            let stats = transpose_on_device(&mut sim, &mut data, r, c, plan, &opts, &NoopRecorder)
                 .expect("feasible on phi");
             stats.throughput_gbps(matrix_bytes(r, c))
         };

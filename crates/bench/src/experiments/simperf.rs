@@ -25,6 +25,7 @@ use ipt_gpu::pipeline::{plan_flag_words, run_plan};
 use ipt_gpu::pttwac010::Pttwac010;
 use ipt_gpu::pttwac100::Pttwac100;
 use ipt_gpu::{c2r_scratch_words, transpose_c2r_on_device};
+use ipt_obs::NoopRecorder;
 use serde::Serialize;
 
 /// Timed launches per (workload, engine); the minimum wall time is
@@ -101,7 +102,7 @@ fn bs_workload(instances: usize, rows: usize, cols: usize) -> Workload {
             let data = sim.alloc(words);
             sim.upload_u32(data, &(0..words as u32).collect::<Vec<_>>());
             let k = BsKernel { data, instances, rows, cols, super_size: 1, wg_size: 256 };
-            sim.launch(&k).expect("bs launch")
+            sim.launch(&k, &NoopRecorder, 0.0).expect("bs launch")
         }),
     }
 }
@@ -125,7 +126,7 @@ fn p010_workload(instances: usize, rows: usize, cols: usize) -> Workload {
                 flags: FlagLayout::SpreadPadded { factor: 8 },
                 backoff: None,
             };
-            sim.launch(&k).expect("010 launch")
+            sim.launch(&k, &NoopRecorder, 0.0).expect("010 launch")
         }),
     }
 }
@@ -187,7 +188,7 @@ fn p100_workload(
                 fuse_tile: None,
                 backoff: None,
             };
-            sim.launch(&k).expect("100 launch")
+            sim.launch(&k, &NoopRecorder, 0.0).expect("100 launch")
         }),
     }
 }
@@ -211,7 +212,8 @@ fn staged_workload(rows: usize, cols: usize) -> Workload {
             let flags = sim.alloc(flag_words);
             sim.upload_u32(flags, &vec![0u32; flag_words]);
             let opts = GpuOptions::tuned_for(sim.device());
-            let pipe = run_plan(sim, data, flags, &plan, &opts).expect("staged plan launches");
+            let pipe = run_plan(sim, data, flags, &plan, &opts, &NoopRecorder)
+                .expect("staged plan launches");
             fold(&format!("3-stage {rows}x{cols}"), &pipe)
         }),
     }

@@ -12,6 +12,7 @@ use gpu_sim::{DeviceSpec, Sim};
 use ipt_core::InstancedTranspose;
 use ipt_gpu::opts::FlagLayout;
 use ipt_gpu::pipt::PiptKernel;
+use ipt_obs::NoopRecorder;
 use serde::Serialize;
 
 /// One device's aggregated sweep result.
@@ -73,7 +74,7 @@ fn run_pipt_time(dev: &DeviceSpec, instances: usize, m: usize, n: usize) -> f64 
         super_size: 1,
         wg_size: 128,
     };
-    let stats = sim.launch(&k).expect("P-IPT launch");
+    let stats = sim.launch(&k, &NoopRecorder, 0.0).expect("P-IPT launch");
     let mut want = v;
     op.apply_seq(&mut want);
     assert_eq!(sim.download_u32(data), want, "P-IPT incorrect");

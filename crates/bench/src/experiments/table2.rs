@@ -14,6 +14,7 @@ use ipt_core::stages::StagePlan;
 use ipt_core::{Matrix, TileConfig, TileHeuristic};
 use ipt_gpu::opts::GpuOptions;
 use ipt_gpu::pipeline::{plan_flag_words, transpose_on_device};
+use ipt_obs::NoopRecorder;
 use serde::Serialize;
 
 /// One matrix-size row.
@@ -41,7 +42,7 @@ fn run_plan_gbps(dev: &DeviceSpec, rows: usize, cols: usize, plan: &StagePlan) -
     let opts = GpuOptions::tuned_for(dev);
     let mut sim = Sim::new(dev.clone(), rows * cols + plan_flag_words(plan) + 64);
     let mut data = Matrix::iota(rows, cols).into_vec();
-    let stats = transpose_on_device(&mut sim, &mut data, rows, cols, plan, &opts)
+    let stats = transpose_on_device(&mut sim, &mut data, rows, cols, plan, &opts, &NoopRecorder)
         .expect("feasible plan");
     stats.throughput_gbps(matrix_bytes(rows, cols))
 }

@@ -18,6 +18,8 @@ use ipt_baselines::{
 use ipt_core::stages::StagePlan;
 use ipt_gpu::host::{run_host_oop, run_host_sync};
 use ipt_gpu::opts::GpuOptions;
+use ipt_gpu::recover::RecoveryPolicy;
+use ipt_obs::NoopRecorder;
 use serde::Serialize;
 
 /// One implementation's aggregate.
@@ -114,7 +116,10 @@ pub fn run(dev: &DeviceSpec, scale: Scale, include_slow: bool) -> (Vec<Row>, Vec
         // 3-stage GPU in-place + transfers (simulated, synchronous).
         let tile = super::table2::tile3_for(r, c, scale);
         let plan = StagePlan::three_stage(r, c, tile).expect("tile divides");
-        let rep = run_host_sync(dev, r, c, &plan, &opts).expect("sync host run");
+        let (rep, report) =
+            run_host_sync(dev, r, c, &plan, &opts, &RecoveryPolicy::default(), None, &NoopRecorder)
+                .expect("sync host run");
+        assert!(report.clean(), "{r}x{c} sync host run left the primary path: {report:?}");
         push(&mut acc, "3-stage GPU in-place + transfers", rep.effective_gbps);
         detail.push(("3-stage+xfer".to_string(), rep.effective_gbps));
 

@@ -11,7 +11,7 @@ use gpu_sim::{DeviceSpec, Sim};
 use ipt_core::stages::{StagePlan, TileConfig};
 use ipt_core::Matrix;
 use ipt_gpu::opts::GpuOptions;
-use ipt_gpu::pipeline::{plan_flag_words, transpose_on_device_rec};
+use ipt_gpu::pipeline::{plan_flag_words, transpose_on_device};
 use ipt_obs::{chrome_trace_json, prometheus_text, Counter, Level, TraceRecorder};
 
 use crate::workloads::Scale;
@@ -53,7 +53,7 @@ pub fn run(dev: &DeviceSpec, scale: Scale) -> Report {
     let rec = TraceRecorder::new();
     let mut sim = Sim::new(dev.clone(), rows * cols + plan_flag_words(&plan) + 64);
     let mut data = Matrix::iota(rows, cols).into_vec();
-    transpose_on_device_rec(&mut sim, &mut data, rows, cols, &plan, &opts, &rec, 0.0)
+    transpose_on_device(&mut sim, &mut data, rows, cols, &plan, &opts, &rec)
         .expect("trace plan launches");
     assert_eq!(
         data,

@@ -76,12 +76,6 @@ impl Sim {
         }
     }
 
-    /// Convenience: memory sized to hold `words` plus `slack_words`.
-    #[must_use]
-    pub fn with_room_for(device: DeviceSpec, words: usize, slack_words: usize) -> Self {
-        Self::new(device, words + slack_words)
-    }
-
     /// The device model.
     #[must_use]
     pub fn device(&self) -> &DeviceSpec {
@@ -295,22 +289,14 @@ impl Sim {
     }
 
     /// Launch a kernel under the sim's scheduling policy, watchdog, and
-    /// armed fault source (if any).
+    /// armed fault source (if any), recording its spans and counters on
+    /// `rec`; `t0_s` is the launch's start on the cumulative DES clock.
     ///
     /// # Errors
     /// Propagates [`LaunchError`] for infeasible launches,
     /// [`LaunchError::Aborted`] when an armed fault source kills the
     /// kernel, or [`LaunchError::Stalled`] when the watchdog trips.
-    pub fn launch<K: Kernel>(&self, kernel: &K) -> Result<KernelStats, LaunchError> {
-        self.launch_rec(kernel, &ipt_obs::NoopRecorder, 0.0)
-    }
-
-    /// [`Sim::launch`] instrumented with a [`Recorder`]; `t0_s` is the
-    /// launch's start on the cumulative DES clock.
-    ///
-    /// # Errors
-    /// Same as [`Sim::launch`].
-    pub fn launch_rec<K: Kernel, R: Recorder>(
+    pub fn launch<K: Kernel, R: Recorder>(
         &self,
         kernel: &K,
         rec: &R,
@@ -363,6 +349,7 @@ impl Sim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ipt_obs::NoopRecorder;
     use crate::exec::{Grid, Step, WarpCtx};
     use crate::lanes::{LaneAddrs, LaneWrites};
 
@@ -451,7 +438,7 @@ mod tests {
         let data: Vec<u32> = (0..n as u32).collect();
         sim.upload_u32(b, &data);
         let k = IncKernel { buf: b, n, wgs: 8, wg_size: 64 };
-        let stats = sim.launch(&k).unwrap();
+        let stats = sim.launch(&k, &NoopRecorder, 0.0).unwrap();
         let got = sim.download_u32(b);
         let want: Vec<u32> = data.iter().map(|v| v + 1).collect();
         assert_eq!(got, want);
@@ -469,7 +456,7 @@ mod tests {
         let mut sim = Sim::new(DeviceSpec::tesla_k20(), 512);
         let b = sim.alloc(256);
         let k = IncKernel { buf: b, n: 256, wgs: 2, wg_size: 64 };
-        let stats = sim.launch(&k).unwrap();
+        let stats = sim.launch(&k, &NoopRecorder, 0.0).unwrap();
         assert_eq!(stats.name, "inc");
         assert!(stats.gld_transactions > 0 && stats.gst_transactions > 0);
     }

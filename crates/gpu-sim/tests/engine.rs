@@ -6,6 +6,7 @@ use gpu_sim::{
     Buffer, Coordination, DeviceSpec, EngineMode, Grid, Kernel, KernelStats, LaneAddrs,
     LaneWrites, Sim, Step, WarpCtx,
 };
+use ipt_obs::NoopRecorder;
 
 /// A one-warp kernel that performs a single caller-specified access pattern
 /// (the pattern bodies address the backing buffer directly).
@@ -50,7 +51,7 @@ fn run_pattern<F: Fn(&mut WarpCtx<'_>) + Sync>(
     let mut sim = Sim::new(DeviceSpec::tesla_k20(), 4096);
     let _buf = sim.alloc(2048);
     let k = PatternKernel { local_words, body };
-    sim.launch(&k).unwrap()
+    sim.launch(&k, &NoopRecorder, 0.0).unwrap()
 }
 
 #[test]
@@ -159,7 +160,7 @@ fn execution_is_deterministic() {
                 let _ = ctx.local_atomic_or(&ops);
             },
         };
-        let s = sim.launch(&k).unwrap();
+        let s = sim.launch(&k, &NoopRecorder, 0.0).unwrap();
         (s.time_s, s.position_conflicts, s.bank_conflicts, s.total_chain_cycles)
     };
     assert_eq!(run(), run());
@@ -221,7 +222,7 @@ fn barrier_synchronises_two_warps() {
     }
     let mut sim = Sim::new(DeviceSpec::tesla_k20(), 256);
     let buf = sim.alloc(64);
-    let stats = sim.launch(&TwoWarp { buf }).unwrap();
+    let stats = sim.launch(&TwoWarp { buf }, &NoopRecorder, 0.0).unwrap();
     assert!(stats.barriers >= 1);
     let out = sim.download_u32(buf);
     for (l, item) in out.iter().enumerate().take(32) {
@@ -316,7 +317,7 @@ fn run_claims(drift: Drift, engine: EngineMode) -> (Vec<u32>, KernelStats) {
         sim.set_engine_mode(engine);
         let flags = sim.alloc(1);
         let data = sim.alloc(2);
-        let stats = sim.launch(&ClaimsKernel { flags, data, drift }).unwrap();
+        let stats = sim.launch(&ClaimsKernel { flags, data, drift }, &NoopRecorder, 0.0).unwrap();
         (sim.download_u32(data), stats)
     })
 }

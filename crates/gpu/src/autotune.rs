@@ -69,10 +69,11 @@ fn tile_universe(rows: usize, cols: usize) -> usize {
     all_tiles(rows, cols).iter().filter(|t| t.m > 1 && t.n > 1).count()
 }
 
-/// Measure `candidates`, recording one gauge per measured tile and one
-/// counter tick per infeasible rejection.
-#[allow(clippy::too_many_arguments)]
-fn measure_candidates<R: Recorder>(
+/// Measure `candidates` under `scope`, sorted by descending throughput,
+/// with the search's [`TuneLog`]: `pruned_out` counts the divisor tiles
+/// the candidate set leaves out. `rec` gets one gauge per measured tile,
+/// one event per infeasible one, and the log's counters.
+fn search<R: Recorder>(
     dev: &DeviceSpec,
     rows: usize,
     cols: usize,
@@ -80,8 +81,11 @@ fn measure_candidates<R: Recorder>(
     opts: &GpuOptions,
     rec: &R,
     scope: &str,
-    log: &mut TuneLog,
-) -> Vec<TilePoint> {
+) -> (Vec<TilePoint>, TuneLog) {
+    let mut log = TuneLog {
+        pruned_out: tile_universe(rows, cols).saturating_sub(candidates.len()),
+        ..TuneLog::default()
+    };
     let mut out = Vec::with_capacity(candidates.len());
     for &t in candidates {
         log.considered += 1;
@@ -102,7 +106,8 @@ fn measure_candidates<R: Recorder>(
         }
     }
     out.sort_by(|a, b| b.gbps.total_cmp(&a.gbps));
-    out
+    let log = log.finish(out.first(), rec, scope);
+    (out, log)
 }
 
 /// Measure the 3-stage throughput of one tile on a fresh simulator.
@@ -121,30 +126,18 @@ pub fn measure_tile(
     let plan = StagePlan::three_stage(rows, cols, tile).ok()?;
     let mut sim = Sim::new(dev.clone(), rows * cols + plan_flag_words(&plan) + 64);
     let mut data = Matrix::iota(rows, cols).into_vec();
-    let stats = transpose_on_device(&mut sim, &mut data, rows, cols, &plan, opts).ok()?;
+    let stats =
+        transpose_on_device(&mut sim, &mut data, rows, cols, &plan, opts, &NoopRecorder).ok()?;
     let bytes = ipt_core::check::bytes_f64(rows, cols, 4);
     Some(TilePoint { tile, gbps: stats.throughput_gbps(bytes) })
 }
 
 /// Exhaustively measure every divisor tile of `rows × cols` (optionally
-/// capped to `max_dim` per dimension to keep sweeps tractable). Sorted by
-/// descending throughput.
+/// capped to `max_dim` per dimension to keep sweeps tractable), sorted by
+/// descending throughput, with the search's [`TuneLog`]; `pruned_out`
+/// counts divisor tiles the `max_dim` cap excluded.
 #[must_use]
-pub fn exhaustive_search(
-    dev: &DeviceSpec,
-    rows: usize,
-    cols: usize,
-    max_dim: usize,
-    opts: &GpuOptions,
-) -> Vec<TilePoint> {
-    exhaustive_search_rec(dev, rows, cols, max_dim, opts, &NoopRecorder).0
-}
-
-/// [`exhaustive_search`] instrumented with a [`Recorder`], returning the
-/// [`TuneLog`] alongside the measurements. `pruned_out` counts divisor
-/// tiles the `max_dim` cap excluded.
-#[must_use]
-pub fn exhaustive_search_rec<R: Recorder>(
+pub fn exhaustive_search<R: Recorder>(
     dev: &DeviceSpec,
     rows: usize,
     cols: usize,
@@ -156,34 +149,14 @@ pub fn exhaustive_search_rec<R: Recorder>(
         .into_iter()
         .filter(|t| t.m > 1 && t.n > 1 && t.m <= max_dim && t.n <= max_dim)
         .collect();
-    let mut log = TuneLog {
-        pruned_out: tile_universe(rows, cols).saturating_sub(candidates.len()),
-        ..TuneLog::default()
-    };
-    let scope = "autotune:exhaustive";
-    let out = measure_candidates(dev, rows, cols, &candidates, opts, rec, scope, &mut log);
-    let log = log.finish(out.first(), rec, scope);
-    (out, log)
+    search(dev, rows, cols, &candidates, opts, rec, "autotune:exhaustive")
 }
 
-/// Measure only the §7.4 pruned candidates. Sorted by descending
-/// throughput.
-#[must_use]
-pub fn pruned_search(
-    dev: &DeviceSpec,
-    rows: usize,
-    cols: usize,
-    heuristic: &TileHeuristic,
-    opts: &GpuOptions,
-) -> Vec<TilePoint> {
-    pruned_search_rec(dev, rows, cols, heuristic, opts, &NoopRecorder).0
-}
-
-/// [`pruned_search`] instrumented with a [`Recorder`], returning the
-/// [`TuneLog`] alongside the measurements. `pruned_out` counts divisor
+/// Measure only the §7.4 pruned candidates, sorted by descending
+/// throughput, with the search's [`TuneLog`]; `pruned_out` counts divisor
 /// tiles the §7.4 heuristic refused to measure — the pruning's savings.
 #[must_use]
-pub fn pruned_search_rec<R: Recorder>(
+pub fn pruned_search<R: Recorder>(
     dev: &DeviceSpec,
     rows: usize,
     cols: usize,
@@ -192,19 +165,12 @@ pub fn pruned_search_rec<R: Recorder>(
     rec: &R,
 ) -> (Vec<TilePoint>, TuneLog) {
     let candidates = heuristic.pruned_candidates(rows, cols);
-    let mut log = TuneLog {
-        pruned_out: tile_universe(rows, cols).saturating_sub(candidates.len()),
-        ..TuneLog::default()
-    };
-    let scope = "autotune:pruned";
-    let out = measure_candidates(dev, rows, cols, &candidates, opts, rec, scope, &mut log);
-    let log = log.finish(out.first(), rec, scope);
-    (out, log)
+    search(dev, rows, cols, &candidates, opts, rec, "autotune:pruned")
 }
 
 /// Pick a tile for `rows × cols`, deterministically, never panicking.
 ///
-/// Runs [`pruned_search_rec`] first; when the §7.4 candidate set measures
+/// Runs [`pruned_search`] first; when the §7.4 candidate set measures
 /// empty (prime dimensions, degenerate bands, every candidate infeasible),
 /// falls back to [`TileHeuristic::select`]'s nearest-divisor choice without
 /// measurement — the fallback is recorded in the returned [`TuneLog`]
@@ -212,7 +178,7 @@ pub fn pruned_search_rec<R: Recorder>(
 /// trace event, so serving-layer plans built from it stay auditable.
 /// Returns `(None, log)` only when the shape has no usable tile at all.
 #[must_use]
-pub fn choose_tile_rec<R: Recorder>(
+pub fn choose_tile<R: Recorder>(
     dev: &DeviceSpec,
     rows: usize,
     cols: usize,
@@ -220,7 +186,7 @@ pub fn choose_tile_rec<R: Recorder>(
     opts: &GpuOptions,
     rec: &R,
 ) -> (Option<TileConfig>, TuneLog) {
-    let (points, mut log) = pruned_search_rec(dev, rows, cols, heuristic, opts, rec);
+    let (points, mut log) = pruned_search(dev, rows, cols, heuristic, opts, rec);
     if let Some(best) = points.first() {
         return (Some(best.tile), log);
     }
@@ -267,7 +233,7 @@ fn measure_c2r_wg(dev: &DeviceSpec, rows: usize, cols: usize, wg: usize) -> Opti
 ///
 /// [`Scheme::C2R`]: ipt_core::Scheme::C2R
 #[must_use]
-pub fn choose_c2r_wg_rec<R: Recorder>(
+pub fn choose_c2r_wg<R: Recorder>(
     dev: &DeviceSpec,
     rows: usize,
     cols: usize,
@@ -328,11 +294,11 @@ mod tests {
     #[test]
     fn c2r_wg_sweep_is_deterministic_and_respects_device_limits() {
         let dev = DeviceSpec::hd7750(); // admits wg ≤ 256
-        let (wg, log) = choose_c2r_wg_rec(&dev, 127, 61, &NoopRecorder);
+        let (wg, log) = choose_c2r_wg(&dev, 127, 61, &NoopRecorder);
         assert!(wg <= dev.max_threads_per_wg);
         assert!(log.measured >= 1, "at least one candidate must measure");
         assert_eq!(log.chosen.map(|c| c.m), Some(wg), "log records the winner");
-        let (again, _) = choose_c2r_wg_rec(&dev, 127, 61, &NoopRecorder);
+        let (again, _) = choose_c2r_wg(&dev, 127, 61, &NoopRecorder);
         assert_eq!(wg, again, "sweep is deterministic");
     }
 
@@ -340,7 +306,7 @@ mod tests {
     fn exhaustive_finds_points() {
         let dev = DeviceSpec::tesla_k20();
         let opts = GpuOptions::tuned_for(&dev);
-        let pts = exhaustive_search(&dev, ROWS, COLS, 96, &opts);
+        let (pts, _) = exhaustive_search(&dev, ROWS, COLS, 96, &opts, &NoopRecorder);
         assert!(pts.len() > 10);
         // Sorted descending.
         for w in pts.windows(2) {
@@ -353,9 +319,9 @@ mod tests {
         // §7.4: the pruned set yields at least 80 % of the exhaustive best.
         let dev = DeviceSpec::tesla_k20();
         let opts = GpuOptions::tuned_for(&dev);
-        let all = exhaustive_search(&dev, ROWS, COLS, 181, &opts);
+        let (all, _) = exhaustive_search(&dev, ROWS, COLS, 181, &opts, &NoopRecorder);
         let h = TileHeuristic { shared_capacity_words: 3600, preferred_lo: 30, preferred_hi: 100 };
-        let pruned = pruned_search(&dev, ROWS, COLS, &h, &opts);
+        let (pruned, _) = pruned_search(&dev, ROWS, COLS, &h, &opts, &NoopRecorder);
         assert!(!pruned.is_empty());
         let best = all[0].gbps;
         let pruned_best = pruned[0].gbps;
@@ -371,7 +337,7 @@ mod tests {
         let opts = GpuOptions::tuned_for(&dev);
         let rec = ipt_obs::TraceRecorder::new();
         let h = TileHeuristic { shared_capacity_words: 3600, preferred_lo: 30, preferred_hi: 100 };
-        let (pts, log) = pruned_search_rec(&dev, ROWS, COLS, &h, &opts, &rec);
+        let (pts, log) = pruned_search(&dev, ROWS, COLS, &h, &opts, &rec);
         assert_eq!(log.considered, log.measured + log.rejected_infeasible);
         assert_eq!(log.measured, pts.len());
         assert!(log.pruned_out > 0, "the §7.4 heuristic must actually prune");
@@ -399,14 +365,14 @@ mod tests {
         let dev = DeviceSpec::tesla_k20();
         let opts = GpuOptions::tuned_for(&dev);
         let h = TileHeuristic { shared_capacity_words: 3600, preferred_lo: 30, preferred_hi: 100 };
-        let (tile, log) = choose_tile_rec(&dev, ROWS, COLS, &h, &opts, &NoopRecorder);
+        let (tile, log) = choose_tile(&dev, ROWS, COLS, &h, &opts, &NoopRecorder);
         let tile = tile.expect("720x180 has pruned candidates");
         assert!(log.measured > 0);
         let chosen = log.chosen.expect("measured search records a winner");
         assert_eq!((chosen.m, chosen.n), (tile.m, tile.n));
         assert!(chosen.gbps > 0.0);
         // Determinism: same inputs, same tile.
-        let (again, _) = choose_tile_rec(&dev, ROWS, COLS, &h, &opts, &NoopRecorder);
+        let (again, _) = choose_tile(&dev, ROWS, COLS, &h, &opts, &NoopRecorder);
         assert_eq!(again, Some(tile));
     }
 
@@ -420,7 +386,7 @@ mod tests {
         let h = TileHeuristic::default();
         assert!(h.pruned_candidates(48, 36).is_empty(), "precondition: empty pruned set");
         let rec = ipt_obs::TraceRecorder::new();
-        let (tile, log) = choose_tile_rec(&dev, 48, 36, &h, &opts, &rec);
+        let (tile, log) = choose_tile(&dev, 48, 36, &h, &opts, &rec);
         let tile = tile.expect("48x36 has feasible tiles");
         assert_eq!(Some(tile), h.select(48, 36), "fallback is the heuristic's pick");
         assert_eq!(log.measured, 0, "fallback tile is unmeasured");
@@ -436,7 +402,7 @@ mod tests {
         let dev = DeviceSpec::tesla_k20();
         let opts = GpuOptions::tuned_for(&dev);
         let (tile, log) =
-            choose_tile_rec(&dev, 127, 61, &TileHeuristic::default(), &opts, &NoopRecorder);
+            choose_tile(&dev, 127, 61, &TileHeuristic::default(), &opts, &NoopRecorder);
         assert_eq!(tile, None, "prime dims have no nontrivial divisor tile");
         assert_eq!(log.chosen, None);
     }

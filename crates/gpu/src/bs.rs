@@ -143,6 +143,7 @@ impl Kernel for BsKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ipt_obs::NoopRecorder;
     use gpu_sim::{DeviceSpec, Sim};
     use ipt_core::InstancedTranspose;
 
@@ -160,7 +161,7 @@ mod tests {
         let data: Vec<u32> = (0..op.total_len() as u32).collect();
         sim.upload_u32(buf, &data);
         let k = BsKernel { data: buf, instances, rows, cols, super_size, wg_size };
-        let stats = sim.launch(&k).unwrap();
+        let stats = sim.launch(&k, &NoopRecorder, 0.0).unwrap();
         (sim.download_u32(buf), stats)
     }
 
@@ -216,6 +217,6 @@ mod tests {
         let mut sim = Sim::new(dev, op.total_len() + 8);
         let buf = sim.alloc(op.total_len());
         let k = BsKernel { data: buf, instances: 1, rows: 128, cols: 128, super_size: 1, wg_size: 256 };
-        assert!(sim.launch(&k).is_err());
+        assert!(sim.launch(&k, &NoopRecorder, 0.0).is_err());
     }
 }

@@ -30,6 +30,7 @@ use gpu_sim::{
     Buffer, Coordination, Grid, Kernel, LaneAddrs, LaneWrites, LaunchError, Step, WarpCtx,
 };
 use ipt_core::C2rGeometry;
+use ipt_obs::NoopRecorder;
 
 /// Which of the three C2R line passes a kernel instance runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -410,8 +411,10 @@ impl C2rLinePass {
 /// call.
 ///
 /// # Errors
-/// [`LaunchError::Infeasible`] when the device cannot hold the global
-/// scratch a long-line shape needs; otherwise propagates launch errors.
+/// [`LaunchError::Infeasible`] when `data` holds fewer than `rows × cols`
+/// words (checked before anything launches) or the device cannot hold the
+/// global scratch a long-line shape needs; otherwise propagates launch
+/// errors.
 ///
 /// # Panics
 /// Panics on a zero dimension (the planner maps those to identity).
@@ -422,6 +425,15 @@ pub fn transpose_c2r_on_device(
     cols: usize,
     wg_size: usize,
 ) -> Result<gpu_sim::PipelineStats, LaunchError> {
+    if rows.checked_mul(cols).is_none_or(|words| data.len < words) {
+        return Err(LaunchError::Infeasible {
+            why: format!(
+                "c2r {rows}×{cols} needs {} data words; the buffer holds {}",
+                rows as u128 * cols as u128,
+                data.len
+            ),
+        });
+    }
     let geom = C2rGeometry::new(rows, cols);
     let dev = sim.device().clone();
     let need = c2r_scratch_words(&dev, rows, cols, wg_size);
@@ -442,7 +454,7 @@ pub fn transpose_c2r_on_device(
             continue;
         }
         let pass = C2rLinePass::new(data, geom, kind, wg_size, &dev, scratch);
-        stages.push(sim.launch(&pass)?);
+        stages.push(sim.launch(&pass, &NoopRecorder, 0.0)?);
     }
     Ok(gpu_sim::PipelineStats { stages, overhead_s: 0.0 })
 }
@@ -531,7 +543,7 @@ mod tests {
         let buf = sim.alloc(509 * 251);
         sim.upload_u32(buf, Matrix::iota(509, 251).as_slice());
         let pass = C2rLinePass::new(buf, geom, C2rPassKind::ColShuffle, 256, &dev, None);
-        let eff = sim.launch(&pass).unwrap().coalescing_efficiency();
+        let eff = sim.launch(&pass, &NoopRecorder, 0.0).unwrap().coalescing_efficiency();
         assert!(eff > 1.5 / 8.0, "c2r col pass coalescing {eff:.3}");
     }
 }

@@ -10,19 +10,23 @@
 //!   instances. They are split into `Q` chunks along the leading `N′`
 //!   dimension, each chunk's `stage2 → stage3 → D2H` enqueued on its own
 //!   command queue, so chunk kernels overlap other chunks' D2H transfers.
+//!
+//! Both schemes verify their result and recover from faults (see
+//! [`crate::recover`]); with no fault armed they stay on the primary path.
 
 use crate::opts::GpuOptions;
-use crate::pipeline::{plan_flag_words, run_plan, transpose_on_device};
+use crate::pipeline::{plan_flag_words, run_stage};
 use crate::recover::{
-    transpose_with_recovery, verify_exact, RecoveryPolicy, RecoveryReport, TransposeError,
+    transpose_with_recovery, verify_exact, RecoveryPath, RecoveryPolicy, RecoveryReport,
+    TransposeError,
 };
 use gpu_sim::{
-    simulate_device, Buffer, Cmd, DeviceSpec, FaultPlan, LaunchError, PipelineStats, QueueError,
-    Sim, Timeline,
+    simulate_device, Buffer, Cmd, DeviceSpec, FaultPlan, KernelStats, LaunchError,
+    PipelineStats, QueueError, Sim, Timeline,
 };
-use ipt_core::stages::{StageOp, StagePlan};
+use ipt_core::stages::{Stage, StageOp, StagePlan};
 use ipt_core::{InstancedTranspose, Matrix};
-use ipt_obs::Recorder;
+use ipt_obs::{NoopRecorder, Recorder};
 
 /// Result of a host-side (virtual in-place) transposition.
 #[derive(Debug, Clone)]
@@ -53,13 +57,12 @@ impl HostReport {
 
     /// Emit this report into a [`Recorder`]: the DES timeline (one span per
     /// queue command, one display track per engine, busy-fraction gauges),
-    /// every device-side kernel's counters, and end-to-end gauges. `t0_s`
-    /// offsets the timeline on the recorder's global clock.
-    pub fn record<R: Recorder>(&self, rec: &R, t0_s: f64) {
+    /// every device-side kernel's counters, and end-to-end gauges.
+    pub fn record<R: Recorder>(&self, rec: &R) {
         if !rec.enabled() {
             return;
         }
-        self.timeline.record(rec, t0_s, &["copy H2D", "copy D2H", "compute"]);
+        self.timeline.record(rec, 0.0, &["copy H2D", "copy D2H", "compute"]);
         for st in &self.kernels.stages {
             st.record_counters(rec);
         }
@@ -89,32 +92,46 @@ fn sync_queue(dev: &DeviceSpec, bytes: f64, kernels: &PipelineStats, penalty_s: 
     q
 }
 
-/// Report of the fault-free synchronous scheme over `kernels`.
-fn sync_report(dev: &DeviceSpec, rows: usize, cols: usize, kernels: PipelineStats) -> HostReport {
-    let bytes = matrix_bytes(rows, cols);
-    let timeline = simulate_device(dev, &[sync_queue(dev, bytes, &kernels, 0.0)], None, None)
-        .expect("a fault-free one-queue schedule always completes");
-    HostReport::new(timeline, bytes, kernels, 1)
-}
-
-/// Synchronous scheme: one queue, full H2D, all stages, full D2H.
+/// Synchronous scheme (Figure 4): one queue carrying the full H2D, every
+/// stage and the full D2H.
 ///
-/// Functionally executes and verifies the transposition on a fresh
-/// simulator.
+/// The device side runs through [`transpose_with_recovery`] (per-stage
+/// validation, fallback chain) on a fresh simulator with `fault` armed —
+/// the test harness's injection point — and the PCIe timeline resubmits
+/// failed transfers. `rec` gets every transfer fault and the final
+/// report (see [`HostReport::record`]).
 ///
 /// # Errors
-/// Propagates infeasible kernel launches.
-pub fn run_host_sync(
+/// Only configuration errors when fallback is allowed; any
+/// [`TransposeError`] otherwise. Never panics.
+#[allow(clippy::too_many_arguments)]
+pub fn run_host_sync<R: Recorder>(
     dev: &DeviceSpec,
     rows: usize,
     cols: usize,
     plan: &StagePlan,
     opts: &GpuOptions,
-) -> Result<HostReport, LaunchError> {
-    let mut sim = Sim::new(dev.clone(), rows * cols + plan_flag_words(plan) + 64);
+    policy: &RecoveryPolicy,
+    fault: Option<FaultPlan>,
+    rec: &R,
+) -> Result<(HostReport, RecoveryReport), TransposeError> {
+    // 2× data room keeps the out-of-place fallback reachable.
+    let mut sim =
+        Sim::new(dev.clone(), 2 * rows * cols + plan_flag_words(plan).max(1) + 64);
+    if let Some(f) = fault {
+        sim.set_fault_plan(f);
+    }
     let mut data = Matrix::iota(rows, cols).into_vec();
-    let stats = transpose_on_device(&mut sim, &mut data, rows, cols, plan, opts)?;
-    Ok(sync_report(dev, rows, cols, stats))
+    let (stats, mut report) =
+        transpose_with_recovery(&mut sim, &mut data, rows, cols, 1, plan, opts, policy)?;
+
+    let bytes = matrix_bytes(rows, cols);
+    let q = sync_queue(dev, bytes, &stats, report.penalty_s);
+    let timeline = simulate_with_transfer_retry(dev, &[q], &sim, policy, &mut report, rec)?;
+    report.faults = sim.fault_records();
+    let rep = HostReport::new(timeline, bytes, stats, 1);
+    rep.record(rec);
+    Ok((rep, report))
 }
 
 /// Split an instanced stage into at most `q` nonempty chunks along its
@@ -132,75 +149,102 @@ fn chunk_ranges(total_instances: usize, q: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Asynchronous scheme with `q` command queues (§7.6). Only valid for the
-/// 3-stage plan (`100! → 0010! → 0100!`): stages 2 and 3 are chunked along
-/// `N′` and overlapped with the D2H transfer.
+/// Asynchronous scheme with `q` command queues (Figure 5 (b), §7.6). Only
+/// valid for the 3-stage plan (`100! → 0010! → 0100!`): stages 2 and 3
+/// are chunked along `N′` and overlapped with the D2H transfer.
+///
+/// The chunked scheme interleaves kernels and transfers too tightly for
+/// per-stage snapshots, so recovery is whole-scheme: retry the full
+/// asynchronous execution on a fresh simulator with `fault` armed
+/// (injected faults are single-shot, so a retry runs clean), and when the
+/// retry budget is spent, degrade to [`run_host_sync`] — whose own chain
+/// bottoms out at the host-sequential path and cannot fail. `rec` gets the
+/// final report (see [`HostReport::record`]).
 ///
 /// # Errors
-/// [`TransposeError::InvalidConfig`] for `q == 0` or a non-3-stage plan;
-/// [`TransposeError::Launch`] for infeasible kernel launches;
-/// [`TransposeError::Verify`] if the chunked execution produces an
-/// incorrect transposition.
-pub fn run_host_async(
+/// [`TransposeError::InvalidConfig`] immediately for `q == 0` or a
+/// non-3-stage plan (retrying cannot fix them); otherwise only what
+/// [`run_host_sync`] can return. Never panics.
+#[allow(clippy::too_many_arguments)]
+pub fn run_host_async<R: Recorder>(
     dev: &DeviceSpec,
     rows: usize,
     cols: usize,
     plan: &StagePlan,
     opts: &GpuOptions,
     q: usize,
-) -> Result<HostReport, TransposeError> {
-    run_host_async_attempt(dev, rows, cols, plan, opts, q, None).0
-}
-
-/// One attempt at the asynchronous scheme, with an optional fault plan
-/// armed on the internal simulator. Returns the (possibly consumed) fault
-/// plan so a coarse-grained retry can carry it forward.
-pub(crate) fn run_host_async_attempt(
-    dev: &DeviceSpec,
-    rows: usize,
-    cols: usize,
-    plan: &StagePlan,
-    opts: &GpuOptions,
-    q: usize,
+    policy: &RecoveryPolicy,
     fault: Option<FaultPlan>,
-) -> (Result<HostReport, TransposeError>, Option<FaultPlan>) {
+    rec: &R,
+) -> Result<(HostReport, RecoveryReport), TransposeError> {
+    // Configuration problems fail fast: retrying cannot fix them.
     if q == 0 {
-        let e = TransposeError::InvalidConfig {
+        return Err(TransposeError::InvalidConfig {
             what: "asynchronous scheme needs at least one command queue (q >= 1)".into(),
-        };
-        return (Err(e), fault);
+        });
     }
     if plan.name != "3-stage" {
-        let e = TransposeError::InvalidConfig {
+        return Err(TransposeError::InvalidConfig {
             what: format!("asynchronous scheme requires the 3-stage plan, got `{}`", plan.name),
-        };
-        return (Err(e), fault);
+        });
     }
-    // Pull the three ops out of the plan.
     let mut ops = Vec::with_capacity(plan.stages.len());
     for s in &plan.stages {
-        match &s.op {
-            StageOp::Instanced(op) => ops.push(*op),
-            StageOp::Fused(_) => {
-                let e = TransposeError::InvalidConfig {
-                    what: "3-stage plan unexpectedly contains a fused stage".into(),
-                };
-                return (Err(e), fault);
+        let StageOp::Instanced(op) = &s.op else {
+            return Err(TransposeError::InvalidConfig {
+                what: "3-stage plan unexpectedly contains a fused stage".into(),
+            });
+        };
+        ops.push(*op);
+    }
+
+    let mut report = RecoveryReport::new(RecoveryPath::Primary);
+    let mut fault = fault;
+    let mut last_err: Option<TransposeError> = None;
+    for attempt in 0..=policy.max_stage_retries {
+        let mut sim = Sim::new(dev.clone(), rows * cols + plan_flag_words(plan) + 64);
+        if let Some(f) = fault.take() {
+            sim.set_fault_plan(f);
+        }
+        let data = sim.alloc(rows * cols);
+        let flags = sim.alloc(plan_flag_words(plan).max(1));
+        let res = run_host_async_body(&sim, data, flags, dev, rows, cols, plan, &ops, opts, q);
+        fault = sim.take_fault_plan();
+        if let Some(f) = &fault {
+            report.faults = f.records();
+        }
+        match res {
+            Ok(rep) => {
+                report.scheme_retries = attempt;
+                report.primary_error = last_err.map(|e| e.to_string());
+                rep.record(rec);
+                return Ok((rep, report));
+            }
+            Err(e) => {
+                report.penalty_s += policy.backoff_s(attempt);
+                last_err = Some(e);
             }
         }
     }
-
-    let mut sim = Sim::new(dev.clone(), rows * cols + plan_flag_words(plan) + 64);
-    if let Some(f) = fault {
-        sim.set_fault_plan(f);
+    // Degrade: the synchronous scheme finishes the job.
+    report.primary_error = last_err.map(|e| e.to_string());
+    let async_attempts = policy.max_stage_retries + 1;
+    let (rep, mut merged) = run_host_sync(dev, rows, cols, plan, opts, policy, fault, rec)?;
+    merged.scheme_retries += async_attempts;
+    merged.penalty_s += report.penalty_s;
+    // The fault plan (and its record log) was carried into the sync run,
+    // so its report already holds the full firing history.
+    if merged.faults.is_empty() {
+        merged.faults = report.faults;
     }
-    let data = sim.alloc(rows * cols);
-    let flags = sim.alloc(plan_flag_words(plan).max(1));
-    let res = run_host_async_body(&sim, data, flags, dev, rows, cols, plan, &ops, opts, q);
-    let fault = sim.take_fault_plan();
-    (res, fault)
+    if merged.primary_error.is_none() {
+        merged.primary_error = report.primary_error;
+    }
+    Ok((rep, merged))
 }
 
+/// One attempt at the asynchronous scheme on `sim`, whose `data` and
+/// `flags` buffers hold the matrix and the plan's claim flags.
 #[allow(clippy::too_many_arguments)]
 fn run_host_async_body(
     sim: &Sim,
@@ -225,17 +269,8 @@ fn run_host_async_body(
     let mut kernels = PipelineStats::default();
 
     // Stage 1 (100!): unsplittable.
-    let stage1_plan = StagePlan {
-        rows,
-        cols,
-        tile,
-        name: "3-stage",
-        stages: vec![plan.stages[0].clone()],
-    };
-    let s1 = run_plan(sim, data, flags, &stage1_plan, opts)?;
-    let stage1_time: f64 = s1.time_s();
-    kernels.stages.extend(s1.stages);
-    kernels.overhead_s += s1.overhead_s;
+    run_stage(sim, data, flags, &plan.stages[0], opts, &mut kernels)?;
+    let stage1_time = kernels.time_s();
 
     // Stages 2 and 3, chunked along N′.
     let chunks = chunk_ranges(np, q);
@@ -246,20 +281,15 @@ fn run_host_async_body(
     let inst2_per_np = mp; // stage-2 instances per N′ slot
     let words_per_np = mp * tile.m * tile.n; // words per N′ slot
     for (ci, &(lo, n_np)) in chunks.iter().enumerate() {
-        // Chunked stage 2 (0010!): instances = n_np · mp tiles.
         let off = lo * words_per_np;
         let len = n_np * words_per_np;
         let sub = data.slice(off, len);
-        let op2 = ipt_core::InstancedTranspose::new(
-            n_np * inst2_per_np,
-            ops[1].rows,
-            ops[1].cols,
-            1,
-        );
-        let st2 = crate::pipeline::run_instanced_public(sim, sub, flags, &op2, opts)?;
+        // Chunked stage 2 (0010!): instances = n_np · mp tiles.
+        let op2 = InstancedTranspose::new(n_np * inst2_per_np, ops[1].rows, ops[1].cols, 1);
+        let st2 = run_chunk(sim, sub, flags, &plan.stages[1], op2, opts)?;
         // Chunked stage 3 (0100!): instances = n_np.
         let op3 = InstancedTranspose::new(n_np, ops[2].rows, ops[2].cols, ops[2].super_size);
-        let st3 = crate::pipeline::run_instanced_public(sim, sub, flags, &op3, opts)?;
+        let st3 = run_chunk(sim, sub, flags, &plan.stages[2], op3, opts)?;
 
         let d2h_bytes = len as f64 * 4.0;
         let cmds = vec![
@@ -294,6 +324,24 @@ fn run_host_async_body(
     Ok(HostReport::new(timeline, bytes, kernels, queues.len()))
 }
 
+/// Run `op`, one chunk of `stage`, over `sub`, folding the stage's flag
+/// memset into the kernel's time.
+fn run_chunk(
+    sim: &Sim,
+    sub: Buffer,
+    flags: Buffer,
+    stage: &Stage,
+    op: InstancedTranspose,
+    opts: &GpuOptions,
+) -> Result<KernelStats, LaunchError> {
+    let chunk = Stage { op: StageOp::Instanced(op), ..stage.clone() };
+    let mut out = PipelineStats::default();
+    run_stage(sim, sub, flags, &chunk, opts, &mut out)?;
+    let mut stats = out.stages.remove(0);
+    stats.time_s += out.overhead_s;
+    Ok(stats)
+}
+
 /// Out-of-place transposition from the host (Table 3's "GPU out-of-place +
 /// data transfers" row): H2D, OOP kernel, D2H. Needs 2× device memory.
 ///
@@ -310,30 +358,36 @@ pub fn run_host_oop(
     let host = Matrix::iota(rows, cols);
     sim.upload_u32(src, host.as_slice());
     let k = crate::oop::OopTranspose { src, dst, rows, cols };
-    let stats = sim.launch(&k)?;
+    let stats = sim.launch(&k, &NoopRecorder, 0.0)?;
     assert_eq!(
         sim.download_u32(dst),
         host.transposed().into_vec(),
         "OOP kernel incorrect"
     );
-    Ok(sync_report(dev, rows, cols, PipelineStats { stages: vec![stats], overhead_s: 0.0 }))
+    let kernels = PipelineStats { stages: vec![stats], overhead_s: 0.0 };
+    let bytes = matrix_bytes(rows, cols);
+    let timeline = simulate_device(dev, &[sync_queue(dev, bytes, &kernels, 0.0)], None, None)
+        .expect("a fault-free one-queue schedule always completes");
+    Ok(HostReport::new(timeline, bytes, kernels, 1))
 }
 
 /// Run the DES timeline, resubmitting on injected transfer failures
 /// (bounded by the policy's retry budget, each resubmission charging
 /// backoff into the report).
-fn simulate_with_transfer_retry(
+fn simulate_with_transfer_retry<R: Recorder>(
     dev: &DeviceSpec,
     queues: &[Vec<Cmd>],
     sim: &Sim,
     policy: &RecoveryPolicy,
     report: &mut RecoveryReport,
+    rec: &R,
 ) -> Result<Timeline, TransposeError> {
     let mut attempt = 0usize;
     loop {
         match simulate_device(dev, queues, sim.fault_source(), None) {
             Ok(tl) => return Ok(tl),
             Err(e @ QueueError::TransferFault { .. }) => {
+                record_transfer_fault(rec, "host", &e);
                 if attempt >= policy.max_stage_retries {
                     return Err(TransposeError::RecoveryExhausted {
                         attempts: attempt + 1,
@@ -359,112 +413,9 @@ pub(crate) fn record_transfer_fault<R: Recorder>(rec: &R, scope: &str, err: &Que
     }
 }
 
-/// Synchronous host scheme with verified recovery: the device-side
-/// transposition runs through [`transpose_with_recovery`] (per-stage
-/// validation, fallback chain) and the PCIe timeline resubmits failed
-/// transfers. An optional [`FaultPlan`] is armed on the internal
-/// simulator — the test harness's injection point.
-///
-/// # Errors
-/// Only configuration errors when fallback is allowed; any
-/// [`TransposeError`] otherwise. Never panics.
-pub fn run_host_sync_recovering(
-    dev: &DeviceSpec,
-    rows: usize,
-    cols: usize,
-    plan: &StagePlan,
-    opts: &GpuOptions,
-    policy: &RecoveryPolicy,
-    fault: Option<FaultPlan>,
-) -> Result<(HostReport, RecoveryReport), TransposeError> {
-    // 2× data room keeps the out-of-place fallback reachable.
-    let mut sim =
-        Sim::new(dev.clone(), 2 * rows * cols + plan_flag_words(plan).max(1) + 64);
-    if let Some(f) = fault {
-        sim.set_fault_plan(f);
-    }
-    let mut data = Matrix::iota(rows, cols).into_vec();
-    let (stats, mut report) =
-        transpose_with_recovery(&mut sim, &mut data, rows, cols, 1, plan, opts, policy)?;
-
-    let bytes = matrix_bytes(rows, cols);
-    let q = sync_queue(dev, bytes, &stats, report.penalty_s);
-    let timeline = simulate_with_transfer_retry(dev, &[q], &sim, policy, &mut report)?;
-    report.faults = sim.fault_records();
-    Ok((HostReport::new(timeline, bytes, stats, 1), report))
-}
-
-/// Asynchronous host scheme with coarse-grained recovery. The chunked
-/// scheme interleaves kernels and transfers too tightly for per-stage
-/// snapshots, so recovery is whole-scheme: retry the full asynchronous
-/// execution (injected faults are single-shot, so a retry runs clean),
-/// and when the retry budget is spent, degrade to the synchronous
-/// recovering scheme — whose own chain bottoms out at the host-sequential
-/// path and cannot fail.
-///
-/// # Errors
-/// Configuration errors immediately (retrying cannot fix them); otherwise
-/// only what [`run_host_sync_recovering`] can return. Never panics.
-#[allow(clippy::too_many_arguments)]
-pub fn run_host_async_recovering(
-    dev: &DeviceSpec,
-    rows: usize,
-    cols: usize,
-    plan: &StagePlan,
-    opts: &GpuOptions,
-    q: usize,
-    policy: &RecoveryPolicy,
-    fault: Option<FaultPlan>,
-) -> Result<(HostReport, RecoveryReport), TransposeError> {
-    let mut report = RecoveryReport::new(crate::recover::RecoveryPath::Primary);
-    let mut fault = fault;
-    let mut last_err: Option<TransposeError> = None;
-    for attempt in 0..=policy.max_stage_retries {
-        let (res, fp) = run_host_async_attempt(dev, rows, cols, plan, opts, q, fault.take());
-        if let Some(f) = &fp {
-            report.faults = f.records();
-        }
-        fault = fp;
-        match res {
-            Ok(rep) => {
-                report.scheme_retries = attempt;
-                if report.primary_error.is_none() {
-                    report.primary_error = last_err.map(|e| e.to_string());
-                }
-                return Ok((rep, report));
-            }
-            // Deterministic configuration problems: fail fast.
-            Err(e @ (TransposeError::InvalidConfig { .. } | TransposeError::Plan(_))) => {
-                return Err(e);
-            }
-            Err(e) => {
-                report.penalty_s += policy.backoff_s(attempt);
-                last_err = Some(e);
-            }
-        }
-    }
-    // Degrade: the synchronous recovering scheme finishes the job.
-    report.primary_error = last_err.map(|e| e.to_string());
-    let async_attempts = policy.max_stage_retries + 1;
-    let (rep, mut merged) =
-        run_host_sync_recovering(dev, rows, cols, plan, opts, policy, fault)?;
-    merged.scheme_retries += async_attempts;
-    merged.penalty_s += report.penalty_s;
-    // The fault plan (and its record log) was carried into the sync run,
-    // so its report already holds the full firing history.
-    if merged.faults.is_empty() {
-        merged.faults = report.faults;
-    }
-    if merged.primary_error.is_none() {
-        merged.primary_error = report.primary_error;
-    }
-    Ok((rep, merged))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ipt_core::stages::TileConfig;
     use ipt_core::TileHeuristic;
 
     // Large enough that PCIe transfers dwarf queue-creation overhead (the
@@ -472,18 +423,32 @@ mod tests {
     const ROWS: usize = 2880;
     const COLS: usize = 720;
 
-    fn tile() -> TileConfig {
-        TileHeuristic { shared_capacity_words: 3600, preferred_lo: 30, preferred_hi: 90 }
+    fn plan() -> StagePlan {
+        let tile = TileHeuristic { shared_capacity_words: 3600, preferred_lo: 30, preferred_hi: 90 }
             .select(ROWS, COLS)
-            .unwrap()
+            .unwrap();
+        StagePlan::three_stage(ROWS, COLS, tile).unwrap()
+    }
+
+    /// The fault-free synchronous scheme on a K20 (`q == 0`) or the
+    /// asynchronous one with `q` queues; both must stay on the primary path.
+    fn host_run(q: usize) -> HostReport {
+        let dev = DeviceSpec::tesla_k20();
+        let opts = GpuOptions::tuned_for(&dev);
+        let policy = RecoveryPolicy::default();
+        let (rep, report) = if q == 0 {
+            run_host_sync(&dev, ROWS, COLS, &plan(), &opts, &policy, None, &NoopRecorder)
+        } else {
+            run_host_async(&dev, ROWS, COLS, &plan(), &opts, q, &policy, None, &NoopRecorder)
+        }
+        .unwrap();
+        assert!(report.clean(), "q={q}: {report:?}");
+        rep
     }
 
     #[test]
     fn sync_scheme_runs_and_verifies() {
-        let dev = DeviceSpec::tesla_k20();
-        let plan = StagePlan::three_stage(ROWS, COLS, tile()).unwrap();
-        let opts = GpuOptions::tuned_for(&dev);
-        let rep = run_host_sync(&dev, ROWS, COLS, &plan, &opts).unwrap();
+        let rep = host_run(0);
         assert!(rep.total_s > 0.0);
         assert!(rep.effective_gbps > 0.0);
         // Transfers dominate for this size: effective < device-side.
@@ -493,11 +458,8 @@ mod tests {
 
     #[test]
     fn async_beats_sync_for_moderate_q() {
-        let dev = DeviceSpec::tesla_k20();
-        let plan = StagePlan::three_stage(ROWS, COLS, tile()).unwrap();
-        let opts = GpuOptions::tuned_for(&dev);
-        let sync = run_host_sync(&dev, ROWS, COLS, &plan, &opts).unwrap();
-        let asy = run_host_async(&dev, ROWS, COLS, &plan, &opts, 4).unwrap();
+        let sync = host_run(0);
+        let asy = host_run(4);
         assert!(
             asy.total_s < sync.total_s,
             "async {} vs sync {}",
@@ -508,22 +470,16 @@ mod tests {
 
     #[test]
     fn excessive_queues_degrade() {
-        let dev = DeviceSpec::tesla_k20();
-        let plan = StagePlan::three_stage(ROWS, COLS, tile()).unwrap();
-        let opts = GpuOptions::tuned_for(&dev);
-        let q4 = run_host_async(&dev, ROWS, COLS, &plan, &opts, 4).unwrap();
-        let q64 = run_host_async(&dev, ROWS, COLS, &plan, &opts, 64).unwrap();
+        let q4 = host_run(4);
+        let q64 = host_run(64);
         assert!(q64.total_s > q4.total_s, "q64 {} vs q4 {}", q64.total_s, q4.total_s);
     }
 
     #[test]
     fn oop_from_host_close_to_inplace_from_host() {
         // Table 3: 3.57 vs 3.43 GB/s — transfers dominate both.
-        let dev = DeviceSpec::tesla_k20();
-        let plan = StagePlan::three_stage(ROWS, COLS, tile()).unwrap();
-        let opts = GpuOptions::tuned_for(&dev);
-        let oop = run_host_oop(&dev, ROWS, COLS).unwrap();
-        let ip = run_host_sync(&dev, ROWS, COLS, &plan, &opts).unwrap();
+        let oop = run_host_oop(&DeviceSpec::tesla_k20(), ROWS, COLS).unwrap();
+        let ip = host_run(0);
         let ratio = oop.effective_gbps / ip.effective_gbps;
         assert!((0.8..1.6).contains(&ratio), "ratio {ratio}");
     }

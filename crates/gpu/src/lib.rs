@@ -10,13 +10,19 @@
 //!   coordination bits, in Sung/work-group, warp/local-tile and
 //!   warp/register-tile variants (§5.2), plus the fused stage of the
 //!   4-stage(+fusion) algorithm,
+//! * [`c2r`] — the C2R decomposition's line passes (column rotate, row
+//!   shuffle, column shuffle), the device scheme for prime shapes,
 //! * [`pipt`] — the cycle-per-thread P-IPT comparator,
 //! * [`oop`] — the out-of-place tiled baseline (Ruetsch/Micikevicius),
+//! * [`opts`] — kernel options: flag layouts, `100!` variants, claim
+//!   backoff, per-device tuned and conservative settings,
 //! * [`pipeline`] — plan execution with per-stage kernel selection,
+//! * [`recover`] — typed errors and the verified recovery chain (per-stage
+//!   validation, conservative options, out-of-place, host),
 //! * [`explore`] — schedule-exploration race harnesses for the claim
 //!   protocols (bounded exhaustive + seeded PCT sweeps),
 //! * [`host`] — the §6 virtual in-place transposition (synchronous and
-//!   asynchronous with Q command queues),
+//!   asynchronous with Q command queues), recovering by construction,
 //! * [`autotune`] — §7.4 exhaustive / pruned tile search,
 //! * [`multi`] — the multi-GPU scheme of the paper's future-work section,
 //! * [`serve`] — a batched, plan-cached serving layer over all of the
@@ -24,7 +30,12 @@
 //!   multi-device sharding, graceful degradation, warm-start snapshots,
 //!   recovery-chain execution),
 //! * [`fleet`] — a sharded serving fleet with shape-affinity routing,
-//!   failover, and crash/warm-restart support.
+//!   failover, and crash/warm-restart support,
+//! * [`stream`] — out-of-core streaming of matrices larger than device
+//!   memory, with a crash-consistent chunk journal.
+//!
+//! Every device entry point takes its [`ipt_obs::Recorder`] as an argument;
+//! pass [`ipt_obs::NoopRecorder`] to record nothing at zero cost.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,8 +59,8 @@ pub mod serve;
 pub mod stream;
 
 pub use autotune::{
-    choose_c2r_wg_rec, exhaustive_search, exhaustive_search_rec, measure_tile, pruned_search,
-    pruned_search_rec, TileChoice, TilePoint, TuneLog,
+    choose_c2r_wg, choose_tile, exhaustive_search, measure_tile, pruned_search, TileChoice,
+    TilePoint, TuneLog,
 };
 pub use bs::BsKernel;
 pub use c2r::{c2r_scratch_words, pass_layout, transpose_c2r_on_device, C2rLinePass, C2rPassKind};
@@ -57,16 +68,13 @@ pub use explore::{
     explore_case, pct_sweep, run_race_case, tiny_device, BrokenPttwac010, RaceTarget,
     SweepFailure, SweepOutcome,
 };
-pub use host::{
-    run_host_async, run_host_async_recovering, run_host_oop, run_host_sync,
-    run_host_sync_recovering, HostReport,
-};
+pub use host::{run_host_async, run_host_oop, run_host_sync, HostReport};
 pub use multi::{run_multi_gpu, LinkTopology, MultiReport};
 pub use oop::OopTranspose;
 pub use opts::{ClaimBackoff, FlagLayout, GpuOptions, Variant100};
 pub use pipeline::{
-    plan_flag_words, run_plan, run_plan_rec, run_stage, run_stage_rec, scale_plan_words,
-    select_kernel, transpose_on_device, transpose_on_device_rec, StageKernel, MAX_CYCLE_SCAN,
+    plan_flag_words, run_plan, run_stage, run_stage_rec, scale_plan_words, select_kernel,
+    transpose_on_device, StageKernel, MAX_CYCLE_SCAN,
 };
 pub use recover::{
     host_transpose_elems, multiset_checksum, transpose_scheme_with_recovery,
@@ -80,8 +88,8 @@ pub use serve::{
     SNAPSHOT_VERSION,
 };
 pub use stream::{
-    stream_transpose, stream_transpose_rec, ChunkJournal, ChunkRecord, ChunkState, StreamChaos,
-    StreamConfig, StreamPath, StreamReport,
+    stream_transpose_rec, ChunkJournal, ChunkRecord, ChunkState, StreamChaos, StreamConfig,
+    StreamPath, StreamReport,
 };
 pub use pipt::PiptKernel;
 pub use pttwac010::Pttwac010;

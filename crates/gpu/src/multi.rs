@@ -30,6 +30,7 @@ use crate::recover::{TransposeError, VerifyError};
 use gpu_sim::{simulate, Cmd, DeviceSpec, Sim, Timeline};
 use ipt_core::stages::StagePlan;
 use ipt_core::{Matrix, TileHeuristic};
+use ipt_obs::NoopRecorder;
 use serde::Serialize;
 
 /// PCIe topology for the device set.
@@ -157,7 +158,7 @@ pub fn run_multi_gpu(
         let flags = sim.alloc(plan_flag_words(&plan).max(1));
         let block = &host.as_slice()[d * md * cols..(d + 1) * md * cols];
         sim.upload_u32(buf, block);
-        let stats = run_plan(&sim, buf, flags, &plan, opts)?;
+        let stats = run_plan(&sim, buf, flags, &plan, opts, &NoopRecorder)?;
         kernel_s.push(stats.time_s());
         // The device now holds the N × M_d panel; scatter it into the
         // host result's column slice [d·M_d, (d+1)·M_d).

@@ -154,6 +154,7 @@ impl Kernel for OopTranspose {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ipt_obs::NoopRecorder;
     use gpu_sim::{DeviceSpec, Sim};
     use ipt_core::Matrix;
 
@@ -164,7 +165,7 @@ mod tests {
         let m = Matrix::iota(rows, cols);
         sim.upload_u32(src, m.as_slice());
         let k = OopTranspose { src, dst, rows, cols };
-        let stats = sim.launch(&k).unwrap();
+        let stats = sim.launch(&k, &NoopRecorder, 0.0).unwrap();
         (sim.download_u32(dst), stats)
     }
 

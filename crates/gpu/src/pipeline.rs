@@ -90,49 +90,33 @@ pub fn plan_flag_words(plan: &StagePlan) -> usize {
 /// at least [`plan_flag_words`] words.
 ///
 /// Returns per-stage kernel stats; `overhead_s` accounts the flag-buffer
-/// memsets (the paper's ≈0.1 % coordination-bit overhead).
-///
-/// # Errors
-/// Propagates infeasible launches.
-pub fn run_plan(
-    sim: &Sim,
-    data: Buffer,
-    flags: Buffer,
-    plan: &StagePlan,
-    opts: &GpuOptions,
-) -> Result<PipelineStats, LaunchError> {
-    run_plan_rec(sim, data, flags, plan, opts, &NoopRecorder, 0.0)
-}
-
-/// [`run_plan`] instrumented with a [`Recorder`]: an algorithm-level span
-/// covering the whole plan, one stage-level span per stage (both on the
-/// cumulative DES clock starting at `t0_s`), kernel spans and counters from
-/// the engine, and each instanced stage's permutation cycle-length
+/// memsets (the paper's ≈0.1 % coordination-bit overhead). `rec` gets an
+/// algorithm-level span covering the whole plan, one stage-level span per
+/// stage (both on the cumulative DES clock), kernel spans and counters
+/// from the engine, and each instanced stage's permutation cycle-length
 /// histogram (stages over [`MAX_CYCLE_SCAN`] elements skip the scan).
 ///
-/// With [`NoopRecorder`] this is exactly [`run_plan`].
-///
 /// # Errors
-/// Propagates infeasible launches.
-pub fn run_plan_rec<R: Recorder>(
+/// Propagates infeasible launches, including a `data` or `flags` buffer
+/// too short for a stage (see [`run_stage`]).
+pub fn run_plan<R: Recorder>(
     sim: &Sim,
     data: Buffer,
     flags: Buffer,
     plan: &StagePlan,
     opts: &GpuOptions,
     rec: &R,
-    t0_s: f64,
 ) -> Result<PipelineStats, LaunchError> {
     let mut out = PipelineStats::default();
     for stage in &plan.stages {
         let before_s = out.time_s();
-        run_stage_rec(sim, data, flags, stage, opts, &mut out, rec, t0_s + before_s)?;
+        run_stage_rec(sim, data, flags, stage, opts, &mut out, rec, before_s)?;
         if rec.enabled() {
             let code = stage.code.to_string();
             rec.span(
                 Level::Stage,
                 &code,
-                (t0_s + before_s) * 1e6,
+                before_s * 1e6,
                 (out.time_s() - before_s) * 1e6,
                 Level::Stage.base_track(),
                 &[("total_len", stage.op.total_len() as f64)],
@@ -144,7 +128,7 @@ pub fn run_plan_rec<R: Recorder>(
         rec.span(
             Level::Algorithm,
             plan.name,
-            t0_s * 1e6,
+            0.0,
             out.time_s() * 1e6,
             Level::Algorithm.base_track(),
             &[("rows", plan.rows as f64), ("cols", plan.cols as f64)],
@@ -177,12 +161,16 @@ fn record_stage_cycles<R: Recorder>(rec: &R, scope: &str, stage: &Stage) {
 /// device state between stages.
 ///
 /// # Errors
-/// Propagates infeasible launches (and injected kernel aborts).
+/// [`LaunchError::Infeasible`] when `data` holds fewer words than the
+/// stage moves or `flags` fewer than its `100!`-family kernel's claim
+/// bits (checked before anything launches); otherwise propagates
+/// infeasible launches (and injected kernel aborts).
+// `benchmark/` imports both `run_stage` and `run_stage_rec`; they fold when it next changes.
 pub fn run_stage(
     sim: &Sim,
     data: Buffer,
     flags: Buffer,
-    stage: &ipt_core::stages::Stage,
+    stage: &Stage,
     opts: &GpuOptions,
     out: &mut PipelineStats,
 ) -> Result<(), LaunchError> {
@@ -193,18 +181,29 @@ pub fn run_stage(
 /// start on the cumulative DES clock.
 ///
 /// # Errors
-/// Propagates infeasible launches (and injected kernel aborts).
+/// Same as [`run_stage`].
+// `benchmark/` imports both `run_stage` and `run_stage_rec`; they fold when it next changes.
 #[allow(clippy::too_many_arguments)]
 pub fn run_stage_rec<R: Recorder>(
     sim: &Sim,
     data: Buffer,
     flags: Buffer,
-    stage: &ipt_core::stages::Stage,
+    stage: &Stage,
     opts: &GpuOptions,
     out: &mut PipelineStats,
     rec: &R,
     t0_s: f64,
 ) -> Result<(), LaunchError> {
+    let short = |what: &str, need: usize, held: usize| LaunchError::Infeasible {
+        why: format!("stage `{}` needs {need} {what} words; the buffer holds {held}", stage.code),
+    };
+    if data.len < stage.op.total_len() {
+        return Err(short("data", stage.op.total_len(), data.len));
+    }
+    let flag_words = stage_flag_words(sim, &stage.op, opts);
+    if flags.len < flag_words {
+        return Err(short("claim-flag", flag_words, flags.len));
+    }
     match &stage.op {
         StageOp::Instanced(op) => {
             let stats = run_instanced(sim, data, flags, op, opts, &mut out.overhead_s, rec, t0_s)?;
@@ -213,9 +212,8 @@ pub fn run_stage_rec<R: Recorder>(
         StageOp::Fused(f) => {
             // Moving stage: m·n-word super-elements over the (M′,N′)
             // grid, transposed in flight.
-            let supers = f.rows_outer * f.cols_outer;
             sim.zero(flags);
-            let ms = memset_time(sim, Pttwac100::flag_words(supers));
+            let ms = memset_time(sim, flag_words);
             out.overhead_s += ms;
             let ss = f.rows_inner * f.cols_inner;
             let k = Pttwac100 {
@@ -230,7 +228,7 @@ pub fn run_stage_rec<R: Recorder>(
                 fuse_tile: Some((f.rows_inner, f.cols_inner)),
                 backoff: opts.backoff,
             };
-            let moving = sim.launch_rec(&k, rec, t0_s + ms)?;
+            let moving = sim.launch(&k, rec, t0_s + ms)?;
             let after_moving_s = t0_s + ms + moving.time_s;
             out.stages.push(moving);
             // Outer fixed tiles still need internal transposition.
@@ -242,25 +240,24 @@ pub fn run_stage_rec<R: Recorder>(
     Ok(())
 }
 
-/// Execute a single instanced elementary transposition on the device
-/// (kernel selection as in [`run_plan`]); flag-memset overhead is folded
-/// into the returned stage time. Used by the asynchronous host scheme to
-/// run chunked stages.
-///
-/// # Errors
-/// Propagates infeasible launches.
-pub fn run_instanced_public(
-    sim: &Sim,
-    data: Buffer,
-    flags: Buffer,
-    op: &InstancedTranspose,
-    opts: &GpuOptions,
-) -> Result<KernelStats, LaunchError> {
-    let mut overhead = 0.0;
-    let mut stats =
-        run_instanced(sim, data, flags, op, opts, &mut overhead, &NoopRecorder, 0.0)?;
-    stats.time_s += overhead;
-    Ok(stats)
+/// Claim-flag words a stage's kernel needs: the `100!`-family kernel's
+/// global coordination bits, none for BS, `010!` and identity stages.
+fn stage_flag_words(sim: &Sim, op: &StageOp, opts: &GpuOptions) -> usize {
+    match op {
+        StageOp::Instanced(op)
+            if !is_identity(op) && select_kernel(sim, op, opts) == StageKernel::Pttwac100 =>
+        {
+            Pttwac100::flag_words(op.instances * op.rows * op.cols)
+        }
+        StageOp::Instanced(_) => 0,
+        StageOp::Fused(f) => Pttwac100::flag_words(f.rows_outer * f.cols_outer),
+    }
+}
+
+/// A degenerate (1×1, r×1 or 1×c) transposition is the identity on linear
+/// storage and moves nothing.
+fn is_identity(op: &InstancedTranspose) -> bool {
+    op.rows * op.cols <= 1 || op.rows == 1 || op.cols == 1
 }
 
 /// Time to clear `words` of flag storage (bandwidth-bound memset).
@@ -272,6 +269,8 @@ fn moving_variant(sim: &Sim, opts: &GpuOptions, super_size: usize) -> Variant100
     opts.variant100.resolve(super_size, sim.device().simd_width)
 }
 
+/// Launch the kernel [`select_kernel`] picks for `op`; the caller has
+/// checked the buffer sizes.
 #[allow(clippy::too_many_arguments)]
 fn run_instanced<R: Recorder>(
     sim: &Sim,
@@ -283,13 +282,11 @@ fn run_instanced<R: Recorder>(
     rec: &R,
     t0_s: f64,
 ) -> Result<KernelStats, LaunchError> {
-    // Degenerate stages (1×1 grids) move nothing.
-    if op.rows * op.cols <= 1 || (op.rows == 1 || op.cols == 1) {
-        // A r×1 or 1×c transposition is the identity on linear storage.
+    if is_identity(op) {
         return Ok(noop_stats(op));
     }
     match select_kernel(sim, op, opts) {
-        StageKernel::Bs => sim.launch_rec(
+        StageKernel::Bs => sim.launch(
             &BsKernel {
                 data,
                 instances: op.instances,
@@ -301,7 +298,7 @@ fn run_instanced<R: Recorder>(
             rec,
             t0_s,
         ),
-        StageKernel::Pttwac010 => sim.launch_rec(
+        StageKernel::Pttwac010 => sim.launch(
             &Pttwac010 {
                 data,
                 instances: op.instances,
@@ -315,22 +312,10 @@ fn run_instanced<R: Recorder>(
             t0_s,
         ),
         StageKernel::Pttwac100 => {
-            let needed = Pttwac100::flag_words(op.instances * op.rows * op.cols);
-            if flags.len < needed {
-                // Typed instead of an assert so adversarial-schedule and
-                // chaos harnesses surface this as a recoverable error.
-                return Err(LaunchError::Infeasible {
-                    why: format!(
-                        "flags buffer has {} words but the 100!-family stage needs \
-                         {needed}; size it with plan_flag_words()",
-                        flags.len
-                    ),
-                });
-            }
             sim.zero(flags);
-            let ms = memset_time(sim, needed);
+            let ms = memset_time(sim, Pttwac100::flag_words(op.instances * op.rows * op.cols));
             *overhead_s += ms;
-            sim.launch_rec(
+            sim.launch(
                 &Pttwac100 {
                     data,
                     flags,
@@ -415,7 +400,7 @@ fn run_fused_fixed_tiles<R: Recorder>(
             continue;
         }
         let sub = data.slice(t * tile, tile);
-        let stats = sim.launch_rec(
+        let stats = sim.launch(
             &BsKernel {
                 data: sub,
                 instances: 1,
@@ -444,34 +429,17 @@ fn run_fused_fixed_tiles<R: Recorder>(
 
 /// Convenience: upload, run, download, and *verify* a full in-place
 /// transposition of `data` (row-major `rows × cols`) on a fresh simulator.
+/// `rec` gets everything [`run_plan`] emits plus the host↔device traffic
+/// meters.
 ///
 /// # Errors
-/// Propagates infeasible launches.
+/// [`LaunchError::Infeasible`] when `plan` was built for another shape;
+/// otherwise propagates infeasible launches.
 ///
 /// # Panics
 /// Panics if the simulated kernels produce an incorrect transposition —
 /// functional correctness is non-negotiable in this workspace.
-pub fn transpose_on_device(
-    sim: &mut Sim,
-    host_data: &mut Vec<u32>,
-    rows: usize,
-    cols: usize,
-    plan: &StagePlan,
-    opts: &GpuOptions,
-) -> Result<PipelineStats, LaunchError> {
-    transpose_on_device_rec(sim, host_data, rows, cols, plan, opts, &NoopRecorder, 0.0)
-}
-
-/// [`transpose_on_device`] instrumented with a [`Recorder`]: everything
-/// [`run_plan_rec`] emits plus the host↔device traffic meters.
-///
-/// # Errors
-/// Propagates infeasible launches.
-///
-/// # Panics
-/// Panics on an incorrect transposition, like [`transpose_on_device`].
-#[allow(clippy::too_many_arguments)]
-pub fn transpose_on_device_rec<R: Recorder>(
+pub fn transpose_on_device<R: Recorder>(
     sim: &mut Sim,
     host_data: &mut Vec<u32>,
     rows: usize,
@@ -479,13 +447,20 @@ pub fn transpose_on_device_rec<R: Recorder>(
     plan: &StagePlan,
     opts: &GpuOptions,
     rec: &R,
-    t0_s: f64,
 ) -> Result<PipelineStats, LaunchError> {
+    if (plan.rows, plan.cols) != (rows, cols) {
+        return Err(LaunchError::Infeasible {
+            why: format!(
+                "plan `{}` was built for {}×{}, not {rows}×{cols}",
+                plan.name, plan.rows, plan.cols
+            ),
+        });
+    }
     assert_eq!(host_data.len(), rows * cols);
     let data = sim.alloc(rows * cols);
     let flags = sim.alloc(plan_flag_words(plan).max(1));
     sim.upload_u32(data, host_data);
-    let stats = run_plan_rec(sim, data, flags, plan, opts, rec, t0_s)?;
+    let stats = run_plan(sim, data, flags, plan, opts, rec)?;
     let result = sim.download_u32(data);
     sim.record_traffic(rec, "sim");
     // Verify against the definitional permutation.
@@ -568,7 +543,8 @@ mod tests {
     ) -> PipelineStats {
         let mut sim = Sim::new(dev, rows * cols + plan_flag_words(plan) + 64);
         let mut data = Matrix::iota(rows, cols).into_vec();
-        transpose_on_device(&mut sim, &mut data, rows, cols, plan, opts).expect("launch")
+        transpose_on_device(&mut sim, &mut data, rows, cols, plan, opts, &NoopRecorder)
+            .expect("launch")
         // transpose_on_device panics on functional mismatch.
     }
 
@@ -662,7 +638,9 @@ mod tests {
         let plan = StagePlan::three_stage(rows, cols, TileConfig::new(60, 60)).unwrap();
         let mut sim = Sim::new(dev.clone(), rows * cols + plan_flag_words(&plan) + 64);
         let mut d32 = Matrix::iota(rows, cols).into_vec();
-        let s32 = transpose_on_device(&mut sim, &mut d32, rows, cols, &plan, &opts).unwrap();
+        let s32 =
+            transpose_on_device(&mut sim, &mut d32, rows, cols, &plan, &opts, &NoopRecorder)
+                .unwrap();
         let scaled = scale_plan_words(&plan, 2);
         let mut sim = Sim::new(dev, 2 * rows * cols + plan_flag_words(&scaled) + 64);
         let d64: Vec<f64> = (0..rows * cols).map(|k| k as f64).collect();

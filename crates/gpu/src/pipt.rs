@@ -210,6 +210,7 @@ impl Kernel for PiptKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ipt_obs::NoopRecorder;
     use gpu_sim::{DeviceSpec, Sim};
     use ipt_core::InstancedTranspose;
 
@@ -237,7 +238,7 @@ mod tests {
             super_size,
             wg_size: 128,
         };
-        let stats = sim.launch(&k).unwrap();
+        let stats = sim.launch(&k, &NoopRecorder, 0.0).unwrap();
         (sim.download_u32(data), stats)
     }
 

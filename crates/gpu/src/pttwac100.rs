@@ -402,6 +402,7 @@ fn ctx_local_capacity(ctx: &WarpCtx<'_>) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ipt_obs::NoopRecorder;
     use gpu_sim::{DeviceSpec, Sim};
     use ipt_core::elementary::{FusedTileTranspose, IndexPerm};
     use ipt_core::InstancedTranspose;
@@ -437,7 +438,7 @@ mod tests {
             fuse_tile: fuse,
             backoff: None,
         };
-        let stats = sim.launch(&k).expect("feasible");
+        let stats = sim.launch(&k, &NoopRecorder, 0.0).expect("feasible");
         (sim.download_u32(data), stats)
     }
 
@@ -490,7 +491,7 @@ mod tests {
             fuse_tile: None,
             backoff: Some(ClaimBackoff::mild(13)),
         };
-        sim.launch(&k).expect("feasible");
+        sim.launch(&k, &NoopRecorder, 0.0).expect("feasible");
         assert_eq!(sim.download_u32(data), expected(3, 7, 5, 16));
     }
 

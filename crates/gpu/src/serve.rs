@@ -54,7 +54,7 @@
 //! memoizes *plans*, never results — and the whole layer is traced through
 //! [`ipt_obs`].
 
-use crate::autotune::{choose_tile_rec, TuneLog};
+use crate::autotune::{choose_c2r_wg, choose_tile, TuneLog};
 use crate::multi::LinkTopology;
 use crate::opts::GpuOptions;
 use crate::pipeline::plan_flag_words;
@@ -236,14 +236,14 @@ pub fn build_plan<R: Recorder>(
     let mut tune = TuneLog::default();
     let mut wg_size = None;
     if decision.scheme == Scheme::Staged {
-        let (tile, log) = choose_tile_rec(dev, rows, cols, heuristic, opts, rec);
+        let (tile, log) = choose_tile(dev, rows, cols, heuristic, opts, rec);
         tune = log;
         if tile.is_some() {
             decision.tile = tile;
         }
     } else if decision.scheme == Scheme::C2R {
         // C2R has no tile to tune; its knob is the work-group size.
-        let (wg, log) = crate::autotune::choose_c2r_wg_rec(dev, rows, cols, rec);
+        let (wg, log) = choose_c2r_wg(dev, rows, cols, rec);
         tune = log;
         wg_size = Some(wg);
     }

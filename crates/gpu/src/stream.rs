@@ -325,22 +325,6 @@ pub struct StreamReport {
     pub journal: ChunkJournal,
 }
 
-/// Out-of-core streaming transpose with a [`ipt_obs::NoopRecorder`].
-///
-/// # Errors
-/// See [`stream_transpose_rec`].
-pub fn stream_transpose(
-    dev: &DeviceSpec,
-    data: &[u32],
-    rows: usize,
-    cols: usize,
-    elem_words: usize,
-    cfg: &StreamConfig,
-    chaos: &StreamChaos,
-) -> Result<(Vec<u32>, StreamReport), TransposeError> {
-    stream_transpose_rec(dev, data, rows, cols, elem_words, cfg, chaos, &ipt_obs::NoopRecorder)
-}
-
 /// Transpose a `rows × cols` matrix of `elem_words`-word elements that does
 /// not fit in `cfg.budget_words` of device memory, streaming row-band
 /// chunks through the device. Returns the transposed matrix (assembled
@@ -351,6 +335,7 @@ pub fn stream_transpose(
 /// even the ladder's host rung cannot produce a verified result (which it
 /// always can — so in practice only configuration errors and journal
 /// violations escape).
+// `benchmark/` imports this name, so the `_rec` suffix stays until the benchmark next changes.
 #[allow(clippy::too_many_arguments)]
 #[allow(clippy::too_many_lines)]
 pub fn stream_transpose_rec<R: Recorder>(
@@ -814,6 +799,7 @@ fn simulate_stream(
 mod tests {
     use super::*;
     use gpu_sim::fault::ChaosConfig;
+    use ipt_obs::NoopRecorder;
 
     const ROWS: usize = 96;
     const COLS: usize = 40;
@@ -836,8 +822,9 @@ mod tests {
         let dev = DeviceSpec::tesla_k20();
         let data = iota(ROWS, COLS, 1);
         let cfg = small_cfg(&dev, ROWS, COLS, 3);
+        let none = StreamChaos::None;
         let (out, rep) =
-            stream_transpose(&dev, &data, ROWS, COLS, 1, &cfg, &StreamChaos::None).unwrap();
+            stream_transpose_rec(&dev, &data, ROWS, COLS, 1, &cfg, &none, &NoopRecorder).unwrap();
         assert_eq!(out, reference(&data, ROWS, COLS, 1));
         assert!(rep.num_chunks > 1, "must actually stream");
         assert_eq!(rep.path, StreamPath::Overlapped);
@@ -858,7 +845,8 @@ mod tests {
             let chaos =
                 StreamChaos::TransferOnce(FaultPlan::exact(11, kind, trig, 0));
             let (out, rep) =
-                stream_transpose(&dev, &data, ROWS, COLS, 1, &cfg, &chaos).unwrap();
+                stream_transpose_rec(&dev, &data, ROWS, COLS, 1, &cfg, &chaos, &NoopRecorder)
+                    .unwrap();
             assert_eq!(out, reference(&data, ROWS, COLS, 1), "{kind:?}@{trig}");
             assert_eq!(rep.transfer_faults, 1);
             assert_eq!(rep.chunk_retries, 1);
@@ -879,7 +867,9 @@ mod tests {
             3,
             ChaosConfig::transfers(1.0, 1.0, usize::MAX),
         ));
-        let (out, rep) = stream_transpose(&dev, &data, ROWS, COLS, 1, &cfg, &chaos).unwrap();
+        let (out, rep) =
+            stream_transpose_rec(&dev, &data, ROWS, COLS, 1, &cfg, &chaos, &NoopRecorder)
+                .unwrap();
         assert_eq!(out, reference(&data, ROWS, COLS, 1));
         assert_eq!(rep.path, StreamPath::HostChunk);
         assert_eq!(rep.degradations, 2, "both ladder steps taken");
@@ -897,7 +887,9 @@ mod tests {
         let data = iota(ROWS, COLS, 1);
         let cfg = small_cfg(&dev, ROWS, COLS, 3);
         let chaos = StreamChaos::KernelAbort { chunk: 1, seed: 5 };
-        let (out, rep) = stream_transpose(&dev, &data, ROWS, COLS, 1, &cfg, &chaos).unwrap();
+        let (out, rep) =
+            stream_transpose_rec(&dev, &data, ROWS, COLS, 1, &cfg, &chaos, &NoopRecorder)
+                .unwrap();
         assert_eq!(out, reference(&data, ROWS, COLS, 1));
         assert!(rep.kernel_faults > 0, "the abort must actually fire");
         assert_eq!(rep.path, StreamPath::Overlapped, "recovered in place");
@@ -910,7 +902,9 @@ mod tests {
         let data = iota(ROWS, COLS, 1);
         let cfg = small_cfg(&dev, ROWS, COLS, 4);
         let chaos = StreamChaos::EngineCrashAt { engine: 1, frac: 0.4 };
-        let (out, rep) = stream_transpose(&dev, &data, ROWS, COLS, 1, &cfg, &chaos).unwrap();
+        let (out, rep) =
+            stream_transpose_rec(&dev, &data, ROWS, COLS, 1, &cfg, &chaos, &NoopRecorder)
+                .unwrap();
         assert_eq!(out, reference(&data, ROWS, COLS, 1));
         assert_eq!(rep.crash_resumes, 1);
         assert!(rep.journal.all_committed());
@@ -940,8 +934,9 @@ mod tests {
         let dev = DeviceSpec::tesla_k20();
         let data = iota(60, 24, 2);
         let cfg = small_cfg(&dev, 60, 24 * 2, 3);
-        let (out, rep) = stream_transpose(&dev, &data, 60, 24, 2, &cfg, &StreamChaos::None)
-            .unwrap();
+        let (out, rep) =
+            stream_transpose_rec(&dev, &data, 60, 24, 2, &cfg, &StreamChaos::None, &NoopRecorder)
+                .unwrap();
         assert_eq!(out, reference(&data, 60, 24, 2));
         assert!(rep.num_chunks > 1);
         assert!(rep.journal.all_committed());
@@ -951,8 +946,9 @@ mod tests {
     fn size_mismatch_is_typed() {
         let dev = DeviceSpec::tesla_k20();
         let cfg = StreamConfig::new(&dev, 1024);
-        let err =
-            stream_transpose(&dev, &[0u32; 7], 4, 4, 1, &cfg, &StreamChaos::None).unwrap_err();
+        let none = StreamChaos::None;
+        let err = stream_transpose_rec(&dev, &[0u32; 7], 4, 4, 1, &cfg, &none, &NoopRecorder)
+            .unwrap_err();
         assert!(matches!(err, TransposeError::InvalidConfig { .. }));
     }
 }

@@ -14,13 +14,15 @@
 //! The campaign runs 240 seeded configurations (≥ 200 required); CI runs
 //! it nightly.
 
-use gpu_sim::{DeviceSpec, FaultPlan, LaunchError, Sim};
-use ipt_core::stages::{StagePlan, TileConfig};
+use gpu_sim::{DeviceSpec, FaultPlan, LaunchError, PipelineStats, Sim};
+use ipt_core::stages::{Stage, StageOp, StagePlan, TileConfig};
+use ipt_core::perm::factorial::FactorialCode;
 use ipt_core::{InstancedTranspose, Matrix};
 use ipt_gpu::opts::GpuOptions;
-use ipt_gpu::pipeline::{plan_flag_words, run_instanced_public, select_kernel, StageKernel};
+use ipt_gpu::pipeline::{plan_flag_words, run_stage, select_kernel, StageKernel};
 use ipt_gpu::recover::{transpose_with_recovery, RecoveryPolicy, TransposeError};
-use ipt_gpu::{run_host_async_recovering, run_host_sync_recovering};
+use ipt_gpu::{run_host_async, run_host_sync};
+use ipt_obs::NoopRecorder;
 
 const CAMPAIGN_SEEDS: u64 = 240;
 const REPRO_SEEDS: u64 = 24;
@@ -94,6 +96,8 @@ fn device_run(
 fn pttwac010_run(seed: u64) -> Outcome {
     const CONFIG: &str = "kernel-010";
     let op = InstancedTranspose::new(4, 64, 220, 1);
+    let code = FactorialCode::parse("0010");
+    let stage = Stage { code, op: StageOp::Instanced(op), describe: String::new() };
     let words = op.total_len();
     let mut sim = Sim::new(DeviceSpec::tesla_k20(), words + 64);
     sim.set_fault_plan(FaultPlan::from_seed(seed));
@@ -114,7 +118,7 @@ fn pttwac010_run(seed: u64) -> Outcome {
     let mut retries = 0usize;
     let mut path: Result<String, String> = Err("unreached".into());
     for attempt in 0..=policy.max_stage_retries {
-        match run_instanced_public(&sim, data, flags, &op, &opts) {
+        match run_stage(&sim, data, flags, &stage, &opts, &mut PipelineStats::default()) {
             Ok(_) if sim.download_u32(data) == want => {
                 path = Ok(if attempt == 0 { "primary" } else { "stage-retry" }.into());
                 break;
@@ -157,7 +161,7 @@ fn host_sync_run(seed: u64) -> Outcome {
     let plan = StagePlan::three_stage(rows, cols, TileConfig::new(12, 10)).unwrap();
     let dev = DeviceSpec::tesla_k20();
     let opts = GpuOptions::tuned_for(&dev);
-    match run_host_sync_recovering(
+    match run_host_sync(
         &dev,
         rows,
         cols,
@@ -165,6 +169,7 @@ fn host_sync_run(seed: u64) -> Outcome {
         &opts,
         &RecoveryPolicy::default(),
         Some(FaultPlan::from_seed(seed)),
+        &NoopRecorder,
     ) {
         Ok((rep, report)) => {
             assert!(rep.total_s > 0.0);
@@ -190,7 +195,7 @@ fn host_async_run(seed: u64) -> Outcome {
     let plan = StagePlan::three_stage(rows, cols, TileConfig::new(12, 10)).unwrap();
     let dev = DeviceSpec::tesla_k20();
     let opts = GpuOptions::tuned_for(&dev);
-    match run_host_async_recovering(
+    match run_host_async(
         &dev,
         rows,
         cols,
@@ -199,6 +204,7 @@ fn host_async_run(seed: u64) -> Outcome {
         3,
         &RecoveryPolicy::default(),
         Some(FaultPlan::from_seed(seed)),
+        &NoopRecorder,
     ) {
         Ok((rep, report)) => {
             assert!(rep.total_s > 0.0);

@@ -7,6 +7,7 @@ use ipt_core::{Matrix, TileConfig, TileHeuristic};
 use ipt_gpu::opts::{GpuOptions, Variant100};
 use ipt_gpu::pipeline::{plan_flag_words, transpose_on_device};
 use ipt_gpu::pttwac100::Pttwac100;
+use ipt_obs::NoopRecorder;
 
 /// §5.2 limitation 4: Sung's work-group-per-super-element kernel cannot run
 /// when m exceeds the device's work-group limit (256 on AMD).
@@ -29,12 +30,13 @@ fn sung_variant_infeasible_for_large_m_on_amd() {
         fuse_tile: None,
         backoff: None,
     };
-    assert!(sim.launch(&k).is_err(), "m=300 work-groups must not launch on AMD");
+    let res = sim.launch(&k, &NoopRecorder, 0.0);
+    assert!(res.is_err(), "m=300 work-groups must not launch on AMD");
     // The warp-based variant handles the same m fine (§5.2.1 flexibility).
     let k = Pttwac100 { variant: Variant100::WarpLocalTile, wg_size: 256, ..k };
     sim.zero(flags);
     // flags needs 1 word for 12 super-elements → already allocated.
-    let stats = sim.launch(&k).expect("warp variant is flexible");
+    let stats = sim.launch(&k, &NoopRecorder, 0.0).expect("warp variant is flexible");
     assert!(stats.time_s > 0.0);
 }
 
@@ -51,7 +53,7 @@ fn prime_dimensions_fall_back_and_still_verify() {
     let mut sim = Sim::new(dev, r * c + plan_flag_words(&plan) + 64);
     let mut data = Matrix::iota(r, c).into_vec();
     // Verifies internally.
-    let _ = transpose_on_device(&mut sim, &mut data, r, c, &plan, &opts).unwrap();
+    let _ = transpose_on_device(&mut sim, &mut data, r, c, &plan, &opts, &NoopRecorder).unwrap();
 }
 
 /// §4.1: the single-stage pass is several times slower than the staged
@@ -65,7 +67,8 @@ fn single_stage_gap_matches_paper_shape() {
     let run = |plan: &StagePlan| {
         let mut sim = Sim::new(dev.clone(), r * c + plan_flag_words(plan) + 64);
         let mut data = Matrix::iota(r, c).into_vec();
-        let stats = transpose_on_device(&mut sim, &mut data, r, c, plan, &opts).unwrap();
+        let stats =
+            transpose_on_device(&mut sim, &mut data, r, c, plan, &opts, &NoopRecorder).unwrap();
         stats.throughput_gbps(bytes)
     };
     let staged = run(&StagePlan::three_stage(r, c, TileConfig::new(60, 60)).unwrap());

@@ -10,6 +10,7 @@ use ipt_gpu::pipeline::{plan_flag_words, transpose_on_device};
 use ipt_gpu::pttwac010::Pttwac010;
 use ipt_gpu::pttwac100::Pttwac100;
 use ipt_core::stages::{StagePlan, TileConfig};
+use ipt_obs::NoopRecorder;
 use proptest::prelude::*;
 
 fn expected(op: &InstancedTranspose) -> Vec<u32> {
@@ -41,7 +42,7 @@ proptest! {
         let buf = sim.alloc(op.total_len());
         sim.upload_u32(buf, &(0..op.total_len() as u32).collect::<Vec<_>>());
         let k = BsKernel { data: buf, instances: inst, rows, cols, super_size: s, wg_size: wg };
-        sim.launch(&k).unwrap();
+        sim.launch(&k, &NoopRecorder, 0.0).unwrap();
         prop_assert_eq!(sim.download_u32(buf), expected(&op));
     }
 
@@ -58,7 +59,7 @@ proptest! {
         let buf = sim.alloc(op.total_len());
         sim.upload_u32(buf, &(0..op.total_len() as u32).collect::<Vec<_>>());
         let k = Pttwac010 { data: buf, instances: inst, rows, cols, wg_size: 128, flags, backoff: None };
-        sim.launch(&k).unwrap();
+        sim.launch(&k, &NoopRecorder, 0.0).unwrap();
         prop_assert_eq!(sim.download_u32(buf), expected(&op));
     }
 
@@ -88,7 +89,7 @@ proptest! {
             variant: variant.resolve(s, dev.simd_width), wg_size: 256, fuse_tile: None,
             backoff: None,
         };
-        sim.launch(&k).unwrap();
+        sim.launch(&k, &NoopRecorder, 0.0).unwrap();
         prop_assert_eq!(sim.download_u32(data), expected(&op));
     }
 
@@ -105,7 +106,8 @@ proptest! {
             let mut sim = Sim::new(dev.clone(), rows * cols + plan_flag_words(&plan) + 64);
             let mut data = Matrix::iota(rows, cols).into_vec();
             // Verifies internally against the reference permutation.
-            transpose_on_device(&mut sim, &mut data, rows, cols, &plan, &opts).unwrap();
+            transpose_on_device(&mut sim, &mut data, rows, cols, &plan, &opts, &NoopRecorder)
+                .unwrap();
         }
     }
 

@@ -9,6 +9,7 @@ use ipt_gpu::bs::BsKernel;
 use ipt_gpu::opts::{FlagLayout, Variant100};
 use ipt_gpu::pttwac010::Pttwac010;
 use ipt_gpu::pttwac100::Pttwac100;
+use ipt_obs::NoopRecorder;
 use proptest::prelude::*;
 
 /// Which kernel family the equivalence run drives.
@@ -32,7 +33,7 @@ fn run_under(fam: Fam, rows: usize, cols: usize, policy: SchedPolicy) -> Vec<u32
     match fam {
         Fam::Bs => {
             let k = BsKernel { data, instances: 1, rows, cols, super_size, wg_size: 64 };
-            sim.launch(&k).expect("bs launch");
+            sim.launch(&k, &NoopRecorder, 0.0).expect("bs launch");
         }
         Fam::P010 => {
             let k = Pttwac010 {
@@ -44,7 +45,7 @@ fn run_under(fam: Fam, rows: usize, cols: usize, policy: SchedPolicy) -> Vec<u32
                 flags: FlagLayout::Packed,
                 backoff: None,
             };
-            sim.launch(&k).expect("010 launch");
+            sim.launch(&k, &NoopRecorder, 0.0).expect("010 launch");
         }
         Fam::P100 => {
             let flags = sim.alloc(flag_words);
@@ -61,7 +62,7 @@ fn run_under(fam: Fam, rows: usize, cols: usize, policy: SchedPolicy) -> Vec<u32
                 fuse_tile: None,
                 backoff: None,
             };
-            sim.launch(&k).expect("100 launch");
+            sim.launch(&k, &NoopRecorder, 0.0).expect("100 launch");
         }
     }
     sim.download_u32(data)

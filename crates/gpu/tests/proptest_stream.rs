@@ -4,7 +4,8 @@
 
 use gpu_sim::{DeviceSpec, FaultKind, FaultPlan};
 use ipt_gpu::recover::host_transpose_elems;
-use ipt_gpu::stream::{stream_transpose, StreamChaos, StreamConfig};
+use ipt_gpu::stream::{stream_transpose_rec, StreamChaos, StreamConfig};
+use ipt_obs::NoopRecorder;
 use proptest::prelude::*;
 
 fn payload(rows: usize, cols: usize, elem_words: usize, salt: u32) -> Vec<u32> {
@@ -44,8 +45,9 @@ proptest! {
             let kind = if h2d { FaultKind::FailH2D } else { FaultKind::FailD2H };
             StreamChaos::TransferOnce(FaultPlan::exact(seed, kind, trigger, seed))
         };
-        let (out, rep) = stream_transpose(&dev, &data, rows, cols, elem_words, &cfg, &chaos)
-            .expect("streaming with at most one transfer fault must succeed");
+        let (out, rep) =
+            stream_transpose_rec(&dev, &data, rows, cols, elem_words, &cfg, &chaos, &NoopRecorder)
+                .expect("streaming with at most one transfer fault must succeed");
         prop_assert_eq!(&out, &host_transpose_elems(&data, rows, cols, elem_words));
         prop_assert!(rep.journal.all_committed(), "journal must be fully durable");
         if chaos_off {

@@ -10,9 +10,9 @@
 //!   step → DES queue), typed [`Counter`]s, gauges, cycle-length
 //!   histograms, and instantaneous events (faults, retries, autotune
 //!   decisions).
-//! * [`NoopRecorder`] — the zero-cost disabled path. Every un-traced entry
-//!   point monomorphizes against it, so hot loops compile to exactly the
-//!   pre-observability code.
+//! * [`NoopRecorder`] — the zero-cost way to record nothing. Every entry
+//!   point takes its recorder as an argument; passed `NoopRecorder`, its
+//!   hot loops compile to exactly the pre-observability code.
 //! * [`TraceRecorder`] — the in-memory collector behind the exporters.
 //! * [`chrome`] — Chrome trace-event JSON (open in `chrome://tracing` or
 //!   [Perfetto](https://ui.perfetto.dev)); DES timestamps in microseconds.

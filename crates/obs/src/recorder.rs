@@ -434,29 +434,26 @@ struct TraceData {
 
 /// The collecting recorder behind the exporters. Interior-mutable
 /// (`Mutex`) so it can be shared by reference through the launch plumbing;
-/// contention is irrelevant at trace volumes.
-#[derive(Default)]
+/// contention is irrelevant at trace volumes. Counters, gauges and
+/// histograms always aggregate; [`NoopRecorder`] is the way to record
+/// nothing.
 pub struct TraceRecorder {
     inner: Mutex<TraceData>,
     /// Collect spans and events (the unbounded streams).
     streams_on: bool,
-    /// Collect counters, gauges, and histograms (bounded aggregates).
-    aggregates_on: bool,
+}
+
+impl Default for TraceRecorder {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl TraceRecorder {
     /// An enabled recorder.
     #[must_use]
     pub fn new() -> Self {
-        Self { inner: Mutex::default(), streams_on: true, aggregates_on: true }
-    }
-
-    /// A *disabled* collecting recorder: every emission is dropped. Used by
-    /// tests to assert that instrumented paths emit nothing when disabled
-    /// (the monomorphized-noop guarantee, observable).
-    #[must_use]
-    pub fn disabled() -> Self {
-        Self { inner: Mutex::default(), streams_on: false, aggregates_on: false }
+        Self { inner: Mutex::default(), streams_on: true }
     }
 
     /// A bounded recorder for long soaks: counters, gauges, and histograms
@@ -466,7 +463,7 @@ impl TraceRecorder {
     /// argument marshalling.
     #[must_use]
     pub fn counters_only() -> Self {
-        Self { inner: Mutex::default(), streams_on: false, aggregates_on: true }
+        Self { inner: Mutex::default(), streams_on: false }
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, TraceData> {
@@ -659,9 +656,6 @@ impl Recorder for TraceRecorder {
     }
 
     fn latency(&self, scope: &str, name: &'static str, value_us: f64, trace_id: Option<u64>) {
-        if !self.aggregates_on {
-            return;
-        }
         self.lock()
             .latency
             .entry((scope.to_string(), name))
@@ -670,21 +664,18 @@ impl Recorder for TraceRecorder {
     }
 
     fn add(&self, scope: &str, counter: Counter, delta: u64) {
-        if !self.aggregates_on || delta == 0 {
+        if delta == 0 {
             return;
         }
         *self.lock().counters.entry((scope.to_string(), counter)).or_insert(0) += delta;
     }
 
     fn gauge(&self, scope: &str, name: &'static str, value: f64) {
-        if !self.aggregates_on {
-            return;
-        }
         self.lock().gauges.insert((scope.to_string(), name), value);
     }
 
     fn cycles(&self, scope: &str, len: usize, count: u64) {
-        if !self.aggregates_on || count == 0 {
+        if count == 0 {
             return;
         }
         *self.lock().cycle_hist.entry((scope.to_string(), len)).or_insert(0) += count;
@@ -746,20 +737,6 @@ mod tests {
         assert_eq!(r.counter("soak", Counter::RequestsShed), 4);
         assert_eq!(r.gauges().len(), 1);
         assert_eq!(r.cycle_histogram(), vec![("soak".to_string(), 2, 3)]);
-    }
-
-    #[test]
-    fn disabled_trace_recorder_emits_nothing() {
-        let r = TraceRecorder::disabled();
-        assert!(!r.enabled());
-        r.span(Level::Warp, "w", 0.0, 1.0, 9, &[]);
-        r.span_ctx(SpanCtx::root(7, 1), Level::Request, "req", 0.0, 1.0, 40, &[]);
-        r.add("k", Counter::BankConflicts, 10);
-        r.gauge("k", "g", 1.0);
-        r.cycles("k", 2, 2);
-        r.event(0.0, "e", "d");
-        r.latency("k", "e2e_us", 5.0, Some(7));
-        assert!(r.is_empty());
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! ```
 
 use ipt::core::{StagePlan, TileHeuristic};
-use ipt::gpu::{run_host_async, run_host_sync, GpuOptions};
+use ipt::gpu::{run_host_async, run_host_sync, GpuOptions, RecoveryPolicy};
+use ipt::obs::NoopRecorder;
 use ipt::sim::DeviceSpec;
 
 fn main() {
@@ -25,7 +26,10 @@ fn main() {
         dev.name
     );
 
-    let sync = run_host_sync(&dev, rows, cols, &plan, &opts).unwrap();
+    // No fault is armed, so both schemes stay on their primary path.
+    let policy = RecoveryPolicy::default();
+    let (sync, _) =
+        run_host_sync(&dev, rows, cols, &plan, &opts, &policy, None, &NoopRecorder).unwrap();
     println!(
         "\nsynchronous (1 queue):  {:.2} ms  ({:.2} GB/s effective)",
         sync.total_s * 1e3,
@@ -42,7 +46,9 @@ fn main() {
     }
 
     for q in [2usize, 4, 8] {
-        let asy = run_host_async(&dev, rows, cols, &plan, &opts, q).unwrap();
+        let (asy, _) =
+            run_host_async(&dev, rows, cols, &plan, &opts, q, &policy, None, &NoopRecorder)
+                .unwrap();
         println!(
             "\nasynchronous (Q = {q}):  {:.2} ms  ({:.2} GB/s effective, {:+.1}% vs sync)",
             asy.total_s * 1e3,

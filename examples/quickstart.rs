@@ -9,6 +9,7 @@ use ipt::core::{
     transpose_in_place_par, Algorithm, Matrix, StagePlan, TileHeuristic, TransposePerm,
 };
 use ipt::gpu::{plan_flag_words, transpose_on_device, GpuOptions};
+use ipt::obs::NoopRecorder;
 use ipt::sim::{DeviceSpec, Sim};
 
 fn main() {
@@ -52,7 +53,8 @@ fn main() {
     let opts = GpuOptions::tuned_for(&dev);
     let mut sim = Sim::new(dev, rows * cols + plan_flag_words(&plan) + 64);
     let mut data = Matrix::iota(rows, cols).into_vec();
-    let stats = transpose_on_device(&mut sim, &mut data, rows, cols, &plan, &opts).unwrap();
+    let stats =
+        transpose_on_device(&mut sim, &mut data, rows, cols, &plan, &opts, &NoopRecorder).unwrap();
     println!(
         "  simulated Tesla K20: {:.3} ms = {:.2} GB/s over {} stages",
         stats.time_s() * 1e3,

@@ -9,7 +9,11 @@ use ipt::core::{
     transpose_in_place_par, transpose_in_place_seq as core_seq, Algorithm, Matrix, StagePlan,
     TileConfig, TileHeuristic,
 };
-use ipt::gpu::{plan_flag_words, run_host_async, run_host_sync, transpose_on_device, GpuOptions};
+use ipt::gpu::{
+    plan_flag_words, run_host_async, run_host_sync, transpose_on_device, GpuOptions,
+    RecoveryPolicy,
+};
+use ipt::obs::NoopRecorder;
 use ipt::sim::{DeviceSpec, Sim};
 
 const SHAPES: &[(usize, usize)] = &[
@@ -63,7 +67,7 @@ fn device_paths_match_reference_on_all_devices() {
         let mut sim = Sim::new(dev, r * c + plan_flag_words(&plan) + 64);
         let mut data = Matrix::iota(r, c).into_vec();
         // transpose_on_device panics internally on mismatch.
-        let stats = transpose_on_device(&mut sim, &mut data, r, c, &plan, &opts)
+        let stats = transpose_on_device(&mut sim, &mut data, r, c, &plan, &opts, &NoopRecorder)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(stats.time_s() > 0.0, "{name}");
     }
@@ -84,7 +88,8 @@ fn staged_plan_through_100_is_engine_independent() {
         let mut sim = Sim::new(dev.clone(), r * c + plan_flag_words(&plan) + 64);
         sim.set_engine_mode(engine);
         let mut data = Matrix::iota(r, c).into_vec();
-        let stats = transpose_on_device(&mut sim, &mut data, r, c, &plan, &opts).unwrap();
+        let stats =
+            transpose_on_device(&mut sim, &mut data, r, c, &plan, &opts, &NoopRecorder).unwrap();
         (data, stats)
     };
     let (serial_data, serial) = run(EngineMode::Serial);
@@ -111,9 +116,14 @@ fn host_offload_sync_and_async_agree() {
     let tile = TileHeuristic::default().select(r, c).unwrap();
     let plan = StagePlan::three_stage(r, c, tile).unwrap();
     // Both runs verify functional correctness internally.
-    let sync = run_host_sync(&dev, r, c, &plan, &opts).unwrap();
+    let policy = RecoveryPolicy::default();
+    let (sync, report) =
+        run_host_sync(&dev, r, c, &plan, &opts, &policy, None, &NoopRecorder).unwrap();
+    assert!(report.clean(), "{report:?}");
     for q in [1usize, 2, 4, 8] {
-        let asy = run_host_async(&dev, r, c, &plan, &opts, q).unwrap();
+        let (asy, report) =
+            run_host_async(&dev, r, c, &plan, &opts, q, &policy, None, &NoopRecorder).unwrap();
+        assert!(report.clean(), "q={q}: {report:?}");
         assert!(asy.total_s > 0.0);
         // Async can win or lose depending on Q, but must stay in the same
         // ballpark (no runaway scheduling bug).
@@ -151,7 +161,7 @@ fn in_place_means_no_matrix_sized_allocation_on_device() {
     let opts = GpuOptions::tuned_for(&dev);
     let mut sim = Sim::new(dev, r * c + flag_words + 64);
     let mut data = Matrix::iota(r, c).into_vec();
-    let _ = transpose_on_device(&mut sim, &mut data, r, c, &plan, &opts).unwrap();
+    let _ = transpose_on_device(&mut sim, &mut data, r, c, &plan, &opts, &NoopRecorder).unwrap();
     assert!(sim.free_words() < r * c, "no second matrix-sized buffer existed");
 }
 
@@ -313,18 +323,112 @@ fn outofcore_resumes_after_engine_crash() {
     // journal's first uncommitted chunk: the output is exact, every chunk
     // commits, and no chunk is transferred twice.
     use ipt::gpu::recover::host_transpose_elems;
-    use ipt::gpu::stream::{stream_transpose, StreamChaos, StreamConfig};
+    use ipt::gpu::stream::{stream_transpose_rec, StreamChaos, StreamConfig};
     let dev = DeviceSpec::tesla_k20();
     let (rows, cols) = (96, 40);
     let data: Vec<u32> = (0..(rows * cols) as u32).collect();
     let cfg = StreamConfig::new(&dev, (rows * cols / 4) as u64);
     for engine in 0..3 {
         let chaos = StreamChaos::EngineCrashAt { engine, frac: 0.4 };
-        let (out, rep) = stream_transpose(&dev, &data, rows, cols, 1, &cfg, &chaos).unwrap();
+        let (out, rep) =
+            stream_transpose_rec(&dev, &data, rows, cols, 1, &cfg, &chaos, &NoopRecorder).unwrap();
         assert!(rep.num_chunks >= 4, "engine {engine}: {} chunks", rep.num_chunks);
         assert_eq!(out, host_transpose_elems(&data, rows, cols, 1), "engine {engine}");
         assert_eq!(rep.crash_resumes, 1, "engine {engine}");
         assert!(rep.journal.all_committed(), "engine {engine}");
         assert!(rep.journal.chunks.iter().all(|c| c.attempts == 1), "engine {engine}");
     }
+}
+
+#[test]
+fn fleet_crash_restart() {
+    // The shard owning the first shape dies mid-round: its admitted but
+    // unserved requests fail over to the survivors, and it rejoins warm
+    // from its own snapshot. The fleet must serve the same ids with the
+    // same bits as a fleet that never crashed.
+    use ipt::gpu::fleet::{Fleet, FleetConfig};
+    use ipt::gpu::serve::{PriorityClass, ServeRequest};
+    use ipt::gpu::TransposeError;
+    use ipt::obs::{Counter, TraceRecorder};
+    use std::collections::BTreeMap;
+
+    const N: u64 = 48;
+    const ROUND: u64 = 8;
+    const CRASH_AT: u64 = 21; // mid-round: the victim holds admitted work
+    const RESTART_AT: u64 = 30;
+    // Staged, prime (C2R), identity and two-word shapes.
+    const SHAPES: [(usize, usize, usize); 4] = [(24, 20, 4), (13, 11, 4), (1, 64, 4), (24, 20, 8)];
+
+    fn request(id: u64) -> ServeRequest {
+        let (rows, cols, elem_bytes) = SHAPES[id as usize % SHAPES.len()];
+        let words = rows * cols * elem_bytes / 4;
+        ServeRequest {
+            id,
+            rows,
+            cols,
+            elem_bytes,
+            priority: [PriorityClass::Interactive, PriorityClass::Batch][id as usize % 2],
+            data: (0..words as u32).map(|x| x.wrapping_mul(2_654_435_761) ^ id as u32).collect(),
+        }
+    }
+
+    fn drain(fleet: &mut Fleet, out: &mut BTreeMap<u64, Vec<u32>>, rec: &TraceRecorder) {
+        for (_, round) in fleet.process_rounds(rec).expect("fleet round").rounds {
+            for res in round.results {
+                assert!(out.insert(res.id, res.data).is_none(), "id {} served twice", res.id);
+            }
+        }
+    }
+
+    fn submit(
+        fleet: &mut Fleet,
+        req: ServeRequest,
+        out: &mut BTreeMap<u64, Vec<u32>>,
+        rec: &TraceRecorder,
+    ) {
+        if let Err(TransposeError::Backpressure { .. }) = fleet.submit(req.clone(), rec) {
+            drain(fleet, out, rec);
+            fleet.submit(req, rec).expect("accepted after a drain");
+        }
+    }
+
+    fn run(crash: bool, rec: &TraceRecorder) -> (BTreeMap<u64, Vec<u32>>, usize) {
+        let dev = DeviceSpec::tesla_k20();
+        let mut fleet = Fleet::new(dev.clone(), FleetConfig::new(&dev));
+        let (r, c, e) = SHAPES[0];
+        let victim = fleet.preferred_shard(r, c, e);
+        let (mut out, mut snapshot, mut restored) = (BTreeMap::new(), None, 0);
+        for id in 0..N {
+            if crash && id == CRASH_AT {
+                let (snap, orphans) = fleet.crash_shard(victim, rec);
+                assert!(!orphans.is_empty(), "the victim must hold admitted requests");
+                for orphan in orphans {
+                    submit(&mut fleet, orphan, &mut out, rec);
+                }
+                snapshot = Some(snap);
+            }
+            if crash && id == RESTART_AT {
+                let snap = snapshot.as_deref().expect("crashed first");
+                restored = fleet.restart_shard(victim, snap, rec).expect("own snapshot restores");
+            }
+            submit(&mut fleet, request(id), &mut out, rec);
+            if (id + 1) % ROUND == 0 {
+                drain(&mut fleet, &mut out, rec);
+            }
+        }
+        while fleet.backlog() > 0 {
+            drain(&mut fleet, &mut out, rec);
+        }
+        (out, restored)
+    }
+
+    let (smooth_rec, crash_rec) = (TraceRecorder::counters_only(), TraceRecorder::counters_only());
+    let (smooth, _) = run(false, &smooth_rec);
+    let (crashed, restored) = run(true, &crash_rec);
+    assert_eq!(smooth.len(), N as usize, "every id served once");
+    assert_eq!(crashed, smooth, "same ids, bit-identical payloads");
+    assert!(restored > 0, "the victim rejoined with a warm plan cache");
+    assert_eq!(crash_rec.counter("serve", Counter::SnapshotRestores), 1);
+    assert!(crash_rec.counter("fleet", Counter::ShardFailovers) >= 1, "orphans failed over");
+    assert_eq!(smooth_rec.counter("fleet", Counter::ShardFailovers), 0);
 }

@@ -162,6 +162,7 @@ proptest! {
     #[test]
     fn simulated_device_matches_reference((r, c, m, n) in shape_and_tile()) {
         use ipt::gpu::{plan_flag_words, transpose_on_device, GpuOptions};
+        use ipt::obs::NoopRecorder;
         use ipt::sim::{DeviceSpec, Sim};
         let plan = StagePlan::three_stage(r, c, TileConfig::new(m, n)).unwrap();
         let dev = DeviceSpec::tesla_k20();
@@ -169,7 +170,8 @@ proptest! {
         let mut sim = Sim::new(dev, r * c + plan_flag_words(&plan).max(1) + 64);
         let mut data = Matrix::iota(r, c).into_vec();
         // Internally asserts the result equals the reference permutation.
-        let stats = transpose_on_device(&mut sim, &mut data, r, c, &plan, &opts).unwrap();
+        let stats =
+            transpose_on_device(&mut sim, &mut data, r, c, &plan, &opts, &NoopRecorder).unwrap();
         prop_assert!(stats.time_s() >= 0.0);
     }
 }
