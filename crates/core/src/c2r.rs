@@ -320,17 +320,13 @@ impl BlockWalk for ColBlock {
 /// The cache line the column passes fill per row of a block.
 const LINE_BYTES: usize = 64;
 
-/// A worker's block scratch budget: tall shapes narrow their blocks to
-/// stay under it, never below one column.
-const BLOCK_SCRATCH_BYTES: usize = 2 << 20;
-
 /// Columns per block: one cache line of `T`s, narrowed so the `M·W`
-/// scratch stays under [`BLOCK_SCRATCH_BYTES`] or one column, whichever
+/// scratch stays under [`crate::SCRATCH_BYTES`] or one column, whichever
 /// is larger, and never wider than the matrix.
 fn block_width<T>(m_rows: usize, n_cols: usize) -> usize {
     let size = std::mem::size_of::<T>().max(1);
     let line = (LINE_BYTES / size).max(1);
-    let cap = (BLOCK_SCRATCH_BYTES / size / m_rows).max(1);
+    let cap = (crate::SCRATCH_BYTES / size / m_rows).max(1);
     line.min(cap).min(n_cols)
 }
 

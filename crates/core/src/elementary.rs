@@ -15,11 +15,14 @@
 //! | `0010!`  | M′·N′     | m    | n    | 1     | `…×m×n → …×n×m` |
 //! | `1000!`  | 1         | M′   | N′   | m·n   | `M′×N′×(mn) → N′×M′×(mn)` |
 //!
-//! The data movement inside one instance is cycle-following over the
-//! permutation `k ↦ k·rows mod (rows·cols − 1)` acting on super-element
-//! indices ([`TransposePerm`]). This module provides a sequential in-place
-//! engine over any bijective index map, an out-of-place reference, and the
-//! instanced wrapper; [`parallel`] adds
+//! The data movement inside one instance depends on its size. An instance
+//! of up to 2 MiB is copied into a worker's scratch tile and written back
+//! in transposed order, contiguous on the output side: the paper's BS
+//! kernel, with the scratch tile as on-chip memory. A larger instance is
+//! cycle-followed over the permutation `k ↦ k·rows mod (rows·cols − 1)`
+//! acting on super-element indices ([`TransposePerm`]). This module
+//! provides a sequential in-place engine over any bijective index map, an
+//! out-of-place reference, and the instanced wrapper; [`parallel`] adds
 //! multi-threaded execution.
 
 use crate::perm::cycle::TransposePerm;
@@ -266,17 +269,54 @@ impl InstancedTranspose {
         inst * il + d * self.super_size + s
     }
 
-    /// Execute in place, sequentially.
+    /// Execute in place, sequentially, one instance after the other
+    /// through one scratch tile or one visited bitmap (see the module
+    /// docs for which).
     ///
     /// # Panics
     /// Panics if `data.len() != self.total_len()`.
     pub fn apply_seq<T: Copy>(&self, data: &mut [T]) {
         assert_eq!(data.len(), self.total_len(), "data length mismatch");
-        let perm = self.perm();
-        let il = self.instance_len();
-        let mut visited = vec![false; IndexPerm::len(&perm)];
-        for chunk in data.chunks_exact_mut(il) {
-            cycle_shift_seq_with(chunk, &perm, self.super_size, &mut visited);
+        let (mut tile, mut visited) = (Vec::new(), Vec::new());
+        for chunk in data.chunks_exact_mut(self.instance_len()) {
+            self.transpose_instance(chunk, &mut tile, &mut visited);
+        }
+    }
+
+    /// True when one instance of `T`s fits a worker's scratch budget
+    /// ([`crate::SCRATCH_BYTES`]) and so is staged through a tile.
+    fn fits_scratch<T>(&self) -> bool {
+        self.instance_len() <= crate::SCRATCH_BYTES / std::mem::size_of::<T>().max(1)
+    }
+
+    /// Transpose one instance, `chunk`, in place. One that fits the
+    /// scratch budget is copied into `tile` and gathered back column by
+    /// column, so the writes run contiguous; a larger one is
+    /// cycle-followed with the `visited` bitmap. Both buffers grow on
+    /// first use and are reused across the caller's instances.
+    fn transpose_instance<T: Copy>(&self, chunk: &mut [T], tile: &mut Vec<T>, visited: &mut Vec<bool>) {
+        let (rows, cols, s) = (self.rows, self.cols, self.super_size);
+        if !self.fits_scratch::<T>() {
+            visited.resize(rows * cols, false);
+            cycle_shift_seq_with(chunk, &self.perm(), s, visited);
+            return;
+        }
+        tile.clear();
+        tile.extend_from_slice(chunk);
+        // Output row `c` is source column `c`: super-elements `c`,
+        // `c + cols`, `c + 2·cols`, … of the tile.
+        if s == 1 {
+            for (c, out) in chunk.chunks_exact_mut(rows).enumerate() {
+                for (x, row) in out.iter_mut().zip(tile.chunks_exact(cols)) {
+                    *x = row[c];
+                }
+            }
+        } else {
+            for (c, out) in chunk.chunks_exact_mut(rows * s).enumerate() {
+                for (x, row) in out.chunks_exact_mut(s).zip(tile.chunks_exact(cols * s)) {
+                    x.copy_from_slice(&row[c * s..(c + 1) * s]);
+                }
+            }
         }
     }
 
@@ -368,6 +408,7 @@ impl IndexPerm for FusedTileTranspose {
 mod tests {
     use super::*;
     use crate::matrix::Matrix;
+    use proptest::prelude::*;
 
     #[test]
     fn cycle_shift_seq_matches_oop() {
@@ -454,6 +495,73 @@ mod tests {
         for k in 0..fused.len() {
             assert_eq!(fused.src(fused.dest(k)), k);
             assert_eq!(fused.dest(fused.src(k)), k);
+        }
+    }
+
+    /// Whether `apply_seq` and `apply_par` on two threads each agree
+    /// with the per-element reference `apply_oop` on `orig`.
+    fn seq_and_par_agree<T: Copy + Send + Sync + PartialEq>(
+        op: &InstancedTranspose,
+        orig: &[T],
+    ) -> (bool, bool) {
+        let mut want = orig.to_vec();
+        op.apply_oop(orig, &mut want);
+        let mut seq = orig.to_vec();
+        op.apply_seq(&mut seq);
+        let mut par = orig.to_vec();
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(2).build().expect("shim pools build");
+        pool.install(|| op.apply_par(&mut par));
+        (seq == want, par == want)
+    }
+
+    /// `(instances, rows, cols, super_size, class)` for `elem_bytes`-byte
+    /// elements: a small grid (class 0), or an instance just under or at
+    /// the scratch budget (class 1, staged through the tile) or just over
+    /// it (class 2, cycle-followed).
+    fn instanced_shapes(elem_bytes: usize) -> impl Strategy<Value = (usize, usize, usize, usize, usize)> {
+        let cap = crate::SCRATCH_BYTES / elem_bytes;
+        (1usize..4, 1usize..5, 0usize..3, 1usize..24, 1usize..1024).prop_flat_map(
+            move |(i, s, class, small, big)| {
+                let lim = cap / (big * s);
+                let (rows, cols) = match class {
+                    0 => (small, 1..24),
+                    1 => (big, (lim - lim / 8).max(1)..lim + 1),
+                    _ => (big, lim + 1..lim + lim / 8 + 2),
+                };
+                (Just(i), Just(rows), cols, Just(s), Just(class))
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn both_strategies_match_the_reference_for_words((i, r, c, s, class) in instanced_shapes(4)) {
+            let op = InstancedTranspose::new(i, r, c, s);
+            prop_assert_eq!(op.fits_scratch::<u32>(), class < 2, "{:?}", op);
+            let orig: Vec<u32> = (0..op.total_len() as u32).collect();
+            prop_assert_eq!(seq_and_par_agree(&op, &orig), (true, true), "{:?}", op);
+        }
+
+        #[test]
+        fn both_strategies_match_the_reference_for_pairs((i, r, c, s, class) in instanced_shapes(8)) {
+            let op = InstancedTranspose::new(i, r, c, s);
+            prop_assert_eq!(op.fits_scratch::<[u32; 2]>(), class < 2, "{:?}", op);
+            let orig: Vec<[u32; 2]> = (0..op.total_len() as u32).map(|k| [k, !k]).collect();
+            prop_assert_eq!(seq_and_par_agree(&op, &orig), (true, true), "{:?}", op);
+        }
+    }
+
+    #[test]
+    fn f32_instances_at_the_scratch_cap() {
+        // 1024×512 f32 is exactly 2 MiB: staged through the tile. One
+        // more column and the instance is cycle-followed.
+        for (cols, staged) in [(512, true), (513, false)] {
+            let op = InstancedTranspose::new(2, 1024, cols, 1);
+            assert_eq!(op.fits_scratch::<f32>(), staged, "1024x{cols}");
+            let orig: Vec<f32> = (0..op.total_len()).map(|k| k as f32).collect();
+            assert_eq!(seq_and_par_agree(&op, &orig), (true, true), "1024x{cols}");
         }
     }
 

@@ -4,6 +4,10 @@
 //!
 //! 1. **Instances** — the `instances` chunks of an [`InstancedTranspose`] are
 //!    independent; they parallelise perfectly (`par_chunks_exact_mut`).
+//!    Each worker keeps its own buffers across instances: a scratch tile
+//!    for instances of up to 2 MiB, staged through it as the paper's BS
+//!    kernel stages a tile through on-chip memory, and a visited bitmap
+//!    for larger ones, which are cycle-followed.
 //! 2. **Cycles** — within a single instance, disjoint cycles never overlap.
 //!    This is the P-IPT strategy: one task per cycle. It suffers the load
 //!    imbalance the paper describes (one cycle is often several times longer
@@ -15,7 +19,7 @@ use std::marker::PhantomData;
 
 use rayon::prelude::*;
 
-use super::{cycle_shift_seq_with, IndexPerm, InstancedTranspose};
+use super::{IndexPerm, InstancedTranspose};
 
 /// Enumerate cycle leaders (minimum offset of each cycle) and cycle lengths
 /// in a single O(len) pass using a visited bitmap (Berman-style bookkeeping,
@@ -175,25 +179,26 @@ pub fn cycle_shift_par<T: Copy + Send + Sync>(
 
 impl InstancedTranspose {
     /// Execute in place with rayon: instances in parallel, each worker
-    /// reusing one visited bitmap; a single instance of super-elements
-    /// falls back to cycle-level parallelism. A single instance of scalars
-    /// runs sequentially: there the up-front leader pass of
-    /// [`cycle_shift_par`] costs about as much as the whole sequential
-    /// shift, so the parallel shift loses at 2 threads.
+    /// reusing one scratch tile (instances of up to 2 MiB) or one visited
+    /// bitmap (larger ones, cycle-followed). A single instance of
+    /// super-elements over 2 MiB falls back to cycle-level parallelism.
+    /// Any other single instance runs sequentially: one that fits the
+    /// scratch is one tile copy, and for a large one of scalars the
+    /// up-front leader pass of [`cycle_shift_par`] costs about as much as
+    /// the whole sequential shift, so the parallel shift loses at 2
+    /// threads.
     ///
     /// # Panics
     /// Panics if `data.len() != self.total_len()`.
     pub fn apply_par<T: Copy + Send + Sync>(&self, data: &mut [T]) {
         assert_eq!(data.len(), self.total_len(), "data length mismatch");
-        let perm = self.perm();
-        let il = self.instance_len();
         if self.instances > 1 {
-            data.par_chunks_exact_mut(il).for_each_init(
-                || vec![false; IndexPerm::len(&perm)],
-                |visited, chunk| cycle_shift_seq_with(chunk, &perm, self.super_size, visited),
+            data.par_chunks_exact_mut(self.instance_len()).for_each_init(
+                || (Vec::new(), Vec::new()),
+                |(tile, visited), chunk| self.transpose_instance(chunk, tile, visited),
             );
-        } else if self.super_size > 1 {
-            cycle_shift_par(data, &perm, self.super_size);
+        } else if self.super_size > 1 && !self.fits_scratch::<T>() {
+            cycle_shift_par(data, &self.perm(), self.super_size);
         } else {
             self.apply_seq(data);
         }

@@ -44,6 +44,12 @@ pub mod perm;
 pub mod stages;
 pub mod tiles;
 
+/// A host worker's scratch budget, the most one worker stages at a time:
+/// a C2R column block ([`c2r`]) or one instance of an elementary
+/// transposition ([`elementary`]). Work over it falls back to narrower
+/// blocks or to cycle following.
+pub(crate) const SCRATCH_BYTES: usize = 2 << 20;
+
 pub use elementary::{InstancedTranspose, IndexPerm};
 pub use full::{transpose_in_place_any, transpose_in_place_par, transpose_in_place_seq, Algorithm};
 pub use matrix::Matrix;

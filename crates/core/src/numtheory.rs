@@ -26,12 +26,17 @@ pub fn lcm(a: u64, b: u64) -> u64 {
     a / gcd(a, b) * b
 }
 
-/// Modular multiplication that cannot overflow (`u128` intermediate).
+/// Modular multiplication that cannot overflow: the product in `u64`
+/// while it fits, through a `u128` intermediate only when it does not
+/// (a 128-bit remainder is a library call, a 64-bit one an instruction).
 #[inline]
 #[must_use]
 pub fn mul_mod(a: u64, b: u64, m: u64) -> u64 {
     debug_assert!(m > 0);
-    ((a as u128 * b as u128) % m as u128) as u64
+    match a.checked_mul(b) {
+        Some(p) => p % m,
+        None => ((a as u128 * b as u128) % m as u128) as u64,
+    }
 }
 
 /// Modular exponentiation `a^e mod m` by square-and-multiply.

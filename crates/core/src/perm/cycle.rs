@@ -16,7 +16,7 @@
 //! independent chain of shifts) and load balance (Cate & Twigg: the longest
 //! cycle is always a multiple of every other cycle length).
 
-use crate::numtheory::{divisors, gcd, multiplicative_order, pow_mod, totient};
+use crate::numtheory::{divisors, gcd, mul_mod, multiplicative_order, pow_mod, totient};
 
 /// The permutation induced by in-place transposition of a row-major
 /// `rows × cols` array (elements may be super-elements of any fixed size —
@@ -95,9 +95,9 @@ impl TransposePerm {
         if m == 0 || k == m {
             return k;
         }
-        // rows·cols fits in usize; k·rows may overflow 32-bit but we are on
-        // 64-bit targets; use u128 to be airtight for pathological sizes.
-        ((k as u128 * self.rows as u128) % m as u128) as usize
+        // k·rows may overflow even though rows·cols fits; `mul_mod` takes
+        // the u128 route only then. The result is < m, so it fits usize.
+        mul_mod(k as u64, self.rows as u64, m as u64) as usize
     }
 
     /// Source offset: which element moves *into* offset `k` (inverse
@@ -112,7 +112,7 @@ impl TransposePerm {
         }
         // Inverse of multiplication by `rows` mod m is multiplication by
         // `cols`, because rows·cols ≡ 1 (mod rows·cols − 1).
-        ((k as u128 * self.cols as u128) % m as u128) as usize
+        mul_mod(k as u64, self.cols as u64, m as u64) as usize
     }
 
     /// Jump `t` steps along the cycle through `k` in `O(log t)`:
@@ -128,7 +128,7 @@ impl TransposePerm {
             return k;
         }
         let step = pow_mod(self.rows as u64, t, m);
-        ((k as u128 * step as u128) % m as u128) as usize
+        mul_mod(k as u64, step, m) as usize
     }
 
     /// Length of the cycle containing offset `k`.
@@ -478,6 +478,28 @@ mod tests {
             assert_eq!(p.src(p.dest(12_345_678_901 % p.len())), 12_345_678_901 % p.len());
             // usize::MAX × 2 elements cannot be represented → typed refusal.
             assert_eq!(TransposePerm::try_new(usize::MAX, 2), None);
+        }
+    }
+
+    #[test]
+    fn dest_and_src_match_the_u128_formula_on_both_sides_of_u64_overflow() {
+        if usize::BITS < 64 {
+            return;
+        }
+        // 2^32 × (2^31 − 1) fits usize, but k·rows and k·cols overflow u64
+        // for k near len; 1000 × 999 never overflows. Only the permutation
+        // is built, no matrix.
+        for (rows, cols, overflows) in [(1usize << 32, (1usize << 31) - 1, true), (1000, 999, false)] {
+            let p = TransposePerm::try_new(rows, cols).expect("fits usize");
+            let m = p.modulus();
+            let formula = |k: usize, f: usize| ((k as u128 * f as u128) % m as u128) as usize;
+            assert_eq!((m - 1).checked_mul(rows).is_none(), overflows, "{rows}x{cols}");
+            for k in [1, 2, 12_345, p.len() / 2, m - 2, m - 1] {
+                assert_eq!(p.dest(k), formula(k, rows), "{rows}x{cols} dest({k})");
+                assert_eq!(p.src(k), formula(k, cols), "{rows}x{cols} src({k})");
+                assert_eq!(p.src(p.dest(k)), k, "{rows}x{cols} k={k}");
+                assert_eq!(p.dest(p.src(k)), k, "{rows}x{cols} k={k}");
+            }
         }
     }
 

@@ -185,6 +185,9 @@ fn any_shape_api_on_two_threads_matches_its_seq_paths() {
     for (r, c, route) in [(720, 480, AnyRoute::Staged), (1009, 997, AnyRoute::Coprime)] {
         assert_eq!(route_for(r, c, &TileHeuristic::default()), route, "{r}x{c}");
         let m = Matrix::pattern_f32(r, c);
+        // Seq and par share one per-instance routine, so each must also
+        // match the plain out-of-place transposition.
+        let independent = m.transposed();
         let got = pool.install(|| transpose_in_place_any(m.clone()));
         let want = match route {
             AnyRoute::Staged => core_seq(m, Algorithm::ThreeStage).into_vec(),
@@ -194,8 +197,28 @@ fn any_shape_api_on_two_threads_matches_its_seq_paths() {
                 data
             }
         };
-        assert_eq!(got.into_vec(), want, "{r}x{c} {route:?}");
+        assert_eq!(want, independent.as_slice(), "{r}x{c} {route:?} seq");
+        assert_eq!(got, independent, "{r}x{c} {route:?} par");
     }
+}
+
+#[test]
+fn three_stage_plan_on_both_sides_of_the_scratch_cap_on_two_threads() {
+    // 1200×600 f32 with 50×60 tiles: 100! is one 2.88 MB instance of
+    // 60-word super-elements, over the 2 MiB scratch cap, so it is
+    // cycle-followed; 0010!'s 12 KB tiles and 0100!'s 288 KB instances
+    // are staged through the per-worker scratch tile.
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(2)
+        .build()
+        .expect("shim pools build");
+    let (r, c) = (1200, 600);
+    let plan = StagePlan::three_stage(r, c, TileConfig::new(50, 60)).unwrap();
+    let m = Matrix::pattern_f32(r, c);
+    let want = m.transposed();
+    let mut data = m.into_vec();
+    pool.install(|| plan.execute_par(&mut data));
+    assert_eq!(Matrix::from_vec(c, r, data), want);
 }
 
 #[test]
