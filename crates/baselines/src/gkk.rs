@@ -184,7 +184,7 @@ fn run_stage<T: Copy + Send + Sync>(op: &StageOp, data: &mut [T], threads: usize
         StageOp::Instanced(op) => {
             if op.instances > 1 {
                 // Instance-level parallelism.
-                op.apply_par(data);
+                op.apply(data);
             } else {
                 // Cycle-level parallelism with splitting.
                 let perm = op.perm();
@@ -192,7 +192,7 @@ fn run_stage<T: Copy + Send + Sync>(op: &StageOp, data: &mut [T], threads: usize
                 shift_segmented(data, &perm, op.super_size, &buckets);
             }
         }
-        StageOp::Fused(f) => f.apply_seq(data),
+        StageOp::Fused(f) => f.apply(data),
     }
 }
 
@@ -221,10 +221,11 @@ pub fn transpose_in_place_gkk<T: Copy + Send + Sync>(matrix: Matrix<T>, threads:
 }
 
 /// GKK-style parallel out-of-place transposition (their OOP comparator in
-/// Table 3): per-thread blocked copy.
+/// Table 3): the MKL-like per-thread blocked copy,
+/// [`crate::mkl_like::transpose_oop_par`], with its 64-element
+/// [`crate::mkl_like::BLOCK`].
 #[must_use]
 pub fn transpose_oop_gkk<T: Copy + Send + Sync + Default>(matrix: &Matrix<T>) -> Matrix<T> {
-    // Same structure as the MKL-like routine but with the GKK block size.
     crate::mkl_like::transpose_oop_par(matrix)
 }
 

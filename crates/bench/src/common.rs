@@ -31,7 +31,7 @@ pub fn run_010(
     let k = Pttwac010 { data: buf, instances, rows: m, cols: n, wg_size, flags, backoff: None };
     let stats = sim.launch(&k, &NoopRecorder, 0.0).expect("feasible 010 launch");
     let mut want = data;
-    op.apply_seq(&mut want);
+    op.apply(&mut want);
     assert_eq!(sim.download_u32(buf), want, "010! kernel incorrect");
     (stats, (op.total_len() * 4) as f64)
 }
@@ -73,7 +73,7 @@ pub fn run_100(
     let stats = sim.launch(&k, &NoopRecorder, 0.0).expect("feasible 100 launch");
     let op = InstancedTranspose::new(1, rows, cols, super_size);
     let mut want = v;
-    op.apply_seq(&mut want);
+    op.apply(&mut want);
     assert_eq!(sim.download_u32(data), want, "100! kernel incorrect");
     (stats, (total * 4) as f64)
 }

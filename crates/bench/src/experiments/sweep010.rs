@@ -76,7 +76,7 @@ fn run_pipt_time(dev: &DeviceSpec, instances: usize, m: usize, n: usize) -> f64 
     };
     let stats = sim.launch(&k, &NoopRecorder, 0.0).expect("P-IPT launch");
     let mut want = v;
-    op.apply_seq(&mut want);
+    op.apply(&mut want);
     assert_eq!(sim.download_u32(data), want, "P-IPT incorrect");
     stats.time_s
 }

@@ -1,9 +1,8 @@
 //! # ipt-bench — the experiment harness
 //!
 //! Regenerates every table and figure of the paper's evaluation (§7) via
-//! the `repro` binary; Criterion benches live under `benches/`. The
-//! experiment-to-artefact mapping is DESIGN.md §4; measured-vs-paper
-//! numbers are archived in EXPERIMENTS.md.
+//! the `repro` binary. The experiment-to-artefact mapping is DESIGN.md §4;
+//! measured-vs-paper numbers are archived in EXPERIMENTS.md.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -34,10 +34,9 @@
 //!   on tall shapes to keep a block under 2 MiB, or one column when a
 //!   column alone is larger — never a second matrix.
 //!
-//! [`transpose_c2r_seq`] and [`transpose_c2r_par`] check the buffer
-//! length against `M·N` without overflow before any pass offsets a
-//! pointer; the parallel one runs each pass's rows or blocks on the
-//! rayon pool.
+//! [`transpose_c2r`] checks the buffer length against `M·N` without
+//! overflow before any pass offsets a pointer, then runs each pass's rows
+//! or blocks on the caller's rayon pool.
 //!
 //! ## Derivation (gather forms)
 //!
@@ -377,27 +376,12 @@ impl HostPlan {
         }
     }
 
-    /// Run `pass` over `data` on the calling thread.
+    /// Run `pass` over `data` on the caller's rayon pool, one task per
+    /// unit, each worker keeping one scratch buffer.
     ///
     /// # Panics
     /// Panics if `data` is not the buffer length the plan was built for.
-    fn run_seq<T: Copy>(&self, data: &mut [T], pass: Pass) {
-        assert_eq!(data.len(), self.len, "buffer does not match the plan");
-        let data = SharedSlice::new(data);
-        let mut tmp = Vec::new();
-        for unit in 0..self.units(pass) {
-            // SAFETY: the buffer holds `M·N` elements (asserted above) and
-            // this thread holds its only borrow.
-            unsafe { self.run_unit(&data, pass, unit, &mut tmp) };
-        }
-    }
-
-    /// Run `pass` over `data` on the rayon pool, one task per unit, each
-    /// worker keeping one scratch buffer.
-    ///
-    /// # Panics
-    /// As [`HostPlan::run_seq`].
-    fn run_par<T: Copy + Send + Sync>(&self, data: &mut [T], pass: Pass) {
+    fn run<T: Copy + Send + Sync>(&self, data: &mut [T], pass: Pass) {
         assert_eq!(data.len(), self.len, "buffer does not match the plan");
         let data = SharedSlice::new(data);
         (0..self.units(pass)).into_par_iter().for_each_init(Vec::new, |tmp, unit| {
@@ -482,41 +466,30 @@ impl HostPlan {
     }
 }
 
-/// Sequential in-place C2R transposition of a row-major `M × N` buffer.
-/// Total: any `M, N ≥ 1`. Scratch: one row, or one block of `M·W`
-/// elements (see the module docs).
+/// In-place C2R transposition of a row-major `M × N` buffer on the
+/// caller's rayon pool: every pass runs its rows or column blocks in
+/// parallel. Total: any `M, N ≥ 1`. Scratch: one row, or one block of
+/// `M·W` elements, per worker (see the module docs).
 ///
 /// # Panics
 /// Panics if `data.len()` is not `m_rows·n_cols` (checked, so an
 /// overflowing shape panics too) or a dimension is zero.
-pub fn transpose_c2r_seq<T: Copy>(data: &mut [T], m_rows: usize, n_cols: usize) {
+pub fn transpose_c2r<T: Copy + Send + Sync>(data: &mut [T], m_rows: usize, n_cols: usize) {
     let plan = HostPlan::new::<T>(data.len(), m_rows, n_cols);
     for pass in plan.passes() {
-        plan.run_seq(data, pass);
-    }
-}
-
-/// Rayon-parallel C2R: every pass runs its rows or column blocks in
-/// parallel, each worker keeping one scratch buffer.
-///
-/// # Panics
-/// As [`transpose_c2r_seq`].
-pub fn transpose_c2r_par<T: Copy + Send + Sync>(data: &mut [T], m_rows: usize, n_cols: usize) {
-    let plan = HostPlan::new::<T>(data.len(), m_rows, n_cols);
-    for pass in plan.passes() {
-        plan.run_par(data, pass);
+        plan.run(data, pass);
     }
 }
 
 /// Convenience wrapper over [`Matrix`].
 ///
 /// # Panics
-/// As [`transpose_c2r_seq`] (zero dimensions only).
+/// As [`transpose_c2r`] (zero dimensions only).
 #[must_use]
 pub fn transpose_matrix_c2r<T: Copy + Send + Sync>(matrix: Matrix<T>) -> Matrix<T> {
     let (m, n) = (matrix.rows(), matrix.cols());
     let mut matrix = matrix;
-    transpose_c2r_par(matrix.as_mut_slice(), m, n);
+    transpose_c2r(matrix.as_mut_slice(), m, n);
     matrix.assume_transposed_shape()
 }
 
@@ -619,7 +592,7 @@ mod tests {
         for &(m, n) in SHAPES {
             let mat = Matrix::iota(m, n);
             let mut data = mat.as_slice().to_vec();
-            transpose_c2r_seq(&mut data, m, n);
+            crate::on_pool(1, || transpose_c2r(&mut data, m, n));
             assert_eq!(data, mat.transposed().into_vec(), "{m}x{n}");
         }
     }
@@ -659,17 +632,16 @@ mod tests {
                 }
             }
             let mut got = packed.clone();
-            transpose_c2r_seq(&mut got, m, n);
+            crate::on_pool(1, || transpose_c2r(&mut got, m, n));
             assert_eq!(got, want, "u64 {m}x{n}");
             let split = |v: &[u64]| -> Vec<[u32; 2]> {
                 v.iter().map(|&x| [x as u32, (x >> 32) as u32]).collect()
             };
-            let mut seq = split(&packed);
-            transpose_c2r_seq(&mut seq, m, n);
-            assert_eq!(seq, split(&want), "seq {m}x{n}");
-            let mut par = split(&packed);
-            transpose_c2r_par(&mut par, m, n);
-            assert_eq!(par, split(&want), "par {m}x{n}");
+            for threads in [1, 2] {
+                let mut pairs = split(&packed);
+                crate::on_pool(threads, || transpose_c2r(&mut pairs, m, n));
+                assert_eq!(pairs, split(&want), "{m}x{n} on {threads} threads");
+            }
         }
     }
 
@@ -680,14 +652,8 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "does not hold a 3x")]
-    fn seq_rejects_a_shape_whose_size_overflows() {
-        transpose_c2r_seq(&mut [0u8; 5], WRAPPING.0, WRAPPING.1);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not hold a 3x")]
-    fn par_rejects_a_shape_whose_size_overflows() {
-        transpose_c2r_par(&mut [0u8; 5], WRAPPING.0, WRAPPING.1);
+    fn rejects_a_shape_whose_size_overflows() {
+        transpose_c2r(&mut [0u8; 5], WRAPPING.0, WRAPPING.1);
     }
 
     #[test]
@@ -706,8 +672,8 @@ mod tests {
         let mat = Matrix::pattern_f32(m, n);
         let (mut a, mut b) = (mat.as_slice().to_vec(), mat.as_slice().to_vec());
         for pass in plan.passes() {
-            plan.run_seq(&mut a, pass);
-            one.run_seq(&mut b, pass);
+            plan.run(&mut a, pass);
+            one.run(&mut b, pass);
             assert!(a == b, "{pass:?} {m}x{n}: 13-column blocks differ from one column");
         }
         assert!(a == mat.transposed().into_vec(), "{m}x{n}");
@@ -792,8 +758,8 @@ mod tests {
             let mat = Matrix::iota(m, n);
             let (mut a, mut b) = (mat.as_slice().to_vec(), mat.as_slice().to_vec());
             for pass in one.passes() {
-                one.run_seq(&mut a, pass);
-                wide.run_seq(&mut b, pass);
+                one.run(&mut a, pass);
+                wide.run(&mut b, pass);
                 prop_assert_eq!(&a, &b, "{:?} {}x{} w={}", pass, m, n, w);
             }
             prop_assert_eq!(a, mat.transposed().into_vec(), "{}x{}", m, n);
@@ -801,16 +767,12 @@ mod tests {
 
         #[test]
         fn par_matches_seq_on_two_threads((m, n, _) in classed_shapes()) {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(2)
-                .build()
-                .expect("shim pools build");
             let mat = Matrix::pattern_f32(m, n);
             let mut seq = mat.as_slice().to_vec();
-            transpose_c2r_seq(&mut seq, m, n);
+            crate::on_pool(1, || transpose_c2r(&mut seq, m, n));
             let mut par = mat.as_slice().to_vec();
-            pool.install(|| transpose_c2r_par(&mut par, m, n));
-            prop_assert!(seq == par, "{}x{}: par differs from seq", m, n);
+            crate::on_pool(2, || transpose_c2r(&mut par, m, n));
+            prop_assert!(seq == par, "{}x{}: 2 threads differ from 1", m, n);
             prop_assert!(seq == mat.transposed().into_vec(), "{}x{}", m, n);
         }
     }

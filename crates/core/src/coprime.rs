@@ -29,8 +29,8 @@
 //! At `c = gcd(M, N) = 1` the C2R decomposition ([`crate::c2r`]) skips its
 //! rotate, and its row and column shuffles are exactly these two phases
 //! (`reduces_to_coprime_formulas_when_c_is_1` pins that). So this module
-//! keeps no pass of its own: [`transpose_coprime_seq`] and
-//! [`transpose_coprime_par`] check that the shape is coprime and run the
+//! keeps no pass of its own: [`transpose_matrix_coprime`] and
+//! [`transpose_coprime_seq`] check that the shape is coprime and run the
 //! C2R host passes — walkers with no per-element division, column
 //! blocks one cache line wide, bounded scratch, never a second matrix.
 //! [`phase1_src_col`], [`phase2_src_row`] and [`minv_for`] stay as the
@@ -43,7 +43,7 @@
 //! assert_eq!(t, a.transposed());
 //! ```
 
-use crate::c2r::{transpose_c2r_par, transpose_c2r_seq};
+use crate::c2r::transpose_c2r;
 use crate::matrix::Matrix;
 use crate::numtheory::{gcd, mod_inverse};
 
@@ -83,41 +83,40 @@ pub fn is_coprime_shape(m_rows: usize, n_cols: usize) -> bool {
     m_rows > 1 && n_cols > 1 && gcd(m_rows as u64, n_cols as u64) == 1
 }
 
-/// Sequential in-place transposition of a row-major `M × N` buffer with
-/// coprime dimensions: the C2R row and column shuffles, which at `c = 1`
-/// are exactly the two phases above.
+/// In-place transposition of a row-major `M × N` buffer with coprime
+/// dimensions on the caller's rayon pool: the C2R row and column
+/// shuffles, which at `c = 1` are exactly the two phases above.
 ///
 /// # Panics
 /// Panics if the dimensions share a factor or `data.len()` is not
 /// `m_rows·n_cols` (checked, so an overflowing shape panics too).
-pub fn transpose_coprime_seq<T: Copy>(data: &mut [T], m_rows: usize, n_cols: usize) {
+fn transpose_coprime<T: Copy + Send + Sync>(data: &mut [T], m_rows: usize, n_cols: usize) {
     assert!(is_coprime_shape(m_rows, n_cols), "dimensions must be coprime and > 1");
-    transpose_c2r_seq(data, m_rows, n_cols);
+    transpose_c2r(data, m_rows, n_cols);
 }
 
-/// Rayon-parallel variant: rows in parallel, then column blocks in
-/// parallel (see [`crate::c2r`]).
+/// [`transpose_matrix_coprime`] over a bare row-major `M × N` buffer, on
+/// a 1-wide pool: inline on the caller.
 ///
 /// # Panics
-/// As [`transpose_coprime_seq`].
-pub fn transpose_coprime_par<T: Copy + Send + Sync>(
-    data: &mut [T],
-    m_rows: usize,
-    n_cols: usize,
-) {
-    assert!(is_coprime_shape(m_rows, n_cols), "dimensions must be coprime and > 1");
-    transpose_c2r_par(data, m_rows, n_cols);
+/// Panics if the dimensions share a factor or `data.len()` is not
+/// `m_rows·n_cols` (checked, so an overflowing shape panics too).
+// `benchmark/` imports this name; it goes when the benchmark next changes.
+pub fn transpose_coprime_seq<T: Copy + Send + Sync>(data: &mut [T], m_rows: usize, n_cols: usize) {
+    crate::on_pool(1, || transpose_coprime(data, m_rows, n_cols));
 }
 
-/// Convenience wrapper over [`Matrix`].
+/// Transpose a coprime-shaped [`Matrix`] in place on the caller's rayon
+/// pool: rows in parallel, then column blocks in parallel (see
+/// [`crate::c2r`]).
 ///
 /// # Panics
-/// As [`transpose_coprime_seq`].
+/// Panics if the dimensions share a factor or one of them is 1.
 #[must_use]
 pub fn transpose_matrix_coprime<T: Copy + Send + Sync>(matrix: Matrix<T>) -> Matrix<T> {
     let (m, n) = (matrix.rows(), matrix.cols());
     let mut matrix = matrix;
-    transpose_coprime_par(matrix.as_mut_slice(), m, n);
+    transpose_coprime(matrix.as_mut_slice(), m, n);
     matrix.assume_transposed_shape()
 }
 
@@ -154,9 +153,9 @@ mod tests {
             let mat = Matrix::pattern_f32(m, n);
             let mut a = mat.as_slice().to_vec();
             transpose_coprime_seq(&mut a, m, n);
-            let mut b = mat.as_slice().to_vec();
-            transpose_coprime_par(&mut b, m, n);
-            assert_eq!(a, b, "{m}x{n}");
+            let b = crate::on_pool(2, || transpose_matrix_coprime(mat.clone()));
+            assert_eq!(a, b.into_vec(), "{m}x{n}");
+            assert_eq!(a, mat.transposed().into_vec(), "{m}x{n}");
         }
     }
 
@@ -188,12 +187,6 @@ mod tests {
     fn seq_rejects_a_shape_whose_size_overflows() {
         // Coprime, and `3 · (usize::MAX / 3 + 2)` wraps to 5.
         transpose_coprime_seq(&mut [0u8; 5], 3, usize::MAX / 3 + 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not hold a 3x")]
-    fn par_rejects_a_shape_whose_size_overflows() {
-        transpose_coprime_par(&mut [0u8; 5], 3, usize::MAX / 3 + 2);
     }
 
     #[test]

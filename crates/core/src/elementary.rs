@@ -22,8 +22,10 @@
 //! cycle-followed over the permutation `k ↦ k·rows mod (rows·cols − 1)`
 //! acting on super-element indices ([`TransposePerm`]). This module
 //! provides a sequential in-place engine over any bijective index map, an
-//! out-of-place reference, and the instanced wrapper; [`parallel`] adds
-//! multi-threaded execution.
+//! out-of-place reference, and the instanced wrapper, which runs on the
+//! caller's rayon pool; [`parallel`] adds the cycle-parallel engine.
+
+use rayon::prelude::*;
 
 use crate::perm::cycle::TransposePerm;
 
@@ -81,7 +83,7 @@ pub fn cycle_shift_seq<T: Copy>(data: &mut [T], perm: &impl IndexPerm, super_siz
 ///
 /// # Panics
 /// As [`cycle_shift_seq`]; additionally if `visited.len() != perm.len()`.
-pub fn cycle_shift_seq_with<T: Copy>(
+fn cycle_shift_seq_with<T: Copy>(
     data: &mut [T],
     perm: &impl IndexPerm,
     super_size: usize,
@@ -208,9 +210,9 @@ pub fn cycle_shift_oop<T: Copy>(
 /// // 100!: view 4×3 super-elements of 2 words, transpose in place.
 /// let op = InstancedTranspose::new(1, 4, 3, 2);
 /// let mut data: Vec<u32> = (0..24).collect();
-/// op.apply_seq(&mut data);
+/// op.apply(&mut data);
 /// assert_eq!(&data[0..6], &[0, 1, 6, 7, 12, 13]); // first output row
-/// op.inverse().apply_seq(&mut data);
+/// op.inverse().apply(&mut data);
 /// assert_eq!(data, (0..24).collect::<Vec<_>>());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -269,17 +271,31 @@ impl InstancedTranspose {
         inst * il + d * self.super_size + s
     }
 
-    /// Execute in place, sequentially, one instance after the other
-    /// through one scratch tile or one visited bitmap (see the module
-    /// docs for which).
+    /// Execute in place on the caller's rayon pool: instances in
+    /// parallel, each worker reusing one scratch tile or one visited
+    /// bitmap (see the module docs for which); a 1-wide pool runs them one
+    /// after the other on the caller. On a wider pool, a single instance
+    /// of super-elements over the scratch budget runs cycle-parallel
+    /// ([`parallel::cycle_shift_par`]). Any other single instance runs on
+    /// the caller: one that fits the scratch is one tile copy, and for a
+    /// large one of scalars the cycle-parallel shift's up-front leader
+    /// pass costs about as much as the whole sequential shift.
     ///
     /// # Panics
     /// Panics if `data.len() != self.total_len()`.
-    pub fn apply_seq<T: Copy>(&self, data: &mut [T]) {
+    pub fn apply<T: Copy + Send + Sync>(&self, data: &mut [T]) {
         assert_eq!(data.len(), self.total_len(), "data length mismatch");
-        let (mut tile, mut visited) = (Vec::new(), Vec::new());
-        for chunk in data.chunks_exact_mut(self.instance_len()) {
-            self.transpose_instance(chunk, &mut tile, &mut visited);
+        if self.instances == 1
+            && self.super_size > 1
+            && !self.fits_scratch::<T>()
+            && rayon::current_num_threads() > 1
+        {
+            parallel::cycle_shift_par(data, &self.perm(), self.super_size);
+        } else {
+            data.par_chunks_exact_mut(self.instance_len()).for_each_init(
+                || (Vec::new(), Vec::new()),
+                |(tile, visited), chunk| self.transpose_instance(chunk, tile, visited),
+            );
         }
     }
 
@@ -375,8 +391,9 @@ impl FusedTileTranspose {
         (a, b, c, d)
     }
 
-    /// Execute in place, sequentially.
-    pub fn apply_seq<T: Copy>(&self, data: &mut [T]) {
+    /// Execute in place on the caller. The pool goes unused: the
+    /// cycle-parallel shift loses to the sequential one at 2 threads.
+    pub fn apply<T: Copy>(&self, data: &mut [T]) {
         cycle_shift_seq(data, self, 1);
     }
 }
@@ -428,7 +445,7 @@ mod tests {
         let op = InstancedTranspose::new(3, 4, 5, 2);
         let mut data: Vec<u32> = (0..op.total_len() as u32).collect();
         let orig = data.clone();
-        op.apply_seq(&mut data);
+        op.apply(&mut data);
         // Verify against the 4-D definition: out[inst][c][r][s] = in[inst][r][c][s]
         let il = op.instance_len();
         for inst in 0..3 {
@@ -450,7 +467,7 @@ mod tests {
         let m = Matrix::iota(7, 4);
         let op = InstancedTranspose::new(1, 7, 4, 1);
         let mut data = m.as_slice().to_vec();
-        op.apply_seq(&mut data);
+        op.apply(&mut data);
         assert_eq!(data, m.transposed().into_vec());
     }
 
@@ -470,9 +487,9 @@ mod tests {
         let op = InstancedTranspose::new(2, 5, 3, 2);
         let mut data: Vec<u32> = (0..op.total_len() as u32).collect();
         let orig = data.clone();
-        op.apply_seq(&mut data);
+        op.apply(&mut data);
         assert_ne!(data, orig);
-        op.inverse().apply_seq(&mut data);
+        op.inverse().apply(&mut data);
         assert_eq!(data, orig);
     }
 
@@ -483,9 +500,9 @@ mod tests {
         let fused = FusedTileTranspose::new(mp, np, m, n);
         let mut a: Vec<u32> = (0..fused.len() as u32).collect();
         let mut b = a.clone();
-        fused.apply_seq(&mut a);
-        InstancedTranspose::new(mp * np, m, n, 1).apply_seq(&mut b); // 0010!
-        InstancedTranspose::new(1, mp, np, m * n).apply_seq(&mut b); // 1000!
+        fused.apply(&mut a);
+        InstancedTranspose::new(mp * np, m, n, 1).apply(&mut b); // 0010!
+        InstancedTranspose::new(1, mp, np, m * n).apply(&mut b); // 1000!
         assert_eq!(a, b);
     }
 
@@ -498,20 +515,29 @@ mod tests {
         }
     }
 
-    /// Whether `apply_seq` and `apply_par` on two threads each agree
-    /// with the per-element reference `apply_oop` on `orig`.
-    fn seq_and_par_agree<T: Copy + Send + Sync + PartialEq>(
+    /// Whether `apply` on a 1-wide and on a 2-wide pool each agree with
+    /// the per-element reference `apply_oop` on `orig`.
+    fn both_widths_agree<T: Copy + Send + Sync + PartialEq>(
         op: &InstancedTranspose,
         orig: &[T],
     ) -> (bool, bool) {
         let mut want = orig.to_vec();
         op.apply_oop(orig, &mut want);
-        let mut seq = orig.to_vec();
-        op.apply_seq(&mut seq);
-        let mut par = orig.to_vec();
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(2).build().expect("shim pools build");
-        pool.install(|| op.apply_par(&mut par));
-        (seq == want, par == want)
+        let on = |threads| {
+            let mut got = orig.to_vec();
+            crate::on_pool(threads, || op.apply(&mut got));
+            got == want
+        };
+        (on(1), on(2))
+    }
+
+    #[test]
+    fn instanced_par_matches_seq_multi_instance() {
+        for &(i, r, c, s) in &[(4, 5, 3, 2), (16, 8, 8, 1), (3, 2, 9, 4), (1, 12, 7, 2), (1, 12, 7, 1)] {
+            let op = InstancedTranspose::new(i, r, c, s);
+            let orig: Vec<u32> = (0..op.total_len() as u32).collect();
+            assert_eq!(both_widths_agree(&op, &orig), (true, true), "{i}x{r}x{c}x{s}");
+        }
     }
 
     /// `(instances, rows, cols, super_size, class)` for `elem_bytes`-byte
@@ -541,7 +567,7 @@ mod tests {
             let op = InstancedTranspose::new(i, r, c, s);
             prop_assert_eq!(op.fits_scratch::<u32>(), class < 2, "{:?}", op);
             let orig: Vec<u32> = (0..op.total_len() as u32).collect();
-            prop_assert_eq!(seq_and_par_agree(&op, &orig), (true, true), "{:?}", op);
+            prop_assert_eq!(both_widths_agree(&op, &orig), (true, true), "{:?}", op);
         }
 
         #[test]
@@ -549,7 +575,7 @@ mod tests {
             let op = InstancedTranspose::new(i, r, c, s);
             prop_assert_eq!(op.fits_scratch::<[u32; 2]>(), class < 2, "{:?}", op);
             let orig: Vec<[u32; 2]> = (0..op.total_len() as u32).map(|k| [k, !k]).collect();
-            prop_assert_eq!(seq_and_par_agree(&op, &orig), (true, true), "{:?}", op);
+            prop_assert_eq!(both_widths_agree(&op, &orig), (true, true), "{:?}", op);
         }
     }
 
@@ -561,7 +587,7 @@ mod tests {
             let op = InstancedTranspose::new(2, 1024, cols, 1);
             assert_eq!(op.fits_scratch::<f32>(), staged, "1024x{cols}");
             let orig: Vec<f32> = (0..op.total_len()).map(|k| k as f32).collect();
-            assert_eq!(seq_and_par_agree(&op, &orig), (true, true), "1024x{cols}");
+            assert_eq!(both_widths_agree(&op, &orig), (true, true), "1024x{cols}");
         }
     }
 
@@ -570,6 +596,6 @@ mod tests {
     fn wrong_length_panics() {
         let op = InstancedTranspose::new(1, 3, 3, 1);
         let mut data = vec![0u32; 8];
-        op.apply_seq(&mut data);
+        op.apply(&mut data);
     }
 }

@@ -2,24 +2,27 @@
 //!
 //! Two orthogonal sources of parallelism (mirroring §4 of the paper):
 //!
-//! 1. **Instances** — the `instances` chunks of an [`InstancedTranspose`] are
-//!    independent; they parallelise perfectly (`par_chunks_exact_mut`).
-//!    Each worker keeps its own buffers across instances: a scratch tile
-//!    for instances of up to 2 MiB, staged through it as the paper's BS
-//!    kernel stages a tile through on-chip memory, and a visited bitmap
-//!    for larger ones, which are cycle-followed.
+//! 1. **Instances** — the `instances` chunks of an
+//!    [`InstancedTranspose`](super::InstancedTranspose) are independent;
+//!    [`apply`](super::InstancedTranspose::apply) runs them on the pool
+//!    (`par_chunks_exact_mut`). Each worker keeps its own buffers across
+//!    instances: a scratch tile for instances of up to 2 MiB, staged
+//!    through it as the paper's BS kernel stages a tile through on-chip
+//!    memory, and a visited bitmap for larger ones, which are
+//!    cycle-followed.
 //! 2. **Cycles** — within a single instance, disjoint cycles never overlap.
-//!    This is the P-IPT strategy: one task per cycle. It suffers the load
-//!    imbalance the paper describes (one cycle is often several times longer
-//!    than all others); rayon's work stealing mitigates but cannot remove a
-//!    single dominant cycle. The Gustavson/Karlsson a-priori cycle *splitting*
-//!    that fixes this lives in `ipt-baselines::gkk`.
+//!    This is the P-IPT strategy, [`cycle_shift_par`]: one task per cycle.
+//!    It suffers the load imbalance the paper describes (one cycle is
+//!    often several times longer than all others); rayon's work stealing
+//!    mitigates but cannot remove a single dominant cycle. The
+//!    Gustavson/Karlsson a-priori cycle *splitting* that fixes this lives
+//!    in `ipt-baselines::gkk`.
 
 use std::marker::PhantomData;
 
 use rayon::prelude::*;
 
-use super::{IndexPerm, InstancedTranspose};
+use super::IndexPerm;
 
 /// Enumerate cycle leaders (minimum offset of each cycle) and cycle lengths
 /// in a single O(len) pass using a visited bitmap (Berman-style bookkeeping,
@@ -177,34 +180,6 @@ pub fn cycle_shift_par<T: Copy + Send + Sync>(
     });
 }
 
-impl InstancedTranspose {
-    /// Execute in place with rayon: instances in parallel, each worker
-    /// reusing one scratch tile (instances of up to 2 MiB) or one visited
-    /// bitmap (larger ones, cycle-followed). A single instance of
-    /// super-elements over 2 MiB falls back to cycle-level parallelism.
-    /// Any other single instance runs sequentially: one that fits the
-    /// scratch is one tile copy, and for a large one of scalars the
-    /// up-front leader pass of [`cycle_shift_par`] costs about as much as
-    /// the whole sequential shift, so the parallel shift loses at 2
-    /// threads.
-    ///
-    /// # Panics
-    /// Panics if `data.len() != self.total_len()`.
-    pub fn apply_par<T: Copy + Send + Sync>(&self, data: &mut [T]) {
-        assert_eq!(data.len(), self.total_len(), "data length mismatch");
-        if self.instances > 1 {
-            data.par_chunks_exact_mut(self.instance_len()).for_each_init(
-                || (Vec::new(), Vec::new()),
-                |(tile, visited), chunk| self.transpose_instance(chunk, tile, visited),
-            );
-        } else if self.super_size > 1 && !self.fits_scratch::<T>() {
-            cycle_shift_par(data, &self.perm(), self.super_size);
-        } else {
-            self.apply_seq(data);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,19 +211,6 @@ mod tests {
             let mut par = orig.clone();
             cycle_shift_par(&mut par, &p, s);
             assert_eq!(seq, par, "{r}x{c} super={s}");
-        }
-    }
-
-    #[test]
-    fn instanced_par_matches_seq_multi_instance() {
-        for &(i, r, c, s) in &[(4, 5, 3, 2), (16, 8, 8, 1), (3, 2, 9, 4), (1, 12, 7, 2), (1, 12, 7, 1)] {
-            let op = InstancedTranspose::new(i, r, c, s);
-            let orig: Vec<u32> = (0..op.total_len() as u32).collect();
-            let mut seq = orig.clone();
-            op.apply_seq(&mut seq);
-            let mut par = orig.clone();
-            op.apply_par(&mut par);
-            assert_eq!(seq, par, "{i}x{r}x{c}x{s}");
         }
     }
 

@@ -7,7 +7,7 @@
 use crate::coprime;
 use crate::matrix::Matrix;
 use crate::numtheory::gcd;
-use crate::scheme::{decide_scheme, transpose_square_in_place, Scheme};
+use crate::scheme::{decide_scheme, transpose_square_in_place, Scheme, GCD_TILE_MAX_LEN};
 use crate::stages::{PlanError, StagePlan, TileConfig};
 use crate::tiles::TileHeuristic;
 
@@ -74,51 +74,24 @@ pub fn plan_auto(rows: usize, cols: usize, algo: Algorithm, heuristic: &TileHeur
     }
 }
 
-/// Degenerate/square short-circuit shared by the in-place drivers: `Some`
-/// when the shape was handled without running any staged plan.
-fn short_circuit<T: Copy>(matrix: Matrix<T>) -> Result<Matrix<T>, Matrix<T>> {
-    let decision = decide_scheme(matrix.rows(), matrix.cols(), &TileHeuristic::default());
-    match decision.scheme {
+/// Transpose `matrix` in place (same backing storage) on the caller's
+/// rayon pool and return it with the flipped shape. Degenerate shapes
+/// (`1 × n`, `m × 1`) and squares short-circuit instead of running a
+/// staged plan.
+#[must_use]
+pub fn transpose_in_place<T: Copy + Send + Sync>(matrix: Matrix<T>, algo: Algorithm) -> Matrix<T> {
+    let (rows, cols) = (matrix.rows(), matrix.cols());
+    let mut matrix = matrix;
+    match decide_scheme(rows, cols, &TileHeuristic::default()).scheme {
         // Row/column vectors (and empties): the storage is already the
         // transpose — only the shape flips.
-        Scheme::Identity => Ok(matrix.assume_transposed_shape()),
-        Scheme::SquareTiled => {
-            let n = matrix.rows();
-            let mut matrix = matrix;
-            transpose_square_in_place(matrix.as_mut_slice(), n);
-            Ok(matrix.assume_transposed_shape())
+        Scheme::Identity => {}
+        Scheme::SquareTiled => transpose_square_in_place(matrix.as_mut_slice(), rows),
+        _ => {
+            let plan = plan_auto(rows, cols, algo, &TileHeuristic::default());
+            plan.execute(matrix.as_mut_slice());
         }
-        _ => Err(matrix),
     }
-}
-
-/// Transpose `matrix` in place (same backing storage) sequentially and
-/// return it with the flipped shape. Degenerate shapes (`1 × n`, `m × 1`)
-/// and squares short-circuit instead of running a staged plan.
-#[must_use]
-pub fn transpose_in_place_seq<T: Copy>(matrix: Matrix<T>, algo: Algorithm) -> Matrix<T> {
-    let matrix = match short_circuit(matrix) {
-        Ok(done) => return done,
-        Err(m) => m,
-    };
-    let plan = plan_auto(matrix.rows(), matrix.cols(), algo, &TileHeuristic::default());
-    let mut matrix = matrix;
-    plan.execute_seq(matrix.as_mut_slice());
-    matrix.assume_transposed_shape()
-}
-
-/// Transpose `matrix` in place using rayon and return it with the flipped
-/// shape. Degenerate shapes (`1 × n`, `m × 1`) and squares short-circuit
-/// instead of running a staged plan.
-#[must_use]
-pub fn transpose_in_place_par<T: Copy + Send + Sync>(matrix: Matrix<T>, algo: Algorithm) -> Matrix<T> {
-    let matrix = match short_circuit(matrix) {
-        Ok(done) => return done,
-        Err(m) => m,
-    };
-    let plan = plan_auto(matrix.rows(), matrix.cols(), algo, &TileHeuristic::default());
-    let mut matrix = matrix;
-    plan.execute_par(matrix.as_mut_slice());
     matrix.assume_transposed_shape()
 }
 
@@ -155,7 +128,7 @@ pub fn route_for(rows: usize, cols: usize, heuristic: &TileHeuristic) -> AnyRout
     // The (c, c) tile always divides both dimensions; PTTWAC-010 handles
     // stage 2 even when c² exceeds the BS capacity, up to the local-memory
     // flag limit (~393k bits). Beyond that, give up on tiling.
-    if c * c <= 262_144 {
+    if c * c <= GCD_TILE_MAX_LEN {
         AnyRoute::GcdTile
     } else {
         AnyRoute::SingleStage
@@ -179,19 +152,19 @@ pub fn transpose_in_place_any<T: Copy + Send + Sync>(matrix: Matrix<T>) -> Matri
     let (rows, cols) = (matrix.rows(), matrix.cols());
     let heuristic = TileHeuristic::default();
     match route_for(rows, cols, &heuristic) {
-        AnyRoute::Staged => transpose_in_place_par(matrix, Algorithm::ThreeStage),
+        AnyRoute::Staged => transpose_in_place(matrix, Algorithm::ThreeStage),
         AnyRoute::Coprime => coprime::transpose_matrix_coprime(matrix),
         AnyRoute::GcdTile => {
             let c = gcd(rows as u64, cols as u64) as usize;
             let plan = StagePlan::three_stage(rows, cols, TileConfig::new(c, c))
                 .expect("gcd tile always divides");
             let mut matrix = matrix;
-            plan.execute_par(matrix.as_mut_slice());
+            plan.execute(matrix.as_mut_slice());
             matrix.assume_transposed_shape()
         }
         AnyRoute::SingleStage => {
             let mut matrix = matrix;
-            StagePlan::single_stage(rows, cols).execute_par(matrix.as_mut_slice());
+            StagePlan::single_stage(rows, cols).execute(matrix.as_mut_slice());
             matrix.assume_transposed_shape()
         }
     }
@@ -207,10 +180,10 @@ mod tests {
             let mat = Matrix::iota(r, c);
             let want = mat.transposed();
             for algo in Algorithm::ALL {
-                let got = transpose_in_place_seq(mat.clone(), algo);
-                assert_eq!(got, want, "{} {r}x{c} seq", algo.name());
-                let got = transpose_in_place_par(mat.clone(), algo);
-                assert_eq!(got, want, "{} {r}x{c} par", algo.name());
+                for threads in [1, 2] {
+                    let got = crate::on_pool(threads, || transpose_in_place(mat.clone(), algo));
+                    assert_eq!(got, want, "{} {r}x{c} on {threads} threads", algo.name());
+                }
             }
         }
     }
@@ -224,7 +197,7 @@ mod tests {
         assert_eq!(plan.name, "single-stage");
         // It still transposes correctly (small prime case to keep test fast):
         let mat = Matrix::iota(31, 13);
-        let got = transpose_in_place_seq(mat.clone(), Algorithm::ThreeStage);
+        let got = transpose_in_place(mat.clone(), Algorithm::ThreeStage);
         assert_eq!(got, mat.transposed());
     }
 
@@ -264,10 +237,10 @@ mod tests {
         for &(r, c) in &[(1, 1), (1, 257), (509, 1), (1, 7919)] {
             let m = Matrix::iota(r, c);
             for algo in Algorithm::ALL {
-                let got = transpose_in_place_seq(m.clone(), algo);
+                let got = crate::on_pool(1, || transpose_in_place(m.clone(), algo));
                 assert_eq!(got, m.transposed(), "{} {r}x{c}", algo.name());
                 assert_eq!((got.rows(), got.cols()), (c, r));
-                let back = transpose_in_place_par(got, algo);
+                let back = crate::on_pool(2, || transpose_in_place(got, algo));
                 assert_eq!(back, m, "round trip {r}x{c}");
             }
         }
@@ -278,15 +251,16 @@ mod tests {
         // 61 prime (no feasible square tile), 60 richly composite.
         for n in [2usize, 31, 60, 61] {
             let m = Matrix::iota(n, n);
-            let got = transpose_in_place_par(m.clone(), Algorithm::ThreeStage);
+            let got = crate::on_pool(2, || transpose_in_place(m.clone(), Algorithm::ThreeStage));
             assert_eq!(got, m.transposed(), "{n}x{n}");
-            assert_eq!(transpose_in_place_seq(got, Algorithm::ThreeStage), m);
+            let back = crate::on_pool(1, || transpose_in_place(got, Algorithm::ThreeStage));
+            assert_eq!(back, m, "{n}x{n} back");
         }
     }
 
     #[test]
     fn shapes_flip() {
-        let got = transpose_in_place_seq(Matrix::iota(6, 15), Algorithm::ThreeStage);
+        let got = transpose_in_place(Matrix::iota(6, 15), Algorithm::ThreeStage);
         assert_eq!((got.rows(), got.cols()), (15, 6));
     }
 }

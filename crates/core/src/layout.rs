@@ -127,7 +127,7 @@ mod tests {
         let sa = StructArray::new(12, 5);
         for t in [1, 2, 3, 4, 6, 12] {
             let mut data = aos_data(sa);
-            sa.aos_to_asta(t).apply_seq(&mut data);
+            sa.aos_to_asta(t).apply(&mut data);
             for r in 0..12 {
                 for f in 0..5 {
                     assert_eq!(
@@ -151,7 +151,7 @@ mod tests {
                     data[sa.soa_index(r, f)] = (r * 100 + f) as u32;
                 }
             }
-            sa.soa_to_asta(t).apply_seq(&mut data);
+            sa.soa_to_asta(t).apply(&mut data);
             for r in 0..12 {
                 for f in 0..5 {
                     assert_eq!(
@@ -170,8 +170,8 @@ mod tests {
         let orig = aos_data(sa);
         for t in [2, 3, 4, 6, 8] {
             let mut data = orig.clone();
-            sa.aos_to_asta(t).apply_seq(&mut data);
-            sa.asta_to_aos(t).apply_seq(&mut data);
+            sa.aos_to_asta(t).apply(&mut data);
+            sa.asta_to_aos(t).apply(&mut data);
             assert_eq!(data, orig, "t={t}");
         }
     }
@@ -182,12 +182,12 @@ mod tests {
         let orig = aos_data(sa);
         // Direct full transposition.
         let mut direct = orig.clone();
-        sa.aos_to_soa().apply_seq(&mut direct);
+        sa.aos_to_soa().apply(&mut direct);
         // AoS → ASTA → SoA.
         let mut staged = orig.clone();
         let t = 4;
-        sa.aos_to_asta(t).apply_seq(&mut staged);
-        sa.asta_to_soa(t).apply_seq(&mut staged);
+        sa.aos_to_asta(t).apply(&mut staged);
+        sa.asta_to_soa(t).apply(&mut staged);
         assert_eq!(staged, direct);
     }
 

@@ -16,15 +16,23 @@
 //! The GPU-simulated execution of the same plans lives in the `ipt-gpu`
 //! crate; CPU baselines (Gustavson/Karlsson, MKL-like) in `ipt-baselines`.
 //!
+//! Each host operation has one entry point, which runs on the caller's
+//! rayon pool: the innermost `ThreadPool::install`, else
+//! `RAYON_NUM_THREADS` threads. A 1-wide pool runs it inline on the
+//! caller, so sequential execution is that pool, not a second function.
+//!
 //! ## Quick start
 //!
 //! ```
-//! use ipt_core::{full::{transpose_in_place_par, Algorithm}, matrix::Matrix};
+//! use ipt_core::{full::{transpose_in_place, Algorithm}, matrix::Matrix};
 //!
 //! let a = Matrix::iota(60, 48);
 //! let expect = a.transposed();
-//! let t = transpose_in_place_par(a, Algorithm::ThreeStage);
+//! let t = transpose_in_place(a.clone(), Algorithm::ThreeStage);
 //! assert_eq!(t, expect);
+//! // The same call on one thread: a 1-wide pool runs it inline.
+//! let one = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+//! assert_eq!(one.install(|| transpose_in_place(a, Algorithm::ThreeStage)), expect);
 //! ```
 
 #![warn(missing_docs)]
@@ -50,12 +58,22 @@ pub mod tiles;
 /// blocks or to cycle following.
 pub(crate) const SCRATCH_BYTES: usize = 2 << 20;
 
+/// Run `op` on a rayon pool `threads` wide: every parallel call inside it
+/// uses that width, and a 1-wide pool runs them inline on the caller.
+pub(crate) fn on_pool<R: Send>(threads: usize, op: impl FnOnce() -> R + Send) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("a pool of a given width builds")
+        .install(op)
+}
+
 pub use elementary::{InstancedTranspose, IndexPerm};
-pub use full::{transpose_in_place_any, transpose_in_place_par, transpose_in_place_seq, Algorithm};
+pub use full::{transpose_in_place, transpose_in_place_any, Algorithm};
 pub use matrix::Matrix;
 pub use perm::cycle::TransposePerm;
 pub use scheme::{decide_scheme, FallbackReason, PlanDecision, Scheme};
 pub use stages::{StagePlan, TileConfig};
 pub use tiles::TileHeuristic;
-pub use coprime::{transpose_coprime_par, transpose_coprime_seq, transpose_matrix_coprime};
-pub use c2r::{transpose_c2r_par, transpose_c2r_seq, transpose_matrix_c2r, C2rGeometry};
+pub use coprime::{transpose_coprime_seq, transpose_matrix_coprime};
+pub use c2r::{transpose_c2r, transpose_matrix_c2r, C2rGeometry};

@@ -12,7 +12,8 @@
 //! * **single-stage**: one whole-matrix cycle-following pass (baseline)
 //!
 //! Each plan is *data-free*: it records the [`StageOp`]s and their factorial
-//! codes; execution (sequential/parallel/GPU) is layered on top.
+//! codes; execution (host, on the caller's rayon pool, or GPU) is layered
+//! on top.
 
 use crate::elementary::{FusedTileTranspose, InstancedTranspose};
 use crate::perm::cycle::TransposePerm;
@@ -116,21 +117,19 @@ impl StageOp {
         }
     }
 
-    /// Execute sequentially in place.
-    pub fn apply_seq<T: Copy>(&self, data: &mut [T]) {
+    /// Execute in place on the caller's rayon pool.
+    // `benchmark/` imports this name; it becomes `apply` when the benchmark next changes.
+    pub fn apply_par<T: Copy + Send + Sync>(&self, data: &mut [T]) {
         match self {
-            StageOp::Instanced(op) => op.apply_seq(data),
-            StageOp::Fused(op) => op.apply_seq(data),
+            StageOp::Instanced(op) => op.apply(data),
+            StageOp::Fused(op) => op.apply(data),
         }
     }
 
-    /// Execute with rayon in place. The fused op runs sequentially: its
-    /// cycle-parallel shift loses to the sequential one at 2 threads.
-    pub fn apply_par<T: Copy + Send + Sync>(&self, data: &mut [T]) {
-        match self {
-            StageOp::Instanced(op) => op.apply_par(data),
-            StageOp::Fused(op) => op.apply_seq(data),
-        }
+    /// [`StageOp::apply_par`] on a 1-wide pool, inline on the caller.
+    // `benchmark/` imports this name; it goes when the benchmark next changes.
+    pub fn apply_seq<T: Copy + Send + Sync>(&self, data: &mut [T]) {
+        crate::on_pool(1, || self.apply_par(data));
     }
 }
 
@@ -276,22 +275,11 @@ impl StagePlan {
         self.rows * self.cols
     }
 
-    /// Execute all stages sequentially in place.
+    /// Execute all stages in place on the caller's rayon pool.
     ///
     /// # Panics
     /// Panics if `data.len() != rows*cols`.
-    pub fn execute_seq<T: Copy>(&self, data: &mut [T]) {
-        assert_eq!(data.len(), self.total_len(), "matrix size mismatch");
-        for stage in &self.stages {
-            stage.op.apply_seq(data);
-        }
-    }
-
-    /// Execute all stages with rayon in place.
-    ///
-    /// # Panics
-    /// Panics if `data.len() != rows*cols`.
-    pub fn execute_par<T: Copy + Send + Sync>(&self, data: &mut [T]) {
+    pub fn execute<T: Copy + Send + Sync>(&self, data: &mut [T]) {
         assert_eq!(data.len(), self.total_len(), "matrix size mismatch");
         for stage in &self.stages {
             stage.op.apply_par(data);
@@ -365,12 +353,12 @@ mod tests {
             let mat = Matrix::iota(mm, nn);
             let want = mat.transposed().into_vec();
             for plan in plans(mm, nn, tm, tn) {
-                let mut seq = mat.as_slice().to_vec();
-                plan.execute_seq(&mut seq);
-                assert_eq!(seq, want, "{} seq on {mm}x{nn} tile ({tm},{tn})", plan.name);
-                let mut par = mat.as_slice().to_vec();
-                plan.execute_par(&mut par);
-                assert_eq!(par, want, "{} par on {mm}x{nn} tile ({tm},{tn})", plan.name);
+                for threads in [1, 2] {
+                    let mut data = mat.as_slice().to_vec();
+                    crate::on_pool(threads, || plan.execute(&mut data));
+                    let at = format!("{mm}x{nn} tile ({tm},{tn}) on {threads} threads");
+                    assert_eq!(data, want, "{} {at}", plan.name);
+                }
             }
         }
     }
@@ -410,8 +398,8 @@ mod tests {
         let mat = Matrix::iota(6, 15);
         let mut a = mat.as_slice().to_vec();
         let mut b = a.clone();
-        StagePlan::four_stage(6, 15, tile).unwrap().execute_seq(&mut a);
-        StagePlan::four_stage_fused(6, 15, tile).unwrap().execute_seq(&mut b);
+        StagePlan::four_stage(6, 15, tile).unwrap().execute(&mut a);
+        StagePlan::four_stage_fused(6, 15, tile).unwrap().execute(&mut b);
         assert_eq!(a, b);
     }
 
@@ -421,7 +409,7 @@ mod tests {
         let want = mat.transposed().into_vec();
         let plan = StagePlan::three_stage(20, 9, TileConfig::new(5, 3)).unwrap();
         let mut data = mat.as_slice().to_vec();
-        plan.execute_seq(&mut data);
+        plan.execute(&mut data);
         assert_eq!(data, want);
     }
 }

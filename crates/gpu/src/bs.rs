@@ -177,7 +177,7 @@ mod tests {
             let (got, _) = run_bs(DeviceSpec::tesla_k20(), i, r, c, s, wg);
             let op = InstancedTranspose::new(i, r, c, s);
             let mut want: Vec<u32> = (0..op.total_len() as u32).collect();
-            op.apply_seq(&mut want);
+            op.apply(&mut want);
             assert_eq!(got, want, "{i}x{r}x{c}x{s} wg={wg}");
         }
     }
@@ -189,7 +189,7 @@ mod tests {
             let (got, _) = run_bs(dev, 4, 12, 16, 1, 128);
             let op = InstancedTranspose::new(4, 12, 16, 1);
             let mut want: Vec<u32> = (0..op.total_len() as u32).collect();
-            op.apply_seq(&mut want);
+            op.apply(&mut want);
             assert_eq!(got, want, "{name}");
         }
     }

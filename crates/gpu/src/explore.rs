@@ -108,7 +108,7 @@ pub fn run_race_case(
     let v: Vec<u32> = (0..total as u32).collect();
     sim.upload_u32(data, &v);
     let mut want = v;
-    op.apply_seq(&mut want);
+    op.apply(&mut want);
 
     let stats = match target {
         RaceTarget::P010 => {

@@ -245,7 +245,7 @@ mod tests {
     fn expected(instances: usize, rows: usize, cols: usize, super_size: usize) -> Vec<u32> {
         let op = InstancedTranspose::new(instances, rows, cols, super_size);
         let mut want: Vec<u32> = (0..op.total_len() as u32).collect();
-        op.apply_seq(&mut want);
+        op.apply(&mut want);
         want
     }
 

@@ -289,7 +289,7 @@ mod tests {
     fn expected(instances: usize, rows: usize, cols: usize) -> Vec<u32> {
         let op = InstancedTranspose::new(instances, rows, cols, 1);
         let mut want: Vec<u32> = (0..op.total_len() as u32).collect();
-        op.apply_seq(&mut want);
+        op.apply(&mut want);
         want
     }
 

@@ -445,7 +445,7 @@ mod tests {
     fn expected(instances: usize, rows: usize, cols: usize, super_size: usize) -> Vec<u32> {
         let op = InstancedTranspose::new(instances, rows, cols, super_size);
         let mut want: Vec<u32> = (0..op.total_len() as u32).collect();
-        op.apply_seq(&mut want);
+        op.apply(&mut want);
         want
     }
 
@@ -573,7 +573,7 @@ mod tests {
         let (mp, np, m, n) = (5usize, 4usize, 3usize, 6usize);
         let fused_ref = FusedTileTranspose::new(mp, np, m, n);
         let mut want: Vec<u32> = (0..fused_ref.len() as u32).collect();
-        fused_ref.apply_seq(&mut want);
+        fused_ref.apply(&mut want);
 
         let (got, _) = run(
             DeviceSpec::tesla_k20(),

@@ -111,7 +111,7 @@ fn pttwac010_run(seed: u64) -> Outcome {
     let flags = sim.alloc(1);
     let host: Vec<u32> = (0..words as u32).collect();
     let mut want = host.clone();
-    op.apply_seq(&mut want);
+    op.apply(&mut want);
     sim.upload_u32(data, &host);
 
     let policy = RecoveryPolicy::default();

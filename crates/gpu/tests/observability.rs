@@ -120,7 +120,7 @@ fn conflicts_with(flags: FlagLayout) -> TraceRecorder {
     let k = ipt_gpu::Pttwac010 { data: buf, instances, rows, cols, wg_size: 256, flags, backoff: None };
     sim.launch(&k, &rec, 0.0).expect("feasible");
     let mut want = data;
-    op.apply_seq(&mut want);
+    op.apply(&mut want);
     assert_eq!(sim.download_u32(buf), want, "{flags:?} must still transpose correctly");
     rec
 }

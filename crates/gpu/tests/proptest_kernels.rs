@@ -15,17 +15,22 @@ use proptest::prelude::*;
 
 fn expected(op: &InstancedTranspose) -> Vec<u32> {
     let mut want: Vec<u32> = (0..op.total_len() as u32).collect();
-    op.apply_seq(&mut want);
+    op.apply(&mut want);
     want
 }
 
-/// Host C2R on `data`: the (sequential, parallel) results.
+/// Host C2R on `data`: the results on a 1-wide and on a 2-wide pool.
 fn host_c2r<T: Copy + Send + Sync>(data: Vec<T>, rows: usize, cols: usize) -> (Vec<T>, Vec<T>) {
-    let mut seq = data.clone();
-    ipt_core::transpose_c2r_seq(&mut seq, rows, cols);
-    let mut par = data;
-    ipt_core::transpose_c2r_par(&mut par, rows, cols);
-    (seq, par)
+    let on = |threads| {
+        let mut out = data.clone();
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("shim pools build");
+        pool.install(|| ipt_core::transpose_c2r(&mut out, rows, cols));
+        out
+    };
+    (on(1), on(2))
 }
 
 proptest! {
@@ -112,8 +117,7 @@ proptest! {
     }
 
     /// The C2R device pipeline needs no coprimality assumption: it is
-    /// total over every shape, and bit-identical to the host sequential
-    /// reference.
+    /// total over every shape, and bit-identical to the host C2R.
     #[test]
     fn c2r_device_any_shape(
         rows in 1usize..80, cols in 1usize..80,
@@ -126,16 +130,16 @@ proptest! {
         let m = Matrix::iota(rows, cols);
         sim.upload_u32(buf, m.as_slice());
         ipt_gpu::transpose_c2r_on_device(&mut sim, buf, rows, cols, wg).unwrap();
-        // Host sequential reference on the same payload.
+        // Host reference on the same payload.
         let mut host = m.as_slice().to_vec();
-        ipt_core::transpose_c2r_seq(&mut host, rows, cols);
+        ipt_core::transpose_c2r(&mut host, rows, cols);
         prop_assert_eq!(&host, &m.transposed().into_vec(), "host reference");
         prop_assert_eq!(sim.download_u32(buf), host, "device ≡ host");
     }
 
-    /// Host parallel ≡ host sequential ≡ naive reference for C2R across
+    /// Host C2R on 2 threads ≡ on 1 thread ≡ naive reference across
     /// arbitrary shapes and 1–2-word elements, both through the generic
-    /// functions (`u32` and `[u32; 2]` elements).
+    /// function (`u32` and `[u32; 2]` elements).
     #[test]
     fn c2r_host_paths_agree_for_wide_elements(
         rows in 1usize..48, cols in 1usize..48, elem_words in 1usize..3,
@@ -158,8 +162,8 @@ proptest! {
             let (seq, par) = host_c2r(pairs, rows, cols);
             (seq.concat(), par.concat())
         };
-        prop_assert_eq!(&seq, &want, "sequential");
-        prop_assert_eq!(&par, &want, "parallel ≡ reference");
+        prop_assert_eq!(&seq, &want, "1 thread");
+        prop_assert_eq!(&par, &want, "2 threads ≡ reference");
     }
 
     /// The scheme-level recovery chain on a C2R decision is exact for both

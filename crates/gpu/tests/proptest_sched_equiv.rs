@@ -89,7 +89,7 @@ proptest! {
             let s = if matches!(fam, Fam::P100) { 2 } else { 1 };
             let op = InstancedTranspose::new(1, rows, cols, s);
             let mut want: Vec<u32> = (0..op.total_len() as u32).collect();
-            op.apply_seq(&mut want);
+            op.apply(&mut want);
             prop_assert_eq!(&rr, &want, "{:?} {}x{} incorrect", fam, rows, cols);
         }
     }

@@ -90,14 +90,14 @@ fn main() {
     // Transpose in place: rows×cols grid of 1-element complex
     // super-elements ((f64,f64) is the scalar here).
     let t0 = std::time::Instant::now();
-    InstancedTranspose::new(1, rows, cols, 1).apply_par(&mut data);
+    InstancedTranspose::new(1, rows, cols, 1).apply(&mut data);
     let t_tr = t0.elapsed().as_secs_f64();
     // Pass 2: FFT each (former) column — now contiguous rows.
     for c in 0..cols {
         fft_inplace(&mut data[c * rows..(c + 1) * rows]);
     }
     // Transpose back to row-major orientation.
-    InstancedTranspose::new(1, cols, rows, 1).apply_par(&mut data);
+    InstancedTranspose::new(1, cols, rows, 1).apply(&mut data);
     println!("  in-place transpositions took {:.2} ms each way", t_tr * 1e3);
 
     // Verify one row and one column against the naive DFT.

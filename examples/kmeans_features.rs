@@ -11,7 +11,7 @@
 //! cargo run --release --example kmeans_features
 //! ```
 
-use ipt::core::{transpose_in_place_par, Algorithm, Matrix};
+use ipt::core::{transpose_in_place, Algorithm, Matrix};
 use std::time::Instant;
 
 const N_DESC: usize = 60_000; // descriptors
@@ -97,7 +97,7 @@ fn main() {
 
     // In-place conversion to component-major — zero extra matrix storage.
     let t0 = Instant::now();
-    let comp = transpose_in_place_par(desc.clone(), Algorithm::ThreeStage);
+    let comp = transpose_in_place(desc.clone(), Algorithm::ThreeStage);
     let t_transpose = t0.elapsed().as_secs_f64();
     assert_eq!(comp.rows(), DIM);
 

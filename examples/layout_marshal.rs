@@ -34,7 +34,7 @@ fn main() {
         "AoS -> ASTA(tile={TILE}): 010! as InstancedTranspose {{ instances: {}, rows: {}, cols: {}, super: {} }}",
         op.instances, op.rows, op.cols, op.super_size
     );
-    op.apply_par(&mut data);
+    op.apply(&mut data);
     // Fields of one tile are now contiguous: perfect for SIMD/warp loads.
     assert_eq!(data[sa.asta_index(123, 5, TILE)], (123 * 10 + 5) as f32);
     let base = sa.asta_index(0, 3, TILE);
@@ -42,12 +42,12 @@ fn main() {
     println!("{:?}", &data[base..base + 6]);
 
     // ASTA -> SoA in place: the inverse 100!.
-    sa.asta_to_soa(TILE).apply_par(&mut data);
+    sa.asta_to_soa(TILE).apply(&mut data);
     assert_eq!(data[sa.soa_index(123, 5)], (123 * 10 + 5) as f32);
     println!("ASTA -> SoA: field-major layout restored (100! inverse)");
 
     // And SoA straight back to AoS: a full rectangular transposition.
-    sa.aos_to_soa().inverse().apply_par(&mut data);
+    sa.aos_to_soa().inverse().apply(&mut data);
     assert_eq!(data[sa.aos_index(123, 5)], (123 * 10 + 5) as f32);
     println!("SoA -> AoS: full {}x{} in-place transposition — round trip exact", FIELDS, N_PARTICLES);
 }

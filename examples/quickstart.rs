@@ -6,7 +6,7 @@
 //! ```
 
 use ipt::core::{
-    transpose_in_place_par, Algorithm, Matrix, StagePlan, TileHeuristic, TransposePerm,
+    transpose_in_place, Algorithm, Matrix, StagePlan, TileHeuristic, TransposePerm,
 };
 use ipt::gpu::{plan_flag_words, transpose_on_device, GpuOptions};
 use ipt::obs::NoopRecorder;
@@ -31,7 +31,7 @@ fn main() {
     let a = Matrix::pattern_f32(rows, cols);
     let expect = a.transposed();
     let t0 = std::time::Instant::now();
-    let t = transpose_in_place_par(a.clone(), Algorithm::ThreeStage);
+    let t = transpose_in_place(a.clone(), Algorithm::ThreeStage);
     let host_s = t0.elapsed().as_secs_f64();
     assert_eq!(t, expect);
     println!(

@@ -6,7 +6,8 @@
 //!
 //! * [`core`] (`ipt-core`) — permutation/cycle mathematics, elementary
 //!   tiled transpositions, 3-stage/4-stage plans, tile selection,
-//!   AoS/SoA/ASTA layout marshaling; sequential and rayon execution.
+//!   AoS/SoA/ASTA layout marshaling; one host entry point per operation,
+//!   run on the caller's rayon pool (a 1-wide pool runs it inline).
 //! * [`sim`] (`gpu-sim`) — the SIMT execution simulator substrate
 //!   (devices, warps, banks, locks, occupancy, command queues, PCIe).
 //! * [`gpu`] (`ipt-gpu`) — the paper's kernels on the simulator: BS,
@@ -21,12 +22,12 @@
 //! ## Quick start
 //!
 //! ```
-//! use ipt::core::{Matrix, Algorithm, transpose_in_place_par};
+//! use ipt::core::{Matrix, Algorithm, transpose_in_place};
 //!
 //! let a = Matrix::iota(60, 48);
 //! let expect = a.transposed();
 //! // 3-stage in-place transposition, automatic tile selection:
-//! let t = transpose_in_place_par(a, Algorithm::ThreeStage);
+//! let t = transpose_in_place(a, Algorithm::ThreeStage);
 //! assert_eq!(t, expect);
 //! ```
 //!

@@ -1,20 +1,27 @@
-//! Workspace-level integration tests: every execution path — host
-//! sequential, host parallel, CPU baselines, and the simulated device —
-//! must produce exactly the reference transposition on the same shapes.
+//! Workspace-level integration tests: every execution path — the host
+//! entry points on one and on two threads, CPU baselines, and the
+//! simulated device — must produce exactly the reference transposition on
+//! the same shapes.
 
 use ipt::baselines::{
     transpose_in_place_gkk, transpose_in_place_pipt, transpose_in_place_seq, transpose_oop_par,
 };
-use ipt::core::{
-    transpose_in_place_par, transpose_in_place_seq as core_seq, Algorithm, Matrix, StagePlan,
-    TileConfig, TileHeuristic,
-};
+use ipt::core::{transpose_in_place, Algorithm, Matrix, StagePlan, TileConfig, TileHeuristic};
 use ipt::gpu::{
     plan_flag_words, run_host_async, run_host_sync, transpose_on_device, GpuOptions,
     RecoveryPolicy,
 };
 use ipt::obs::NoopRecorder;
 use ipt::sim::{DeviceSpec, Sim};
+
+/// Run `op` on a rayon pool `threads` wide (1 runs it inline).
+fn on_pool<R: Send>(threads: usize, op: impl FnOnce() -> R + Send) -> R {
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("shim pools build");
+    pool.install(op)
+}
 
 const SHAPES: &[(usize, usize)] = &[
     (5, 3),
@@ -35,13 +42,10 @@ fn every_host_path_matches_reference() {
         let m = Matrix::iota(r, c);
         let want = m.transposed();
         for algo in Algorithm::ALL {
-            assert_eq!(core_seq(m.clone(), algo), want, "core seq {} {r}x{c}", algo.name());
-            assert_eq!(
-                transpose_in_place_par(m.clone(), algo),
-                want,
-                "core par {} {r}x{c}",
-                algo.name()
-            );
+            for threads in [1, 2] {
+                let got = on_pool(threads, || transpose_in_place(m.clone(), algo));
+                assert_eq!(got, want, "{} {r}x{c} on {threads} threads", algo.name());
+            }
         }
         assert_eq!(transpose_in_place_gkk(m.clone(), 4), want, "gkk {r}x{c}");
         assert_eq!(transpose_in_place_pipt(m.clone()), want, "pipt {r}x{c}");
@@ -93,11 +97,7 @@ fn staged_plan_through_100_is_engine_independent() {
         (data, stats)
     };
     let (serial_data, serial) = run(EngineMode::Serial);
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(2)
-        .build()
-        .expect("shim pools build");
-    let (par_data, par) = pool.install(|| run(EngineMode::Parallel));
+    let (par_data, par) = on_pool(2, || run(EngineMode::Parallel));
     let kernels: Vec<&str> = serial.stages.iter().map(|s| s.name.as_str()).collect();
     assert!(
         kernels[0].starts_with("PTTWAC100") && kernels[2].starts_with("PTTWAC100"),
@@ -135,8 +135,8 @@ fn host_offload_sync_and_async_agree() {
 fn double_transposition_is_identity_everywhere() {
     for &(r, c) in &[(60, 48), (48, 60), (90, 36)] {
         let m = Matrix::pattern_f32(r, c);
-        let t = transpose_in_place_par(m.clone(), Algorithm::ThreeStage);
-        let back = transpose_in_place_par(t, Algorithm::FourStage);
+        let t = transpose_in_place(m.clone(), Algorithm::ThreeStage);
+        let back = transpose_in_place(t, Algorithm::FourStage);
         assert_eq!(back, m, "{r}x{c}");
     }
 }
@@ -178,19 +178,17 @@ fn any_shape_api_handles_awkward_dimensions() {
 fn any_shape_api_on_two_threads_matches_its_seq_paths() {
     use ipt::core::full::{route_for, AnyRoute};
     use ipt::core::{transpose_coprime_seq, transpose_in_place_any};
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(2)
-        .build()
-        .expect("shim pools build");
     for (r, c, route) in [(720, 480, AnyRoute::Staged), (1009, 997, AnyRoute::Coprime)] {
         assert_eq!(route_for(r, c, &TileHeuristic::default()), route, "{r}x{c}");
         let m = Matrix::pattern_f32(r, c);
-        // Seq and par share one per-instance routine, so each must also
+        // One and two threads run the same functions, so each must also
         // match the plain out-of-place transposition.
         let independent = m.transposed();
-        let got = pool.install(|| transpose_in_place_any(m.clone()));
+        let got = on_pool(2, || transpose_in_place_any(m.clone()));
         let want = match route {
-            AnyRoute::Staged => core_seq(m, Algorithm::ThreeStage).into_vec(),
+            AnyRoute::Staged => {
+                on_pool(1, || transpose_in_place(m, Algorithm::ThreeStage)).into_vec()
+            }
             _ => {
                 let mut data = m.into_vec();
                 transpose_coprime_seq(&mut data, r, c);
@@ -203,22 +201,21 @@ fn any_shape_api_on_two_threads_matches_its_seq_paths() {
 }
 
 #[test]
-fn three_stage_plan_on_both_sides_of_the_scratch_cap_on_two_threads() {
+fn three_stage_plan_on_both_sides_of_the_scratch_cap_on_one_and_two_threads() {
     // 1200×600 f32 with 50×60 tiles: 100! is one 2.88 MB instance of
     // 60-word super-elements, over the 2 MiB scratch cap, so it is
-    // cycle-followed; 0010!'s 12 KB tiles and 0100!'s 288 KB instances
-    // are staged through the per-worker scratch tile.
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(2)
-        .build()
-        .expect("shim pools build");
+    // cycle-followed: with the visited bitmap on one thread, one task per
+    // cycle on two. 0010!'s 12 KB tiles and 0100!'s 288 KB instances are
+    // staged through the per-worker scratch tile.
     let (r, c) = (1200, 600);
     let plan = StagePlan::three_stage(r, c, TileConfig::new(50, 60)).unwrap();
     let m = Matrix::pattern_f32(r, c);
     let want = m.transposed();
-    let mut data = m.into_vec();
-    pool.install(|| plan.execute_par(&mut data));
-    assert_eq!(Matrix::from_vec(c, r, data), want);
+    for threads in [1, 2] {
+        let mut data = m.as_slice().to_vec();
+        on_pool(threads, || plan.execute(&mut data));
+        assert_eq!(Matrix::from_vec(c, r, data), want, "{threads} threads");
+    }
 }
 
 #[test]
@@ -228,17 +225,13 @@ fn host_c2r_column_blocks_on_two_threads_match_the_reference() {
     // at 13 columns (2 MiB of scratch): the 3-column shape sits under the
     // cap, the 17-column one is cut to 13 + 4.
     use ipt::core::{transpose_in_place_any, transpose_matrix_c2r};
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(2)
-        .build()
-        .expect("shim pools build");
     let m = Matrix::pattern_f32(1009, 997);
     let want = m.transposed();
-    assert_eq!(pool.install(|| transpose_in_place_any(m)), want, "1009x997");
+    assert_eq!(on_pool(2, || transpose_in_place_any(m)), want, "1009x997");
     for (r, c) in [(600, 450), (40_009, 3), (40_009, 17)] {
         let m = Matrix::pattern_f32(r, c);
         let want = m.transposed();
-        assert_eq!(pool.install(|| transpose_matrix_c2r(m)), want, "{r}x{c}");
+        assert_eq!(on_pool(2, || transpose_matrix_c2r(m)), want, "{r}x{c}");
     }
 }
 

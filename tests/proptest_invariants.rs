@@ -9,7 +9,7 @@ use ipt::core::elementary::parallel::{cycle_shift_par, find_cycle_leaders};
 use ipt::core::elementary::{cycle_shift_oop, cycle_shift_seq, cycle_shift_seq_minimal};
 use ipt::core::layout::StructArray;
 use ipt::core::{
-    transpose_in_place_par, Algorithm, InstancedTranspose, Matrix, StagePlan, TileConfig,
+    transpose_in_place, Algorithm, InstancedTranspose, Matrix, StagePlan, TileConfig,
     TransposePerm,
 };
 use proptest::prelude::*;
@@ -99,7 +99,7 @@ proptest! {
         ] {
             prop_assert!(plan.verify(), "{} composition", plan.name);
             let mut data = mat.as_slice().to_vec();
-            plan.execute_seq(&mut data);
+            plan.execute(&mut data);
             prop_assert_eq!(&data, &want);
         }
     }
@@ -107,8 +107,8 @@ proptest! {
     #[test]
     fn transpose_is_involutive(r in 1usize..80, c in 1usize..80) {
         let m = Matrix::pattern_f32(r, c);
-        let t = transpose_in_place_par(m.clone(), Algorithm::ThreeStage);
-        let back = transpose_in_place_par(t, Algorithm::ThreeStage);
+        let t = transpose_in_place(m.clone(), Algorithm::ThreeStage);
+        let back = transpose_in_place(t, Algorithm::ThreeStage);
         prop_assert_eq!(back, m);
     }
 
@@ -119,8 +119,8 @@ proptest! {
         let op = InstancedTranspose::new(i, r, c, s);
         let orig: Vec<u32> = (0..op.total_len() as u32).collect();
         let mut data = orig.clone();
-        op.apply_seq(&mut data);
-        op.inverse().apply_seq(&mut data);
+        op.apply(&mut data);
+        op.inverse().apply(&mut data);
         prop_assert_eq!(data, orig);
     }
 
@@ -131,10 +131,10 @@ proptest! {
         let orig: Vec<u32> = (0..sa.len() as u32).collect();
         // AoS -> ASTA -> SoA -> (inverse chain) -> AoS
         let mut data = orig.clone();
-        sa.aos_to_asta(t).apply_seq(&mut data);
-        sa.asta_to_soa(t).apply_seq(&mut data);
-        sa.soa_to_asta(t).apply_seq(&mut data);
-        sa.asta_to_aos(t).apply_seq(&mut data);
+        sa.aos_to_asta(t).apply(&mut data);
+        sa.asta_to_soa(t).apply(&mut data);
+        sa.soa_to_asta(t).apply(&mut data);
+        sa.asta_to_aos(t).apply(&mut data);
         prop_assert_eq!(data, orig);
     }
 
