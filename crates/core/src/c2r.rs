@@ -19,20 +19,36 @@
 //! The per-element gathers on [`C2rGeometry`] are the reference that the
 //! device kernels and the tests pin; the host passes never evaluate them
 //! per element. Each row, and each block of columns, instead gets a
-//! *walker* built once from the geometry: construction does every `/`,
-//! `%` and `u128` step, and the walk then names the source of each
-//! output element with adds and conditional subtracts only.
+//! *walker* built once from the geometry (or, at `c = 1`, the rows share
+//! one table): construction does every `/`, `%` and `u128` step, and the
+//! pass then names the source of each output element with adds,
+//! conditional subtracts and loads only.
 //!
-//! * The row shuffle gathers one row at a time through a row walker.
+//! * The row shuffle gathers one row at a time. At `c = 1`, row `i`
+//!   gathers column `(y₀(i) + j·a⁻¹) mod N`, so one table of `j·a⁻¹ mod N`,
+//!   built once per pass and shared read-only, serves every row: the row
+//!   is copied rotated by `y₀(i)` and gathered back through the table,
+//!   with no chain from one element to the next. For `c > 1` (and `N`
+//!   past `u32`) each row walks a row walker instead.
 //! * The rotate and the column shuffle work on blocks of `W` adjacent
-//!   columns, `W = 64 B ÷ size_of::<T>()` (16 for `f32`). A block is
-//!   staged row by row, one cache line per row. Its walker then names,
-//!   output row by output row, the staged row each column gathers from,
-//!   and the block is written back one line per row. A one-column pass
-//!   would use 4 bytes of each 64-byte line it touches.
-//! * The scratch is one row, or one `M·W` block per worker. `W` narrows
-//!   on tall shapes to keep a block under 2 MiB, or one column when a
-//!   column alone is larger — never a second matrix.
+//!   columns, `W = 256 B ÷ size_of::<T>()` (64 for `f32`). A block is
+//!   staged row by row, four cache lines per row, and written back one
+//!   `W`-wide run per row. A one-column pass would use 4 bytes of each
+//!   64-byte line it touches.
+//! * The rotate writes its output rows in order: each gathers from a
+//!   window of staged rows that slides by one per row.
+//! * The column shuffle writes its output rows in *source order*. Output
+//!   row `J`, column `q` gathers staged row `(s(J) + q) mod M`, where
+//!   `s` is a bijection on rows, so the pass writes row `J(s)` for
+//!   `s = 0, 1, …` from the diagonal of staged rows `(s + q0 + d) mod M`.
+//!   Consecutive rows read overlapping diagonals, a window of `W` staged
+//!   rows that stays in L1, and the block streams through once. In
+//!   output order, each row would gather one element from each of `W`
+//!   staged rows scattered over the block.
+//! * The scratch is one row, or one `M·W` block per worker, plus the
+//!   shared `N`-entry table at `c = 1`. `W` narrows on tall shapes to
+//!   keep a block under 8 MiB, or one column when a column alone is
+//!   larger — never a second matrix.
 //!
 //! [`transpose_c2r`] checks the buffer length against `M·N` without
 //! overflow before any pass offsets a pointer, then runs each pass's rows
@@ -216,21 +232,12 @@ impl RowWalk {
     }
 }
 
-/// A gather walk over a block of adjacent columns `q0, q0 + 1, …`: each
-/// call fills `src[d]` with the row that the next output row of column
-/// `q0 + d` comes from. Built once per block, with the divisions at
-/// construction; a row only adds and conditionally subtracts.
-trait BlockWalk {
-    fn new(geom: &C2rGeometry, q0: usize) -> Self;
-
-    /// Sources of the next output row; `src.len() ≤ N − q0`.
-    fn next_row(&mut self, src: &mut [usize]);
-}
-
-/// Phase 1 over a block: [`C2rGeometry::rotate_src_row`]. Column `q`
-/// rotates by `⌊q/b⌋ mod M`, so along an output row the source row holds
-/// for runs of `b` columns and falls by one (mod `M`) where a run starts;
-/// from one output row to the next, every source rises by one.
+/// Phase 1 over a block of adjacent columns `q0, q0 + 1, …`:
+/// [`C2rGeometry::rotate_src_row`]. Column `q` rotates by `⌊q/b⌋ mod M`,
+/// so along an output row the source row holds for runs of `b` columns
+/// and falls by one (mod `M`) where a run starts; from one output row to
+/// the next, every source rises by one. Built once per block; a row only
+/// adds and conditionally subtracts.
 #[derive(Debug)]
 struct RotateBlock {
     /// Source row of column `q0` for the next output row.
@@ -241,12 +248,14 @@ struct RotateBlock {
     b: usize,
 }
 
-impl BlockWalk for RotateBlock {
+impl RotateBlock {
     fn new(geom: &C2rGeometry, q0: usize) -> Self {
         let (m, b) = (geom.m, geom.b);
         Self { src0: geom.rotate_src_row(0, q0), first_run: b - q0 % b, m, b }
     }
 
+    /// Fill `src[d]` with the row that the next output row of column
+    /// `q0 + d` comes from; `src.len() ≤ N − q0`.
     #[inline]
     fn next_row(&mut self, src: &mut [usize]) {
         let (mut s, mut run) = (self.src0, self.first_run);
@@ -264,69 +273,114 @@ impl BlockWalk for RotateBlock {
     }
 }
 
-/// Phase 3 over a block: [`C2rGeometry::col_shuffle_src_row`], which is
+/// Phase 3 in source order. [`C2rGeometry::col_shuffle_src_row`] is
 /// `(t mod M + ⌊t/L⌋) mod M` with `t = J·N + q` and `L = M·b = a·N`,
-/// since `⌊⌊t/M⌋/b⌋ = ⌊t/L⌋`. As `q < N`, `⌊t/L⌋ = ⌊J/a⌋`: it stays
-/// below `c ≤ M` and is the same for every column of an output row, so
-/// along the row the source rises by one per column (mod `M`). Each
-/// output row adds `N` to `t`.
+/// since `⌊⌊t/M⌋/b⌋ = ⌊t/L⌋`. As `q < N`, `⌊t/L⌋ = ⌊J/a⌋`, so output row
+/// `J` of column `q` gathers row `(s(J) + q) mod M`, where
+/// `s(J) = (J·N mod M + ⌊J/a⌋) mod M` is the source of column 0. Writing
+/// `J = k·a + j` with `k < c`, `j < a` gives `s = c·(j·b mod a) + k`, a
+/// bijection on rows, whose inverse this walks for `s = 0, 1, 2, …`:
+/// `J(s) = (s mod c)·a + ((s div c)·b⁻¹ mod a)`. From one `s` to the
+/// next, `J` rises by `a`, or, where `s mod c` wraps to 0, restarts at a
+/// `j` that has risen by `b⁻¹` mod `a`.
 #[derive(Debug)]
-struct ColBlock {
-    /// `t mod M` at column `q0` of the next output row.
-    t_m: usize,
-    /// `⌊J/a⌋`.
-    k: usize,
-    /// Output rows left until `k` next rises.
-    rows_to_k: usize,
-    m: usize,
-    /// `N mod M`.
-    n_m: usize,
+struct SourceOrder {
+    /// `J` for the next `s`.
+    j_out: usize,
+    /// `(s div c)·b⁻¹ mod a`, the `j` of the next `s`.
+    j: usize,
+    /// `c − s mod c`, the steps left until `s mod c` wraps.
+    left: usize,
     a: usize,
+    c: usize,
+    /// `b⁻¹ mod a` (`0` when `a = 1`).
+    b_inv: usize,
 }
 
-impl BlockWalk for ColBlock {
-    fn new(geom: &C2rGeometry, q0: usize) -> Self {
-        let (m, a) = (geom.m, geom.a);
-        Self { t_m: q0 % m, k: 0, rows_to_k: a, m, n_m: geom.n % m, a }
+impl SourceOrder {
+    fn new(geom: &C2rGeometry) -> Self {
+        let (a, c) = (geom.a, geom.c);
+        let b_inv = mod_inverse(geom.b as u64 % a as u64, a as u64)
+            .expect("a and b are coprime by construction") as usize;
+        Self { j_out: 0, j: 0, left: c, a, c, b_inv }
     }
 
+    /// The output row whose column `q` gathers staged row `(s + q) mod M`,
+    /// for the next `s`.
     #[inline]
-    fn next_row(&mut self, src: &mut [usize]) {
-        let m = self.m;
-        let mut s = self.t_m + self.k;
-        if s >= m {
-            s -= m;
-        }
-        for slot in src {
-            *slot = s;
-            s += 1;
-            if s == m {
-                s = 0;
+    fn next_row(&mut self) -> usize {
+        let j_out = self.j_out;
+        self.left -= 1;
+        if self.left > 0 {
+            self.j_out += self.a;
+        } else {
+            self.left = self.c;
+            self.j += self.b_inv;
+            if self.j >= self.a {
+                self.j -= self.a;
             }
+            self.j_out = self.j;
         }
-        self.t_m += self.n_m;
-        if self.t_m >= m {
-            self.t_m -= m;
-        }
-        self.rows_to_k -= 1;
-        if self.rows_to_k == 0 {
-            self.rows_to_k = self.a;
-            self.k += 1;
-        }
+        j_out
     }
 }
 
-/// The cache line the column passes fill per row of a block.
-const LINE_BYTES: usize = 64;
+/// Fill `run[d]` with column `d` of row `(r + d) mod M` of the staged
+/// `M × w` block `tmp`: a diagonal with stride `w + 1` that restarts at
+/// row 0 each time it passes row `M − 1` (once per `M` columns).
+#[inline]
+fn read_diagonal<T: Copy>(tmp: &[T], w: usize, mut r: usize, run: &mut [T]) {
+    let m = tmp.len() / w;
+    let mut d = 0;
+    while d < run.len() {
+        let len = (m - r).min(run.len() - d);
+        let diagonal = tmp[r * w + d..].iter().step_by(w + 1);
+        for (slot, &x) in run[d..d + len].iter_mut().zip(diagonal) {
+            *slot = x;
+        }
+        d += len;
+        r = 0;
+    }
+}
 
-/// Columns per block: one cache line of `T`s, narrowed so the `M·W`
-/// scratch stays under [`crate::SCRATCH_BYTES`] or one column, whichever
+/// The bytes of each row that a column block spans: four cache lines.
+const BLOCK_BYTES: usize = 256;
+
+/// A worker's bound on a staged column block. The column shuffle streams
+/// through its block in source order, so the block need not fit in L2.
+const BLOCK_SCRATCH_BYTES: usize = 8 << 20;
+
+/// Columns per block: [`BLOCK_BYTES`] of `T`s, narrowed so the `M·W`
+/// scratch stays under [`BLOCK_SCRATCH_BYTES`] or one column, whichever
 /// is larger, and never wider than the matrix.
 fn block_width<T>(m_rows: usize, n_cols: usize) -> usize {
     let size = std::mem::size_of::<T>().max(1);
-    let line = (LINE_BYTES / size).max(1);
-    let cap = (crate::SCRATCH_BYTES / size / m_rows).max(1);
+    let line = (BLOCK_BYTES / size).max(1);
+    let cap = (BLOCK_SCRATCH_BYTES / size / m_rows).max(1);
     line.min(cap).min(n_cols)
+}
+
+/// At `c = 1`, row `i` gathers column `(y₀(i) + j·a⁻¹) mod N`, with
+/// `y₀(i) = row_shuffle_src_col(i, 0)`: one table of `j·a⁻¹ mod N` serves
+/// every row, once the row is rotated by `y₀(i)`. `None` for `c > 1`, and
+/// for `N` past `u32`, where rows walk a [`RowWalk`] instead.
+fn row_table(geom: &C2rGeometry) -> Option<Vec<u32>> {
+    if geom.c > 1 || u32::try_from(geom.n).is_err() {
+        return None;
+    }
+    let (n, a_inv) = (geom.n, geom.a_inv);
+    let mut y = 0;
+    let table = (0..n)
+        .map(|_| {
+            let entry = y as u32;
+            y += a_inv;
+            if y >= n {
+                y -= n;
+            }
+            entry
+        })
+        .collect();
+    Some(table)
 }
 
 /// One host pass of the decomposition.
@@ -346,7 +400,7 @@ struct HostPlan {
     geom: C2rGeometry,
     /// Buffer length, `M·N`.
     len: usize,
-    /// Columns per block, `1 ≤ w ≤ min(N, LINE_BYTES)`.
+    /// Columns per block, `1 ≤ w ≤ min(N, BLOCK_BYTES)`.
     w: usize,
 }
 
@@ -377,69 +431,85 @@ impl HostPlan {
     }
 
     /// Run `pass` over `data` on the caller's rayon pool, one task per
-    /// unit, each worker keeping one scratch buffer.
+    /// unit, each worker keeping one scratch buffer. The row shuffle's
+    /// table, if any, is built once and shared read-only.
     ///
     /// # Panics
     /// Panics if `data` is not the buffer length the plan was built for.
     fn run<T: Copy + Send + Sync>(&self, data: &mut [T], pass: Pass) {
         assert_eq!(data.len(), self.len, "buffer does not match the plan");
+        let table = match pass {
+            Pass::RowShuffle => row_table(&self.geom),
+            Pass::Rotate | Pass::ColShuffle => None,
+        };
         let data = SharedSlice::new(data);
         (0..self.units(pass)).into_par_iter().for_each_init(Vec::new, |tmp, unit| {
             // SAFETY: the buffer holds `M·N` elements (asserted above), and
             // each unit — a row or a column block, disjoint from every
             // other unit of the pass — goes to exactly one task.
-            unsafe { self.run_unit(&data, pass, unit, tmp) }
+            unsafe {
+                match pass {
+                    Pass::RowShuffle => self.shuffle_row(&data, unit, table.as_deref(), tmp),
+                    Pass::Rotate => self.rotate_block(&data, unit, tmp),
+                    Pass::ColShuffle => self.shuffle_block(&data, unit, tmp),
+                }
+            }
         });
     }
 
-    /// Permute row `unit` or column block `unit` of `pass`.
+    /// Gather row `i`: through `table` at `c = 1` (see [`row_table`]),
+    /// else through a [`RowWalk`].
     ///
     /// # Safety
-    /// `data` holds `M·N` elements, `unit < self.units(pass)`, and no other
-    /// thread accesses the unit's elements during the call.
-    unsafe fn run_unit<T: Copy>(
+    /// `data` holds `M·N` elements, `i < M`, and no other thread accesses
+    /// row `i` during the call.
+    unsafe fn shuffle_row<T: Copy>(
         &self,
         data: &SharedSlice<'_, T>,
-        pass: Pass,
-        unit: usize,
+        i: usize,
+        table: Option<&[u32]>,
         tmp: &mut Vec<T>,
     ) {
         let n = self.geom.n;
-        match pass {
-            Pass::RowShuffle => {
-                let mut walk = RowWalk::new(&self.geom, unit);
-                // SAFETY: row `unit < M` is `unit·N .. unit·N + N ≤ M·N`,
-                // and the caller owns it.
-                unsafe {
-                    data.with_range(unit * n, n, |row| {
-                        tmp.clear();
-                        tmp.extend_from_slice(row);
-                        for slot in row {
-                            *slot = tmp[walk.next_src()];
-                        }
-                    });
+        // SAFETY: row `i < M` is `i·N .. i·N + N ≤ M·N`, and the caller
+        // owns it.
+        unsafe {
+            data.with_range(i * n, n, |row| {
+                tmp.clear();
+                if let Some(table) = table {
+                    let y0 = self.geom.row_shuffle_src_col(i, 0);
+                    tmp.extend_from_slice(&row[y0..]);
+                    tmp.extend_from_slice(&row[..y0]);
+                    // Every entry is below `N`, so the clamp changes no
+                    // index; it lets the compiler drop the bounds check,
+                    // which cost this loop a third of its time.
+                    let (rotated, last) = (&tmp[..n], n - 1);
+                    for (slot, &k) in row.iter_mut().zip(table) {
+                        *slot = rotated[(k as usize).min(last)];
+                    }
+                } else {
+                    tmp.extend_from_slice(row);
+                    let mut walk = RowWalk::new(&self.geom, i);
+                    for slot in row {
+                        *slot = tmp[walk.next_src()];
+                    }
                 }
-            }
-            // SAFETY (both arms): the block's columns lie below `N` and
-            // the caller owns them.
-            Pass::Rotate => unsafe { self.gather_block::<T, RotateBlock>(data, unit, tmp) },
-            Pass::ColShuffle => unsafe { self.gather_block::<T, ColBlock>(data, unit, tmp) },
+            });
         }
     }
 
-    /// Gather block `unit`: stage its columns row by row (one line-wide
-    /// run per row), then rewrite each output row from the staged rows
-    /// that `K` names.
+    /// Stage block `unit` in `tmp` row by row (one `w`-wide run per row)
+    /// and return its first column and width.
     ///
     /// # Safety
     /// `data` holds `M·N` elements, `unit < N.div_ceil(w)`, and no other
     /// thread accesses the block's columns during the call.
-    unsafe fn gather_block<T: Copy, K: BlockWalk>(
+    unsafe fn stage_block<T: Copy>(
         &self,
         data: &SharedSlice<'_, T>,
         unit: usize,
         tmp: &mut Vec<T>,
-    ) {
+    ) -> (usize, usize) {
         let (m, n) = (self.geom.m, self.geom.n);
         let q0 = unit * self.w;
         let w = self.w.min(n - q0);
@@ -449,12 +519,29 @@ impl HostPlan {
             // row `r < M` and in the caller's columns.
             unsafe { data.with_range(r * n + q0, w, |run| tmp.extend_from_slice(run)) };
         }
-        let mut walk = K::new(&self.geom, q0);
-        let mut src = [0; LINE_BYTES];
+        (q0, w)
+    }
+
+    /// Rotate block `unit`: stage it, then rewrite each output row from
+    /// the staged rows that a [`RotateBlock`] names.
+    ///
+    /// # Safety
+    /// As [`HostPlan::stage_block`].
+    unsafe fn rotate_block<T: Copy>(
+        &self,
+        data: &SharedSlice<'_, T>,
+        unit: usize,
+        tmp: &mut Vec<T>,
+    ) {
+        let (m, n) = (self.geom.m, self.geom.n);
+        // SAFETY: the caller's contract is `stage_block`'s.
+        let (q0, w) = unsafe { self.stage_block(data, unit, tmp) };
+        let mut walk = RotateBlock::new(&self.geom, q0);
+        let mut src = [0; BLOCK_BYTES];
         let src = &mut src[..w];
         for k in 0..m {
             walk.next_row(src);
-            // SAFETY: as above, for row `k < M`.
+            // SAFETY: as in `stage_block`, for row `k < M`.
             unsafe {
                 data.with_range(k * n + q0, w, |run| {
                     for (d, (slot, &s)) in run.iter_mut().zip(src.iter()).enumerate() {
@@ -464,12 +551,44 @@ impl HostPlan {
             }
         }
     }
+
+    /// Column-shuffle block `unit` in source order: stage it, then for
+    /// `s = 0, 1, …` write output row `J(s)` (a [`SourceOrder`]) from the
+    /// diagonal of staged rows `s + q0 + d`. Consecutive `s` read
+    /// overlapping diagonals, a window of `w` staged rows that slides by
+    /// one.
+    ///
+    /// # Safety
+    /// As [`HostPlan::stage_block`].
+    unsafe fn shuffle_block<T: Copy>(
+        &self,
+        data: &SharedSlice<'_, T>,
+        unit: usize,
+        tmp: &mut Vec<T>,
+    ) {
+        let (m, n) = (self.geom.m, self.geom.n);
+        // SAFETY: the caller's contract is `stage_block`'s.
+        let (q0, w) = unsafe { self.stage_block(data, unit, tmp) };
+        let mut walk = SourceOrder::new(&self.geom);
+        // `(s + q0) mod M`, the staged row of column `q0`.
+        let mut r = q0 % m;
+        for _ in 0..m {
+            let k = walk.next_row();
+            // SAFETY: as in `stage_block`, for row `k < M`.
+            unsafe { data.with_range(k * n + q0, w, |run| read_diagonal(tmp, w, r, run)) };
+            r += 1;
+            if r == m {
+                r = 0;
+            }
+        }
+    }
 }
 
 /// In-place C2R transposition of a row-major `M × N` buffer on the
 /// caller's rayon pool: every pass runs its rows or column blocks in
 /// parallel. Total: any `M, N ≥ 1`. Scratch: one row, or one block of
-/// `M·W` elements, per worker (see the module docs).
+/// `M·W` elements, per worker, and at `c = 1` one `N`-entry table that
+/// the workers share (see the module docs).
 ///
 /// # Panics
 /// Panics if `data.len()` is not `m_rows·n_cols` (checked, so an
@@ -658,23 +777,23 @@ mod tests {
 
     #[test]
     fn tall_shapes_narrow_the_block() {
-        assert_eq!(block_width::<f32>(100, 1000), 16, "one 64-byte line");
+        assert_eq!(block_width::<f32>(100, 1000), 64, "256 bytes");
         assert_eq!(block_width::<f32>(100, 5), 5, "never wider than the matrix");
-        assert_eq!(block_width::<u8>(100, 1000), 64);
-        assert_eq!(block_width::<[u8; 100]>(100, 1000), 1);
-        assert_eq!(block_width::<f32>(40_009, 1000), 13, "2 MiB / (40009 · 4 B)");
-        assert_eq!(block_width::<f32>(1 << 20, 1000), 1, "one column is over the cap");
-        // The capped width, with a tail block: 17 = 13 + 4 columns.
-        let (m, n) = (40_009, 17);
+        assert_eq!(block_width::<u8>(100, 1000), 256);
+        assert_eq!(block_width::<[u8; 100]>(100, 1000), 2);
+        assert_eq!(block_width::<f32>(40_009, 1000), 52, "8 MiB / (40009 · 4 B)");
+        assert_eq!(block_width::<f32>(1 << 22, 1000), 1, "one column is over the cap");
+        // The capped width, with a tail block: 61 = 52 + 9 columns.
+        let (m, n) = (40_009, 61);
         let plan = HostPlan::new::<f32>(m * n, m, n);
-        assert_eq!(plan.w, 13);
+        assert_eq!(plan.w, 52);
         let one = HostPlan { w: 1, ..HostPlan::new::<f32>(m * n, m, n) };
         let mat = Matrix::pattern_f32(m, n);
         let (mut a, mut b) = (mat.as_slice().to_vec(), mat.as_slice().to_vec());
         for pass in plan.passes() {
             plan.run(&mut a, pass);
             one.run(&mut b, pass);
-            assert!(a == b, "{pass:?} {m}x{n}: 13-column blocks differ from one column");
+            assert!(a == b, "{pass:?} {m}x{n}: 52-column blocks differ from one column");
         }
         assert!(a == mat.transposed().into_vec(), "{m}x{n}");
     }
@@ -706,11 +825,12 @@ mod tests {
         })
     }
 
-    /// The sources `K` names over blocks of `w` columns, as `[row][col]`.
-    fn block_walked<K: BlockWalk>(g: &C2rGeometry, w: usize) -> Vec<Vec<usize>> {
+    /// The sources a [`RotateBlock`] names over blocks of `w` columns, as
+    /// `[row][col]`.
+    fn block_walked(g: &C2rGeometry, w: usize) -> Vec<Vec<usize>> {
         let mut out = vec![Vec::with_capacity(g.n); g.m];
         for q0 in (0..g.n).step_by(w) {
-            let mut walk = K::new(g, q0);
+            let mut walk = RotateBlock::new(g, q0);
             let mut src = vec![0; w.min(g.n - q0)];
             for row in &mut out {
                 walk.next_row(&mut src);
@@ -739,19 +859,38 @@ mod tests {
                     (0..n).map(|_| walk.next_src()).collect()
                 })
                 .collect();
-            prop_assert!(rows == grid(&g, |i, j| g.row_shuffle_src_col(i, j)), "row shuffle {}x{}", m, n);
+            let want = grid(&g, |i, j| g.row_shuffle_src_col(i, j));
+            prop_assert!(rows == want, "row shuffle {}x{}", m, n);
+            match row_table(&g) {
+                Some(table) => {
+                    prop_assert!(g.c == 1, "{}x{}: a table at c = {}", m, n, g.c);
+                    let y0 = |i| g.row_shuffle_src_col(i, 0);
+                    let rotated = grid(&g, |i, j| (y0(i) + table[j] as usize) % n);
+                    prop_assert!(rotated == want, "row table {}x{}", m, n);
+                }
+                None => prop_assert!(g.c > 1, "{}x{}: no table at c = 1", m, n),
+            }
             let rotate = grid(&g, |i, q| g.rotate_src_row(i, q));
-            let cols = grid(&g, |j, q| g.col_shuffle_src_row(j, q));
-            for w in [1, 3, 16, block_width::<f32>(m, n)] {
-                prop_assert!(block_walked::<RotateBlock>(&g, w) == rotate, "rotate {}x{} w={}", m, n, w);
-                prop_assert!(block_walked::<ColBlock>(&g, w) == cols, "col shuffle {}x{} w={}", m, n, w);
+            for w in [1, 3, 16, 64, block_width::<f32>(m, n)] {
+                prop_assert!(block_walked(&g, w) == rotate, "rotate {}x{} w={}", m, n, w);
+            }
+            let mut walk = SourceOrder::new(&g);
+            let mut seen = vec![false; m];
+            for s in 0..m {
+                let j_out = walk.next_row();
+                prop_assert!(!seen[j_out], "{}x{}: source order repeats row {}", m, n, j_out);
+                seen[j_out] = true;
+                for q in 0..n {
+                    let src = g.col_shuffle_src_row(j_out, q);
+                    prop_assert_eq!(src, (s + q) % m, "{}x{} s={} q={}", m, n, s, q);
+                }
             }
         }
 
         #[test]
         fn block_passes_match_one_column_passes(
             (m, n, _) in classed_shapes(),
-            w in prop::sample::select(vec![3usize, 16]),
+            w in prop::sample::select(vec![3usize, 16, 64]),
         ) {
             let one = HostPlan { w: 1, ..HostPlan::new::<u32>(m * n, m, n) };
             let wide = HostPlan { w: w.min(n), ..HostPlan::new::<u32>(m * n, m, n) };

@@ -31,8 +31,9 @@
 //! (`reduces_to_coprime_formulas_when_c_is_1` pins that). So this module
 //! keeps no pass of its own: [`transpose_matrix_coprime`] and
 //! [`transpose_coprime_seq`] check that the shape is coprime and run the
-//! C2R host passes — walkers with no per-element division, column
-//! blocks one cache line wide, bounded scratch, never a second matrix.
+//! C2R host passes — rows gathered through one shared index table,
+//! 256-byte column blocks written back in source order, no per-element
+//! division, bounded scratch, never a second matrix.
 //! [`phase1_src_col`], [`phase2_src_row`] and [`minv_for`] stay as the
 //! per-element reference the tests hold those passes to.
 

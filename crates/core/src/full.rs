@@ -141,9 +141,9 @@ pub fn route_for(rows: usize, cols: usize, heuristic: &TileHeuristic) -> AnyRout
 /// * a heuristic tile exists → the 3-stage algorithm,
 /// * coprime dimensions → the two-phase decomposition
 ///   ([`crate::coprime`], after Catanzaro et al. \[25\]), run by the C2R
-///   host passes at `c = 1` ([`crate::c2r`]: division-free walkers,
-///   column blocks one cache line wide, rows and blocks on the rayon
-///   pool),
+///   host passes at `c = 1` ([`crate::c2r`]: rows gathered through one
+///   shared index table, 256-byte column blocks written back in source
+///   order, rows and blocks on the rayon pool),
 /// * otherwise `c = gcd(M, N) > 1` → the 3-stage algorithm with the
 ///   always-legal `(c, c)` tile,
 /// * degenerate/awkward leftovers → the single-stage pass.

@@ -52,10 +52,9 @@ pub mod perm;
 pub mod stages;
 pub mod tiles;
 
-/// A host worker's scratch budget, the most one worker stages at a time:
-/// a C2R column block ([`c2r`]) or one instance of an elementary
-/// transposition ([`elementary`]). Work over it falls back to narrower
-/// blocks or to cycle following.
+/// A host worker's scratch budget for one instance of an elementary
+/// transposition ([`elementary`]): larger instances are cycle-followed.
+/// The C2R column blocks have a bound of their own ([`c2r`]).
 pub(crate) const SCRATCH_BYTES: usize = 2 << 20;
 
 /// Run `op` on a rayon pool `threads` wide: every parallel call inside it

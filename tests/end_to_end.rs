@@ -220,15 +220,18 @@ fn three_stage_plan_on_both_sides_of_the_scratch_cap_on_one_and_two_threads() {
 
 #[test]
 fn host_c2r_column_blocks_on_two_threads_match_the_reference() {
-    // f32 blocks are 16 columns wide: 997 = 62·16 + 5 leaves a tail block,
-    // and 600×450 (c = 150) runs the rotate pass. 40009 rows cap a block
-    // at 13 columns (2 MiB of scratch): the 3-column shape sits under the
-    // cap, the 17-column one is cut to 13 + 4.
+    // f32 blocks are 64 columns (256 B) wide. 1009×997 routes to the
+    // coprime path: its rows gather through the shared index table, and
+    // 997 = 15·64 + 37 leaves a tail block. 600×450 (c = 150) runs the
+    // rotate pass and walks its rows. 40009 rows cap a block at 52
+    // columns (8 MiB of scratch), so 61 columns are cut to 52 + 9. With
+    // 37 rows, fewer than a block's 64 columns, every diagonal that the
+    // column shuffle reads wraps past the last row.
     use ipt::core::{transpose_in_place_any, transpose_matrix_c2r};
     let m = Matrix::pattern_f32(1009, 997);
     let want = m.transposed();
     assert_eq!(on_pool(2, || transpose_in_place_any(m)), want, "1009x997");
-    for (r, c) in [(600, 450), (40_009, 3), (40_009, 17)] {
+    for (r, c) in [(600, 450), (40_009, 61), (37, 1000)] {
         let m = Matrix::pattern_f32(r, c);
         let want = m.transposed();
         assert_eq!(on_pool(2, || transpose_matrix_c2r(m)), want, "{r}x{c}");
