@@ -197,7 +197,10 @@ fn run_stage<T: Copy + Send + Sync>(op: &StageOp, data: &mut [T], threads: usize
 }
 
 /// The CPU tile heuristic: stage-2 tiles sized for cache (≈64 KB), smaller
-/// preferred range than the GPU's.
+/// preferred range than the GPU's. It stays the GKK comparator's own
+/// tiling, not ipt-core's host instance ([`TileHeuristic::host`]): Table
+/// 3's CPU rows time the comparator as it tiles, so a change to the host
+/// planner does not move them.
 #[must_use]
 pub fn cpu_tile_heuristic() -> TileHeuristic {
     TileHeuristic { shared_capacity_words: 16 * 1024, preferred_lo: 16, preferred_hi: 128 }

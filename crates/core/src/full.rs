@@ -2,7 +2,11 @@
 //! build the plan, execute.
 //!
 //! This is the host-side (pure CPU) entry point. The GPU-simulated execution
-//! of the same plans lives in the `ipt-gpu` crate.
+//! of the same plans lives in the `ipt-gpu` crate. The host tiles its staged
+//! plans with its own instance of the tile heuristic,
+//! [`TileHeuristic::host`], sized in bytes of the element type; where that
+//! finds no tile, with the device's §7.4 tile ([`host_plan`]). Routing
+//! ([`route_for`]) and [`plan_auto`] take the heuristic they are given.
 
 use crate::coprime;
 use crate::matrix::Matrix;
@@ -55,6 +59,18 @@ impl Algorithm {
     }
 }
 
+/// `algo`'s plan with `tile`, or the single-stage pass when there is no
+/// tile or it does not divide the shape.
+fn plan_or_single(
+    rows: usize,
+    cols: usize,
+    algo: Algorithm,
+    tile: Option<TileConfig>,
+) -> StagePlan {
+    tile.and_then(|t| algo.plan(rows, cols, t).ok())
+        .unwrap_or_else(|| StagePlan::single_stage(rows, cols))
+}
+
 /// Plan an in-place transposition with automatic tile selection via
 /// [`decide_scheme`]: use the requested algorithm when the shape supports a
 /// tiled staged plan, otherwise degrade deterministically to the
@@ -62,35 +78,45 @@ impl Algorithm {
 /// [`crate::scheme::PlanDecision`] for callers that want it). Never panics.
 #[must_use]
 pub fn plan_auto(rows: usize, cols: usize, algo: Algorithm, heuristic: &TileHeuristic) -> StagePlan {
-    if algo == Algorithm::SingleStage {
-        return StagePlan::single_stage(rows, cols);
-    }
-    let decision = decide_scheme(rows, cols, heuristic);
-    match (decision.scheme, decision.tile) {
-        (Scheme::Staged | Scheme::GcdTiled | Scheme::SquareTiled, Some(tile)) => algo
-            .plan(rows, cols, tile)
-            .unwrap_or_else(|_| StagePlan::single_stage(rows, cols)),
-        _ => StagePlan::single_stage(rows, cols),
-    }
+    plan_or_single(rows, cols, algo, decide_scheme(rows, cols, heuristic).tile)
+}
+
+/// The staged plan [`transpose_in_place`] runs on a `rows × cols` matrix
+/// of `T`s, or `None` for the shapes it short-circuits: row and column
+/// vectors, and squares.
+///
+/// One [`decide_scheme`] call with [`TileHeuristic::host`] picks the tile.
+/// Where the host instance finds none (only for elements over 72 bytes),
+/// the tile is the device's §7.4 one ([`TileHeuristic::default`]), so no
+/// shape gets a worse plan than that tile gives it; failing both, the
+/// `(c, c)` gcd tile, and failing that, the single-stage pass.
+#[must_use]
+pub fn host_plan<T>(rows: usize, cols: usize, algo: Algorithm) -> Option<StagePlan> {
+    let decision = decide_scheme(rows, cols, &TileHeuristic::host::<T>());
+    let tile = match decision.scheme {
+        Scheme::Identity | Scheme::SquareTiled => return None,
+        Scheme::Staged => decision.tile,
+        Scheme::GcdTiled | Scheme::C2R => TileHeuristic::default()
+            .select(rows, cols)
+            .or(decision.tile),
+    };
+    Some(plan_or_single(rows, cols, algo, tile))
 }
 
 /// Transpose `matrix` in place (same backing storage) on the caller's
-/// rayon pool and return it with the flipped shape. Degenerate shapes
-/// (`1 × n`, `m × 1`) and squares short-circuit instead of running a
-/// staged plan.
+/// rayon pool and return it with the flipped shape, through
+/// [`host_plan`]'s plan. Degenerate shapes (`1 × n`, `m × 1`) and squares
+/// short-circuit instead of running a staged plan.
 #[must_use]
 pub fn transpose_in_place<T: Copy + Send + Sync>(matrix: Matrix<T>, algo: Algorithm) -> Matrix<T> {
     let (rows, cols) = (matrix.rows(), matrix.cols());
     let mut matrix = matrix;
-    match decide_scheme(rows, cols, &TileHeuristic::default()).scheme {
-        // Row/column vectors (and empties): the storage is already the
-        // transpose — only the shape flips.
-        Scheme::Identity => {}
-        Scheme::SquareTiled => transpose_square_in_place(matrix.as_mut_slice(), rows),
-        _ => {
-            let plan = plan_auto(rows, cols, algo, &TileHeuristic::default());
-            plan.execute(matrix.as_mut_slice());
-        }
+    match host_plan::<T>(rows, cols, algo) {
+        Some(plan) => plan.execute(matrix.as_mut_slice()),
+        None if rows == cols => transpose_square_in_place(matrix.as_mut_slice(), rows),
+        // Row/column vectors: the storage is already the transpose — only
+        // the shape flips.
+        None => {}
     }
     matrix.assume_transposed_shape()
 }
@@ -136,9 +162,11 @@ pub fn route_for(rows: usize, cols: usize, heuristic: &TileHeuristic) -> AnyRout
 }
 
 /// Transpose **any** rectangular matrix in place — no divisibility
-/// requirements. Removes the §7.4 prime-dimension limitation:
+/// requirements. Removes the §7.4 prime-dimension limitation. The route
+/// is [`route_for`] under the device's §7.4 heuristic:
 ///
-/// * a heuristic tile exists → the 3-stage algorithm,
+/// * a heuristic tile exists → the 3-stage algorithm through
+///   [`transpose_in_place`], on the host's own tile ([`host_plan`]),
 /// * coprime dimensions → the two-phase decomposition
 ///   ([`crate::coprime`], after Catanzaro et al. \[25\]), run by the C2R
 ///   host passes at `c = 1` ([`crate::c2r`]: rows gathered through one
@@ -173,6 +201,8 @@ pub fn transpose_in_place_any<T: Copy + Send + Sync>(matrix: Matrix<T>) -> Matri
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tiles::{HOST_SIDE_MAX_BYTES, HOST_SIDE_MIN_BYTES, HOST_TILE_MAX_BYTES};
+    use proptest::prelude::*;
 
     #[test]
     fn auto_transpose_all_algorithms() {
@@ -199,6 +229,111 @@ mod tests {
         let mat = Matrix::iota(31, 13);
         let got = transpose_in_place(mat.clone(), Algorithm::ThreeStage);
         assert_eq!(got, mat.transposed());
+    }
+
+    /// A distinct 100-byte element for index `k`, marked at both ends so
+    /// that a copy cut short shows.
+    fn wide(k: usize) -> [u8; 100] {
+        let mut e = [0u8; 100];
+        e[..8].copy_from_slice(&(k as u64).to_le_bytes());
+        e[99] = k as u8;
+        e
+    }
+
+    /// A shape `2^a·3^b·5^c·7^d × 2^e·3^f·5^g·7^h`, or (one draw in three)
+    /// two distinct primes near the device tile's edge. The only tile is
+    /// then the whole matrix, which the device's 3600 words hold and a
+    /// 100-byte element's host cap of 2621 elements may not (53×59 does
+    /// not), so [`host_plan`] takes the device tile.
+    fn shapes() -> impl Strategy<Value = (usize, usize)> {
+        let rich = || {
+            (0u32..8, 0u32..3, 0u32..3, 0u32..2).prop_map(|(a, b, c, d)| {
+                2usize.pow(a) * 3usize.pow(b) * 5usize.pow(c) * 7usize.pow(d)
+            })
+        };
+        let primes = [47usize, 53, 59, 61, 67, 71];
+        (0usize..3, rich(), rich(), 0usize..6, 1usize..6).prop_map(move |(class, r, c, p, q)| {
+            if class == 0 {
+                (primes[p], primes[(p + q) % 6])
+            } else {
+                (r, c)
+            }
+        })
+    }
+
+    /// [`host_plan`]'s tile divides the shape, keeps to the host instance's
+    /// byte bounds, exists whenever the device heuristic has a tile, and
+    /// its plan transposes on 1- and 2-wide pools.
+    fn host_plan_holds<T>(
+        rows: usize,
+        cols: usize,
+        elem: fn(usize) -> T,
+    ) -> Result<(), TestCaseError>
+    where
+        T: Copy + Send + Sync + PartialEq + std::fmt::Debug,
+    {
+        let size = std::mem::size_of::<T>();
+        let fits = |u: &TileConfig| u.tile_len() * size <= HOST_TILE_MAX_BYTES;
+        let in_band = |x: usize| (HOST_SIDE_MIN_BYTES..=HOST_SIDE_MAX_BYTES).contains(&(x * size));
+        let device = TileHeuristic::default().select(rows, cols);
+        let Some(plan) = host_plan::<T>(rows, cols, Algorithm::ThreeStage) else {
+            let msg = format!("{rows}x{cols} has no staged plan");
+            return Err(TestCaseError::Fail(msg));
+        };
+        let t = plan.tile;
+        prop_assert!(t.factors_of(rows, cols).is_ok(), "{t:?} on {rows}x{cols}");
+        match TileHeuristic::host::<T>().select(rows, cols) {
+            Some(h) => {
+                prop_assert_eq!(t, h);
+                prop_assert!(fits(&t), "{t:?} of {size} B");
+                let band = crate::tiles::all_tiles(rows, cols)
+                    .iter()
+                    .any(|u| in_band(u.m) && in_band(u.n) && fits(u));
+                if band {
+                    prop_assert!(in_band(t.m) && in_band(t.n), "{t:?} of {size} B");
+                }
+            }
+            None => {
+                prop_assert!(size > 72 || device.is_none(), "{rows}x{cols} of {size} B");
+                if let Some(d) = device {
+                    prop_assert_eq!(t, d);
+                }
+            }
+        }
+        if device.is_some() {
+            prop_assert_eq!(plan.name, "3-stage");
+        }
+        let m = Matrix::from_fn(rows, cols, |i, j| elem(i * cols + j));
+        let want = m.transposed();
+        for threads in [1, 2] {
+            let got = crate::on_pool(threads, || {
+                transpose_in_place(m.clone(), Algorithm::ThreeStage)
+            });
+            prop_assert!(got == want, "{rows}x{cols} of {size} B, {threads} threads");
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn host_plan_tiles_for_every_element_size(
+            (rows, cols) in shapes(),
+            size in prop::sample::select(vec![1usize, 4, 8, 12, 100]),
+        ) {
+            prop_assume!(rows > 1 && cols > 1 && rows != cols);
+            prop_assume!(rows * cols * size <= 4 << 20);
+            match size {
+                // One byte holds 256 values: hash the index so that no
+                // regular misplacement lands on an equal value.
+                1 => host_plan_holds(rows, cols, |k| (k.wrapping_mul(0x9E37_79B9) >> 24) as u8)?,
+                4 => host_plan_holds(rows, cols, |k| k as u32)?,
+                8 => host_plan_holds(rows, cols, |k| k as f64)?,
+                12 => host_plan_holds(rows, cols, |k| [k as u32, !(k as u32), 7])?,
+                _ => host_plan_holds(rows, cols, wide)?,
+            }
+        }
     }
 
     #[test]

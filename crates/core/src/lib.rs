@@ -10,7 +10,8 @@
 //! * the unified elementary tiled transposition covering `010!`, `100!`,
 //!   `0100!`, `0010!`, `1000!` ([`elementary`]),
 //! * 3-stage / 4-stage / fused / single-stage full plans ([`stages`]),
-//! * automatic tile selection with the §7.4 pruning heuristic ([`tiles`]),
+//! * automatic tile selection with the §7.4 pruning heuristic, and a
+//!   byte-sized instance of it that tiles the host's plans ([`tiles`]),
 //! * AoS/SoA/ASTA layout marshaling ([`layout`]).
 //!
 //! The GPU-simulated execution of the same plans lives in the `ipt-gpu`

@@ -6,9 +6,33 @@
 //! memory so the fast barrier-sync kernel can be used. The paper's pruning
 //! heuristic: *pick `m, n` between 50 and 100 with `m·n` below the shared
 //! memory capacity* — this lands within 80 % of the exhaustive best.
+//!
+//! That rule sizes a tile for one GPU work-group's shared memory, and the
+//! device keeps it: [`TileHeuristic::default`]. The host stages its
+//! `0010!` tile in a worker's cache instead, so it has an instance of its
+//! own, sized in bytes of the element type: [`TileHeuristic::host`].
+//! Where the host instance finds no tile, the host plan takes the
+//! device's ([`crate::full::host_plan`]).
 
 use crate::numtheory::divisors;
 use crate::stages::TileConfig;
+
+/// Bytes in one host cache line.
+const CACHE_LINE_BYTES: usize = 64;
+
+/// [`TileHeuristic::host`]'s shortest preferred tile side in bytes (four
+/// cache lines), so each super-element `100!` and `0100!` move spans at
+/// least four lines.
+pub const HOST_SIDE_MIN_BYTES: usize = 4 * CACHE_LINE_BYTES;
+
+/// [`TileHeuristic::host`]'s longest preferred tile side in bytes (2 KiB).
+pub const HOST_SIDE_MAX_BYTES: usize = 32 * CACHE_LINE_BYTES;
+
+/// [`TileHeuristic::host`]'s cap on one `0010!` tile in bytes (256 KiB):
+/// an eighth of a worker's scratch budget, so the tile and its staged copy
+/// stay resident in L2, and the tile is always staged, never
+/// cycle-followed ([`crate::elementary`]).
+pub const HOST_TILE_MAX_BYTES: usize = crate::SCRATCH_BYTES / 8;
 
 /// Divisors of `n` as `usize`, ascending.
 #[must_use]
@@ -40,7 +64,8 @@ pub const PREFERRED_RANGE: std::ops::RangeInclusive<usize> = 50..=100;
 pub struct TileHeuristic {
     /// On-chip (shared/local) memory capacity in **words** available to one
     /// work-group for the stage-2 tile (paper: `m·n < 3600` words ≈ the K20
-    /// budget after double-buffering overheads).
+    /// budget after double-buffering overheads). In the host instance a
+    /// word is one element.
     pub shared_capacity_words: usize,
     /// Preferred low end for m and n (paper: 50).
     pub preferred_lo: usize,
@@ -55,6 +80,29 @@ impl Default for TileHeuristic {
 }
 
 impl TileHeuristic {
+    /// The host's instance for elements of type `T`: both tile sides
+    /// preferred in [[`HOST_SIDE_MIN_BYTES`], [`HOST_SIDE_MAX_BYTES`]]
+    /// (64–512 `f32`s), the `0010!` tile capped at
+    /// [`HOST_TILE_MAX_BYTES`] (65536 `f32`s). Selection is the device's
+    /// ([`TileHeuristic::select`]). On 20000×16000 `f32` it picks 160×400
+    /// where the device instance picks 50×64.
+    ///
+    /// It finds no tile for some shapes the device instance tiles, and only
+    /// for elements over 72 bytes, where the cap holds fewer than the
+    /// device's 3600 words; [`crate::full::host_plan`] then takes the
+    /// device tile. The GKK comparator keeps its own tiling
+    /// (`ipt_baselines::gkk::cpu_tile_heuristic`): Table 3's CPU rows time
+    /// that comparator as it tiles, so a change here does not move them.
+    #[must_use]
+    pub fn host<T>() -> Self {
+        let size = std::mem::size_of::<T>().max(1);
+        Self {
+            shared_capacity_words: HOST_TILE_MAX_BYTES / size,
+            preferred_lo: HOST_SIDE_MIN_BYTES.div_ceil(size),
+            preferred_hi: HOST_SIDE_MAX_BYTES / size,
+        }
+    }
+
     /// Is the tile usable at all (stage-2 tile fits in shared memory)?
     #[must_use]
     pub fn feasible(&self, t: TileConfig) -> bool {
@@ -186,6 +234,31 @@ mod tests {
         if let Some(t) = h.select(64, 64) {
             assert!(t.tile_len() <= 10);
         }
+    }
+
+    #[test]
+    fn host_instance_is_sized_in_bytes() {
+        let fields = |h: TileHeuristic| (h.shared_capacity_words, h.preferred_lo, h.preferred_hi);
+        assert_eq!(fields(TileHeuristic::host::<u8>()), (262_144, 256, 2048));
+        assert_eq!(fields(TileHeuristic::host::<f32>()), (65_536, 64, 512));
+        assert_eq!(fields(TileHeuristic::host::<f64>()), (32_768, 32, 256));
+        // 22 twelve-byte elements are the fewest that span 256 bytes.
+        assert_eq!(fields(TileHeuristic::host::<[u32; 3]>()), (21_845, 22, 170));
+        assert_eq!(fields(TileHeuristic::host::<[u8; 100]>()), (2621, 3, 20));
+    }
+
+    #[test]
+    fn host_and_device_tiles_for_the_staged_benchmark_shape() {
+        let (r, c) = (20_000, 16_000);
+        assert_eq!(
+            TileHeuristic::default().select(r, c),
+            Some(TileConfig::new(50, 64))
+        );
+        // 160×400 f32: 640- and 1600-byte super-elements, a 250 KiB tile.
+        assert_eq!(
+            TileHeuristic::host::<f32>().select(r, c),
+            Some(TileConfig::new(160, 400))
+        );
     }
 
     #[test]

@@ -219,6 +219,65 @@ fn three_stage_plan_on_both_sides_of_the_scratch_cap_on_one_and_two_threads() {
 }
 
 #[test]
+fn host_plan_for_the_staged_benchmark_shape_is_sized_for_the_host() {
+    use ipt::core::full::host_plan;
+    use ipt::core::stages::StageOp;
+    use ipt::core::tiles::{HOST_SIDE_MIN_BYTES, HOST_TILE_MAX_BYTES};
+    // The `staged` benchmark's 20000×16000 f32 (1.28 GB), planned without
+    // allocating it.
+    let (r, c) = (20_000, 16_000);
+    let device = TileHeuristic::default().select(r, c).unwrap();
+    assert_eq!(device, TileConfig::new(50, 64));
+    let plan = host_plan::<f32>(r, c, Algorithm::ThreeStage).unwrap();
+    let t = plan.tile;
+    assert_ne!(t, device);
+    assert!(t.factors_of(r, c).is_ok(), "{t:?}");
+    let codes: Vec<String> = plan.stages.iter().map(|s| s.code.to_string()).collect();
+    assert_eq!(codes, ["100!", "0010!", "0100!"]);
+    let ops: Vec<_> = plan
+        .stages
+        .iter()
+        .map(|s| match &s.op {
+            StageOp::Instanced(op) => *op,
+            StageOp::Fused(_) => panic!("the 3-stage plan has no fused stage"),
+        })
+        .collect();
+    let bytes = |elems: usize| elems * std::mem::size_of::<f32>();
+    assert!(bytes(ops[0].super_size) >= HOST_SIDE_MIN_BYTES, "100! {:?}", ops[0]);
+    assert!(bytes(ops[2].super_size) >= HOST_SIDE_MIN_BYTES, "0100! {:?}", ops[2]);
+    assert!(bytes(ops[1].instance_len()) <= HOST_TILE_MAX_BYTES, "0010! {:?}", ops[1]);
+}
+
+#[test]
+fn host_tiled_plans_match_the_reference_on_one_and_two_threads() {
+    use ipt::core::full::host_plan;
+    use ipt::core::transpose_in_place_any;
+    // 1200×800 (~1M elements): the device tile is 60×50, the host's is
+    // 400×160 for f32 and 200×160 for f64.
+    let (r, c) = (1200, 800);
+    let tile = |plan: Option<StagePlan>| plan.map(|p| p.tile);
+    assert_eq!(TileHeuristic::default().select(r, c), Some(TileConfig::new(60, 50)));
+    let f32_tile = tile(host_plan::<f32>(r, c, Algorithm::ThreeStage));
+    assert_eq!(f32_tile, Some(TileConfig::new(400, 160)));
+    let f64_tile = tile(host_plan::<f64>(r, c, Algorithm::FourStage));
+    assert_eq!(f64_tile, Some(TileConfig::new(200, 160)));
+    fn check<T: Copy + Send + Sync + PartialEq + std::fmt::Debug>(m: &Matrix<T>) {
+        let want = m.transposed();
+        for threads in [1, 2] {
+            for algo in [Algorithm::ThreeStage, Algorithm::FourStage] {
+                let got = on_pool(threads, || transpose_in_place(m.clone(), algo));
+                assert!(got == want, "{} on {threads} threads", algo.name());
+            }
+            let got = on_pool(threads, || transpose_in_place_any(m.clone()));
+            assert!(got == want, "any on {threads} threads");
+        }
+    }
+    // Every value distinct: indices below 2^24 are exact in f32.
+    check(&Matrix::from_fn(r, c, |i, j| (i * c + j) as f32));
+    check(&Matrix::from_fn(r, c, |i, j| (i * c + j) as f64));
+}
+
+#[test]
 fn host_c2r_column_blocks_on_two_threads_match_the_reference() {
     // f32 blocks are 64 columns (256 B) wide. 1009×997 routes to the
     // coprime path: its rows gather through the shared index table, and
