@@ -1,8 +1,10 @@
 //! The C2R/R2C decomposition of Catanzaro, Keller & Garland (PPoPP 2014)
 //! — the general-shape rival to the staged algorithm, and the fix for the
-//! paper's own §7.4 limitation. Where [`crate::coprime`] covers only
-//! `gcd(M, N) = 1`, this decomposition is **total**: any row-major `M × N`
-//! matrix transposes in place as three independent line permutations
+//! paper's own §7.4 limitation ("when the algorithm cannot choose a good
+//! tile size (e.g., prime-number dimensions), the throughput would be
+//! degraded"; its footnote 6 points at this decomposition). It is
+//! **total**: any row-major `M × N` matrix transposes in place as three
+//! independent line permutations
 //!
 //! 1. **column rotate** — within column `q`, rotate down by `⌊q/b⌋`
 //!    (identity when `c = 1`, so the pass is skipped there),
@@ -64,10 +66,22 @@
 //! `c` gives `x = (i − j) mod c`, then `r` follows, and
 //! `y = (((j − r) mod N)/c · a⁻¹) mod b` (the difference is always
 //! divisible by `c`). Phase 3 gathers output row `J` of column `j` from
-//! row `(t mod M + ⌊(t div M)/b⌋) mod M` with `t = J·N + j`. For
-//! `c = 1` these collapse exactly to the two coprime-phase formulas of
-//! [`crate::coprime`] — the coprime module is the `c = 1` slice of this
-//! one, and its entry points run these passes.
+//! row `(t mod M + ⌊(t div M)/b⌋) mod M` with `t = J·N + j`.
+//!
+//! At `c = 1` — exactly the shapes the staged algorithm cannot tile, since
+//! for `c > 1` the `(c, c)` tile always exists — the rotate is the
+//! identity and the two shuffles collapse to a two-phase decomposition:
+//!
+//! 1. **row scramble** — within row `r`, the element in column `q` moves
+//!    to column `(q·M + r) mod N`, a bijection because `gcd(M, N) = 1`;
+//!    in gather form, column `j` reads column `(j − r)·M⁻¹ mod N`;
+//! 2. **column shuffle** — within column `q`, the element needed at final
+//!    row `J` sits at row `(J·N + q) mod M`.
+//!
+//! Phase 1 placed the element from `(r, q)` at column `(q·M + r) mod N`,
+//! and phase 2 moves it to row `(q·M + r) div N`: linear offset `q·M + r`
+//! of the `N × M` result. ∎ The tests pin the general gathers to these
+//! two formulas at `c = 1`.
 //!
 //! ```
 //! use ipt_core::{Matrix, transpose_matrix_c2r};
@@ -612,11 +626,47 @@ pub fn transpose_matrix_c2r<T: Copy + Send + Sync>(matrix: Matrix<T>) -> Matrix<
     matrix.assume_transposed_shape()
 }
 
+/// [`transpose_c2r`] on a 1-wide pool: inline on the caller.
+///
+/// # Panics
+/// As [`transpose_c2r`].
+// Kept only because `benchmark/` imports it; it goes when the benchmark next changes.
+pub fn transpose_coprime_seq<T: Copy + Send + Sync>(data: &mut [T], m_rows: usize, n_cols: usize) {
+    crate::on_pool(1, || transpose_c2r(data, m_rows, n_cols));
+}
+
+/// [`transpose_matrix_c2r`] under the name of the coprime route.
+///
+/// # Panics
+/// As [`transpose_c2r`] (zero dimensions only).
+// Kept only because `benchmark/` imports it; it goes when the benchmark next changes.
+#[must_use]
+pub fn transpose_matrix_coprime<T: Copy + Send + Sync>(matrix: Matrix<T>) -> Matrix<T> {
+    transpose_matrix_c2r(matrix)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coprime::{minv_for, phase1_src_col, phase2_src_row};
     use proptest::prelude::*;
+
+    /// The `c = 1` row scramble in gather form (module docs): column
+    /// `q_out` of row `r` reads column `(q_out − r)·M⁻¹ mod N`.
+    fn phase1_src_col(r: usize, q_out: usize, n_cols: usize, minv: usize) -> usize {
+        let diff = (q_out + n_cols - r % n_cols) % n_cols;
+        (diff * minv) % n_cols
+    }
+
+    /// The `c = 1` column shuffle in gather form: final row `j_out` of
+    /// column `c` reads row `(j_out·N + c) mod M`.
+    fn phase2_src_row(j_out: usize, c: usize, m_rows: usize, n_cols: usize) -> usize {
+        (j_out * n_cols + c) % m_rows
+    }
+
+    /// `M⁻¹ mod N` for a coprime shape.
+    fn minv_for(m_rows: usize, n_cols: usize) -> usize {
+        mod_inverse(m_rows as u64 % n_cols as u64, n_cols as u64).expect("coprime shape") as usize
+    }
 
     /// c = 1, c > 1, degenerate, square, prime — the planner's whole range.
     const SHAPES: &[(usize, usize)] = &[
@@ -628,6 +678,8 @@ mod tests {
         (4, 6),
         (6, 4),
         (5, 3),
+        (2, 9),
+        (9, 2),
         (9, 9),
         (12, 18),
         (16, 16),
@@ -636,6 +688,7 @@ mod tests {
         (97, 101),
         (122, 183),
         (127, 61),
+        (997, 8),
     ];
 
     #[test]
@@ -658,9 +711,11 @@ mod tests {
                 for j in 0..n {
                     assert_eq!(
                         g.row_shuffle_src_col(i, j),
-                        phase1_src_col(i, j, m, n, minv),
+                        phase1_src_col(i, j, n, minv),
                         "{m}x{n} i={i} j={j}"
                     );
+                    // The gather inverts the scatter `q ↦ (q·M + i) mod N`.
+                    assert_eq!(phase1_src_col(i, (j * m + i) % n, n, minv), j, "{m}x{n}");
                 }
             }
             for col in 0..n {
@@ -711,7 +766,7 @@ mod tests {
         for &(m, n) in SHAPES {
             let mat = Matrix::iota(m, n);
             let mut data = mat.as_slice().to_vec();
-            crate::on_pool(1, || transpose_c2r(&mut data, m, n));
+            transpose_coprime_seq(&mut data, m, n);
             assert_eq!(data, mat.transposed().into_vec(), "{m}x{n}");
         }
     }
@@ -730,7 +785,8 @@ mod tests {
     fn double_transpose_roundtrip() {
         for &(m, n) in &[(45usize, 61usize), (12, 18), (6, 4)] {
             let mat = Matrix::pattern_f32(m, n);
-            let t = transpose_matrix_c2r(mat.clone());
+            let t = transpose_matrix_coprime(mat.clone());
+            assert_eq!(t, mat.transposed(), "{m}x{n}");
             let back = transpose_matrix_c2r(t);
             assert_eq!(back, mat, "{m}x{n}");
         }

@@ -1,14 +1,13 @@
-//! End-to-end in-place transposition drivers: pick an algorithm and a tile,
-//! build the plan, execute.
+//! End-to-end in-place transposition drivers: pick a plan and execute.
 //!
 //! This is the host-side (pure CPU) entry point. The GPU-simulated execution
-//! of the same plans lives in the `ipt-gpu` crate. The host tiles its staged
-//! plans with its own instance of the tile heuristic,
+//! of the same plans lives in the `ipt-gpu` crate. The host tiles its
+//! 3-stage plan with its own instance of the tile heuristic,
 //! [`TileHeuristic::host`], sized in bytes of the element type; where that
 //! finds no tile, with the device's §7.4 tile ([`host_plan`]). Routing
 //! ([`route_for`]) and [`plan_auto`] take the heuristic they are given.
 
-use crate::coprime;
+use crate::c2r::transpose_matrix_c2r;
 use crate::matrix::Matrix;
 use crate::numtheory::gcd;
 use crate::scheme::{decide_scheme, transpose_square_in_place, Scheme, GCD_TILE_MAX_LEN};
@@ -81,7 +80,7 @@ pub fn plan_auto(rows: usize, cols: usize, algo: Algorithm, heuristic: &TileHeur
     plan_or_single(rows, cols, algo, decide_scheme(rows, cols, heuristic).tile)
 }
 
-/// The staged plan [`transpose_in_place`] runs on a `rows × cols` matrix
+/// The 3-stage plan [`transpose_in_place`] runs on a `rows × cols` matrix
 /// of `T`s, or `None` for the shapes it short-circuits: row and column
 /// vectors, and squares.
 ///
@@ -89,9 +88,11 @@ pub fn plan_auto(rows: usize, cols: usize, algo: Algorithm, heuristic: &TileHeur
 /// Where the host instance finds none (only for elements over 72 bytes),
 /// the tile is the device's §7.4 one ([`TileHeuristic::default`]), so no
 /// shape gets a worse plan than that tile gives it; failing both, the
-/// `(c, c)` gcd tile, and failing that, the single-stage pass.
+/// `(c, c)` gcd tile, and failing that, the single-stage pass. The plan's
+/// tile divides the shape, so [`Algorithm::plan`] builds any other
+/// algorithm on it.
 #[must_use]
-pub fn host_plan<T>(rows: usize, cols: usize, algo: Algorithm) -> Option<StagePlan> {
+pub fn host_plan<T>(rows: usize, cols: usize) -> Option<StagePlan> {
     let decision = decide_scheme(rows, cols, &TileHeuristic::host::<T>());
     let tile = match decision.scheme {
         Scheme::Identity | Scheme::SquareTiled => return None,
@@ -100,7 +101,7 @@ pub fn host_plan<T>(rows: usize, cols: usize, algo: Algorithm) -> Option<StagePl
             .select(rows, cols)
             .or(decision.tile),
     };
-    Some(plan_or_single(rows, cols, algo, tile))
+    Some(plan_or_single(rows, cols, Algorithm::ThreeStage, tile))
 }
 
 /// Transpose `matrix` in place (same backing storage) on the caller's
@@ -108,10 +109,10 @@ pub fn host_plan<T>(rows: usize, cols: usize, algo: Algorithm) -> Option<StagePl
 /// [`host_plan`]'s plan. Degenerate shapes (`1 × n`, `m × 1`) and squares
 /// short-circuit instead of running a staged plan.
 #[must_use]
-pub fn transpose_in_place<T: Copy + Send + Sync>(matrix: Matrix<T>, algo: Algorithm) -> Matrix<T> {
+pub fn transpose_in_place<T: Copy + Send + Sync>(matrix: Matrix<T>) -> Matrix<T> {
     let (rows, cols) = (matrix.rows(), matrix.cols());
     let mut matrix = matrix;
-    match host_plan::<T>(rows, cols, algo) {
+    match host_plan::<T>(rows, cols) {
         Some(plan) => plan.execute(matrix.as_mut_slice()),
         None if rows == cols => transpose_square_in_place(matrix.as_mut_slice(), rows),
         // Row/column vectors: the storage is already the transpose — only
@@ -121,22 +122,25 @@ pub fn transpose_in_place<T: Copy + Send + Sync>(matrix: Matrix<T>, algo: Algori
     matrix.assume_transposed_shape()
 }
 
-/// How [`transpose_in_place_any`] decided to transpose a shape.
+/// How [`transpose_in_place_any`] decided to transpose a rectangle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnyRoute {
     /// A staged plan with a heuristic tile.
     Staged,
-    /// The coprime two-phase decomposition (`gcd(M, N) = 1`).
+    /// The C2R decomposition at `c = gcd(M, N) = 1`.
     Coprime,
     /// A staged plan with the always-available `(c, c)` gcd tile.
     GcdTile,
     /// Trivial shapes (`min(M, N) = 1`) or awkward leftovers: the
-    /// single-stage pass.
+    /// single-stage pass. [`transpose_in_place_any`] takes this route only
+    /// for the leftovers: it hands trivial shapes to [`transpose_in_place`]
+    /// before it routes.
     SingleStage,
 }
 
 /// Decide the route for a shape (exposed so callers and tests can see the
-/// dispatch without running it).
+/// dispatch without running it). [`transpose_in_place_any`] asks it only
+/// for rectangles with both sides over 1.
 #[must_use]
 pub fn route_for(rows: usize, cols: usize, heuristic: &TileHeuristic) -> AnyRoute {
     if rows <= 1 || cols <= 1 {
@@ -162,26 +166,30 @@ pub fn route_for(rows: usize, cols: usize, heuristic: &TileHeuristic) -> AnyRout
 }
 
 /// Transpose **any** rectangular matrix in place — no divisibility
-/// requirements. Removes the §7.4 prime-dimension limitation. The route
-/// is [`route_for`] under the device's §7.4 heuristic:
+/// requirements. Removes the §7.4 prime-dimension limitation.
+///
+/// Row and column vectors and squares go to [`transpose_in_place`], which
+/// flips a vector's shape and swaps a square's pairs. Every other shape
+/// takes [`route_for`] under the device's §7.4 heuristic:
 ///
 /// * a heuristic tile exists → the 3-stage algorithm through
 ///   [`transpose_in_place`], on the host's own tile ([`host_plan`]),
-/// * coprime dimensions → the two-phase decomposition
-///   ([`crate::coprime`], after Catanzaro et al. \[25\]), run by the C2R
-///   host passes at `c = 1` ([`crate::c2r`]: rows gathered through one
+/// * coprime dimensions → the C2R decomposition at `c = 1`, after
+///   Catanzaro et al. \[25\] ([`crate::c2r`]: rows gathered through one
 ///   shared index table, 256-byte column blocks written back in source
 ///   order, rows and blocks on the rayon pool),
 /// * otherwise `c = gcd(M, N) > 1` → the 3-stage algorithm with the
 ///   always-legal `(c, c)` tile,
-/// * degenerate/awkward leftovers → the single-stage pass.
+/// * leftovers whose gcd tile is too large → the single-stage pass.
 #[must_use]
 pub fn transpose_in_place_any<T: Copy + Send + Sync>(matrix: Matrix<T>) -> Matrix<T> {
     let (rows, cols) = (matrix.rows(), matrix.cols());
-    let heuristic = TileHeuristic::default();
-    match route_for(rows, cols, &heuristic) {
-        AnyRoute::Staged => transpose_in_place(matrix, Algorithm::ThreeStage),
-        AnyRoute::Coprime => coprime::transpose_matrix_coprime(matrix),
+    if rows <= 1 || cols <= 1 || rows == cols {
+        return transpose_in_place(matrix);
+    }
+    match route_for(rows, cols, &TileHeuristic::default()) {
+        AnyRoute::Staged => transpose_in_place(matrix),
+        AnyRoute::Coprime => transpose_matrix_c2r(matrix),
         AnyRoute::GcdTile => {
             let c = gcd(rows as u64, cols as u64) as usize;
             let plan = StagePlan::three_stage(rows, cols, TileConfig::new(c, c))
@@ -206,13 +214,19 @@ mod tests {
 
     #[test]
     fn auto_transpose_all_algorithms() {
-        for &(r, c) in &[(6, 15), (15, 6), (64, 48), (60, 60), (100, 36)] {
+        for &(r, c) in &[(6, 15), (15, 6), (64, 48), (100, 36)] {
             let mat = Matrix::iota(r, c);
             let want = mat.transposed();
-            for algo in Algorithm::ALL {
-                for threads in [1, 2] {
-                    let got = crate::on_pool(threads, || transpose_in_place(mat.clone(), algo));
-                    assert_eq!(got, want, "{} {r}x{c} on {threads} threads", algo.name());
+            let tile = host_plan::<u32>(r, c).expect("a rectangle has a plan").tile;
+            for threads in [1, 2] {
+                let got = crate::on_pool(threads, || transpose_in_place(mat.clone()));
+                assert_eq!(got, want, "{r}x{c} on {threads} threads");
+                // Every algorithm builds on the host plan's tile.
+                for algo in Algorithm::ALL {
+                    let plan = algo.plan(r, c, tile).expect("the host tile divides the shape");
+                    let mut data = mat.as_slice().to_vec();
+                    crate::on_pool(threads, || plan.execute(&mut data));
+                    assert_eq!(data, want.as_slice(), "{} {r}x{c} on {threads} threads", algo.name());
                 }
             }
         }
@@ -227,7 +241,7 @@ mod tests {
         assert_eq!(plan.name, "single-stage");
         // It still transposes correctly (small prime case to keep test fast):
         let mat = Matrix::iota(31, 13);
-        let got = transpose_in_place(mat.clone(), Algorithm::ThreeStage);
+        let got = transpose_in_place(mat.clone());
         assert_eq!(got, mat.transposed());
     }
 
@@ -276,7 +290,7 @@ mod tests {
         let fits = |u: &TileConfig| u.tile_len() * size <= HOST_TILE_MAX_BYTES;
         let in_band = |x: usize| (HOST_SIDE_MIN_BYTES..=HOST_SIDE_MAX_BYTES).contains(&(x * size));
         let device = TileHeuristic::default().select(rows, cols);
-        let Some(plan) = host_plan::<T>(rows, cols, Algorithm::ThreeStage) else {
+        let Some(plan) = host_plan::<T>(rows, cols) else {
             let msg = format!("{rows}x{cols} has no staged plan");
             return Err(TestCaseError::Fail(msg));
         };
@@ -306,9 +320,7 @@ mod tests {
         let m = Matrix::from_fn(rows, cols, |i, j| elem(i * cols + j));
         let want = m.transposed();
         for threads in [1, 2] {
-            let got = crate::on_pool(threads, || {
-                transpose_in_place(m.clone(), Algorithm::ThreeStage)
-            });
+            let got = crate::on_pool(threads, || transpose_in_place(m.clone()));
             prop_assert!(got == want, "{rows}x{cols} of {size} B, {threads} threads");
         }
         Ok(())
@@ -371,13 +383,12 @@ mod tests {
     fn degenerate_shapes_short_circuit_and_round_trip() {
         for &(r, c) in &[(1, 1), (1, 257), (509, 1), (1, 7919)] {
             let m = Matrix::iota(r, c);
-            for algo in Algorithm::ALL {
-                let got = crate::on_pool(1, || transpose_in_place(m.clone(), algo));
-                assert_eq!(got, m.transposed(), "{} {r}x{c}", algo.name());
-                assert_eq!((got.rows(), got.cols()), (c, r));
-                let back = crate::on_pool(2, || transpose_in_place(got, algo));
-                assert_eq!(back, m, "round trip {r}x{c}");
-            }
+            assert_eq!(host_plan::<u32>(r, c), None, "{r}x{c}");
+            let got = crate::on_pool(1, || transpose_in_place(m.clone()));
+            assert_eq!(got, m.transposed(), "{r}x{c}");
+            assert_eq!((got.rows(), got.cols()), (c, r));
+            let back = crate::on_pool(2, || transpose_in_place(got));
+            assert_eq!(back, m, "round trip {r}x{c}");
         }
     }
 
@@ -386,16 +397,17 @@ mod tests {
         // 61 prime (no feasible square tile), 60 richly composite.
         for n in [2usize, 31, 60, 61] {
             let m = Matrix::iota(n, n);
-            let got = crate::on_pool(2, || transpose_in_place(m.clone(), Algorithm::ThreeStage));
+            assert_eq!(host_plan::<u32>(n, n), None, "{n}x{n}");
+            let got = crate::on_pool(2, || transpose_in_place(m.clone()));
             assert_eq!(got, m.transposed(), "{n}x{n}");
-            let back = crate::on_pool(1, || transpose_in_place(got, Algorithm::ThreeStage));
+            let back = crate::on_pool(1, || transpose_in_place(got));
             assert_eq!(back, m, "{n}x{n} back");
         }
     }
 
     #[test]
     fn shapes_flip() {
-        let got = transpose_in_place(Matrix::iota(6, 15), Algorithm::ThreeStage);
+        let got = transpose_in_place(Matrix::iota(6, 15));
         assert_eq!((got.rows(), got.cols()), (15, 6));
     }
 }

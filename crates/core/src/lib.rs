@@ -25,15 +25,15 @@
 //! ## Quick start
 //!
 //! ```
-//! use ipt_core::{full::{transpose_in_place, Algorithm}, matrix::Matrix};
+//! use ipt_core::{full::transpose_in_place, matrix::Matrix};
 //!
 //! let a = Matrix::iota(60, 48);
 //! let expect = a.transposed();
-//! let t = transpose_in_place(a.clone(), Algorithm::ThreeStage);
+//! let t = transpose_in_place(a.clone()); // the 3-stage plan on a host tile
 //! assert_eq!(t, expect);
 //! // The same call on one thread: a 1-wide pool runs it inline.
 //! let one = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-//! assert_eq!(one.install(|| transpose_in_place(a, Algorithm::ThreeStage)), expect);
+//! assert_eq!(one.install(|| transpose_in_place(a)), expect);
 //! ```
 
 #![warn(missing_docs)]
@@ -41,7 +41,6 @@
 
 pub mod c2r;
 pub mod check;
-pub mod coprime;
 pub mod elementary;
 pub mod full;
 pub mod scheme;
@@ -75,5 +74,7 @@ pub use perm::cycle::TransposePerm;
 pub use scheme::{decide_scheme, FallbackReason, PlanDecision, Scheme};
 pub use stages::{StagePlan, TileConfig};
 pub use tiles::TileHeuristic;
-pub use coprime::{transpose_coprime_seq, transpose_matrix_coprime};
-pub use c2r::{transpose_c2r, transpose_matrix_c2r, C2rGeometry};
+pub use c2r::{
+    transpose_c2r, transpose_coprime_seq, transpose_matrix_c2r, transpose_matrix_coprime,
+    C2rGeometry,
+};

@@ -23,6 +23,11 @@
 //! [`FleetConfig::new`] enable the overload degradation ladder
 //! (`degrade_at` 0.75, `shed_at` 0.9), so a fleet sheds service quality
 //! before it sheds requests.
+//!
+//! The fleet's SLO telemetry windows outcomes and raises burn-rate alerts
+//! under [`TelemetryConfig::fleet_default`] (250 µs windows), against
+//! error budgets that tighten with priority: 0.1% interactive, 2% batch,
+//! 5% background.
 
 use crate::recover::TransposeError;
 use crate::serve::{
@@ -35,6 +40,11 @@ use ipt_obs::{
     Alert, Counter, Level, Recorder, SloClass, SpanCtx, Telemetry, TelemetryConfig,
 };
 
+/// Per-priority-class error budgets (tolerated bad-outcome fraction),
+/// indexed by [`crate::serve::PriorityClass::index`]:
+/// `[interactive, batch, background]`.
+const CLASS_BUDGETS: [f64; 3] = [0.001, 0.02, 0.05];
+
 /// Fleet configuration: shard count plus the per-shard serving config.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
@@ -42,31 +52,17 @@ pub struct FleetConfig {
     pub shards: usize,
     /// Per-shard serving configuration.
     pub serve: ServeConfig,
-    /// SLO windowing and burn-rate alert rules.
-    pub telemetry: TelemetryConfig,
-    /// Per-priority-class error budgets (tolerated bad-outcome fraction),
-    /// indexed by [`crate::serve::PriorityClass::index`]:
-    /// `[interactive, batch, background]`.
-    pub class_budgets: [f64; 3],
 }
 
 impl FleetConfig {
     /// Fleet defaults for `dev`: three shards with the overload ladder
-    /// armed — degrade past 75% of admission capacity, shed past 90% —
-    /// and burn-rate alerting over 250 µs SLO windows with budgets
-    /// tightening with priority (0.1% interactive, 2% batch,
-    /// 5% background).
+    /// armed — degrade past 75% of admission capacity, shed past 90%.
     #[must_use]
     pub fn new(dev: &DeviceSpec) -> Self {
         let mut serve = ServeConfig::new(dev);
         serve.degrade_at = 0.75;
         serve.shed_at = 0.9;
-        Self {
-            shards: 3,
-            serve,
-            telemetry: TelemetryConfig::fleet_default(),
-            class_budgets: [0.001, 0.02, 0.05],
-        }
+        Self { shards: 3, serve }
     }
 }
 
@@ -132,11 +128,11 @@ impl Fleet {
             })
             .collect();
         let classes = vec![
-            SloClass::new("interactive", cfg.class_budgets[0]),
-            SloClass::new("batch", cfg.class_budgets[1]),
-            SloClass::new("background", cfg.class_budgets[2]),
+            SloClass::new("interactive", CLASS_BUDGETS[0]),
+            SloClass::new("batch", CLASS_BUDGETS[1]),
+            SloClass::new("background", CLASS_BUDGETS[2]),
         ];
-        let telemetry = Telemetry::new(cfg.telemetry.clone(), classes);
+        let telemetry = Telemetry::new(TelemetryConfig::fleet_default(), classes);
         let shard_scopes = (0..cfg.shards).map(|s| format!("shard:{s}")).collect();
         Self { dev, cfg, shards, clock_s: 0.0, telemetry, shard_scopes }
     }

@@ -1,9 +1,10 @@
 //! Batched, plan-cached transposition serving layer.
 //!
 //! A long-lived [`Server`] accepts a stream of transpose requests
-//! ([`ServeRequest`]), memoizes planning + autotuning work in a concurrent
+//! ([`ServeRequest`]), memoizes planning + autotuning work in a
 //! [`PlanCache`] keyed by `(rows, cols, elem_bytes, device, scheme)`, and
-//! coalesces same-shape requests into batched launches sharded across the
+//! coalesces same-shape requests into batched launches (at most 8
+//! requests each) sharded across the
 //! multi-device DES machinery of [`crate::multi`]. Several servers compose
 //! into the sharded fleet of [`crate::fleet`].
 //!
@@ -70,8 +71,7 @@ use ipt_core::{decide_scheme, FallbackReason, PlanDecision, Scheme};
 use ipt_obs::{Counter, Level, Recorder, SpanCtx};
 use serde::Serialize;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Salt mixed into every request trace id, so trace ids cannot collide
 /// with raw request ids in log output.
@@ -85,6 +85,9 @@ pub const ROUTE_SPAN: u64 = 2;
 pub const QUEUE_SPAN: u64 = 3;
 /// Span id of the execution span (device batch or host shed).
 pub const EXEC_SPAN: u64 = 4;
+
+/// Most same-shape requests coalesced into one batched launch.
+const MAX_BATCH: usize = 8;
 
 /// Deterministic trace id for a request id: a SplitMix64 hash, so ids are
 /// well-spread in hex output yet reproducible across runs and engines.
@@ -130,16 +133,13 @@ pub struct CachedPlan {
     pub wg_size: Option<usize>,
 }
 
-/// Concurrent memoization of [`CachedPlan`]s with hit/miss accounting.
-///
-/// Thread-safe by construction (`Mutex` map + atomic counters) so a future
-/// multi-threaded front-end can share one cache; the current [`Server`]
-/// drives it single-threaded.
+/// Memoization of [`CachedPlan`]s with hit/miss accounting, owned and
+/// driven by one [`Server`].
 #[derive(Debug, Default)]
 pub struct PlanCache {
-    map: Mutex<HashMap<PlanKey, Arc<CachedPlan>>>,
-    pub(crate) misses: AtomicU64,
-    hits: AtomicU64,
+    map: HashMap<PlanKey, Arc<CachedPlan>>,
+    misses: u64,
+    hits: u64,
 }
 
 impl PlanCache {
@@ -152,45 +152,36 @@ impl PlanCache {
     /// Look up `key`, building and inserting via `build` on a miss.
     /// Returns the plan and whether this was a hit.
     pub fn get_or_build(
-        &self,
+        &mut self,
         key: &PlanKey,
         build: impl FnOnce() -> CachedPlan,
     ) -> (Arc<CachedPlan>, bool) {
-        if let Some(hit) = self.map.lock().expect("plan cache poisoned").get(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(hit) = self.map.get(key) {
+            self.hits += 1;
             return (Arc::clone(hit), true);
         }
-        // Build outside the lock: autotuning is seconds of work and the
-        // planner is deterministic, so a racing duplicate build is merely
-        // redundant, never wrong.
+        self.misses += 1;
         let built = Arc::new(build());
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut map = self.map.lock().expect("plan cache poisoned");
-        let entry = map.entry(key.clone()).or_insert_with(|| Arc::clone(&built));
-        (Arc::clone(entry), false)
+        self.map.insert(key.clone(), Arc::clone(&built));
+        (built, false)
     }
 
     /// Insert a prebuilt plan (snapshot restore). Counts as neither hit nor
     /// miss: the work happened in a previous process lifetime.
-    pub fn insert(&self, key: PlanKey, plan: CachedPlan) {
-        self.map.lock().expect("plan cache poisoned").insert(key, Arc::new(plan));
+    pub fn insert(&mut self, key: PlanKey, plan: CachedPlan) {
+        self.map.insert(key, Arc::new(plan));
     }
 
     /// All cached entries, unordered.
     #[must_use]
     pub fn entries(&self) -> Vec<(PlanKey, Arc<CachedPlan>)> {
-        self.map
-            .lock()
-            .expect("plan cache poisoned")
-            .iter()
-            .map(|(k, v)| (k.clone(), Arc::clone(v)))
-            .collect()
+        self.map.iter().map(|(k, v)| (k.clone(), Arc::clone(v))).collect()
     }
 
     /// Distinct cached keys.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.map.lock().expect("plan cache poisoned").len()
+        self.map.len()
     }
 
     /// True when nothing is cached.
@@ -202,13 +193,13 @@ impl PlanCache {
     /// Cache hits so far.
     #[must_use]
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.hits
     }
 
-    /// Cache misses (= distinct keys built) so far.
+    /// Cache misses (= plans built) so far.
     #[must_use]
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.misses
     }
 
     /// Hit rate in `[0, 1]` (0 when nothing was looked up).
@@ -387,8 +378,6 @@ pub struct ServeConfig {
     /// Admission bound: pending requests past this refuse with
     /// [`TransposeError::Backpressure`].
     pub queue_capacity: usize,
-    /// Max same-shape requests coalesced into one batched launch.
-    pub max_batch: usize,
     /// Simulated device count the batches shard across.
     pub devices: usize,
     /// PCIe topology of the device set.
@@ -418,24 +407,16 @@ pub struct ServeConfig {
     /// every N-th profile-eligible request, as a continuous bit-exactness
     /// sample. `0` never resamples.
     pub full_exec_every: usize,
-    /// Payloads larger than this many resident words never batch: they
-    /// route to the out-of-core streaming executor
-    /// ([`crate::stream::stream_transpose_rec`]) with this value as the
-    /// device-memory budget, before the degradation ladder ever sees
-    /// them. `None` (default) disables the rung and oversized requests
-    /// take the ordinary batched path.
-    pub stream_over_words: Option<usize>,
 }
 
 impl ServeConfig {
-    /// Sensible defaults for `dev`: 64-deep admission queue, batches of 8,
-    /// two devices behind a shared link, caching on, degradation rungs and
-    /// profile replay off.
+    /// Sensible defaults for `dev`: 64-deep admission queue, two devices
+    /// behind a shared link, caching on, degradation rungs and profile
+    /// replay off.
     #[must_use]
     pub fn new(dev: &DeviceSpec) -> Self {
         Self {
             queue_capacity: 64,
-            max_batch: 8,
             devices: 2,
             link: LinkTopology::Shared,
             heuristic: TileHeuristic { preferred_lo: 10, ..TileHeuristic::default() },
@@ -446,7 +427,6 @@ impl ServeConfig {
             shed_at: 1.0,
             profile_replay: false,
             full_exec_every: 0,
-            stream_over_words: None,
         }
     }
 }
@@ -591,7 +571,7 @@ struct Pending {
 
 /// The batched, plan-cached transposition service.
 ///
-/// Single-threaded driver over a thread-safe [`PlanCache`]; requests are
+/// Single-threaded driver over its own [`PlanCache`]; requests are
 /// admitted with [`Server::submit`] (bounded, EDF-ordered) and executed in
 /// rounds with [`Server::process_round`], which batches same-shape requests
 /// and shards the batches round-robin across the configured simulated
@@ -914,29 +894,6 @@ impl Server {
         type Group = (PlanKey, Vec<(ServeRequest, f64, DegradeLevel)>);
         let mut groups: Vec<Group> = Vec::new();
         for (pos, p) in drained.into_iter().enumerate() {
-            // Oversized payloads route to the streaming executor before the
-            // ladder classifies them: they can never reside on the device
-            // whole, so neither batching nor shedding applies.
-            if let Some(budget) = self.cfg.stream_over_words {
-                if p.req.data.len() > budget {
-                    rec.add("serve", Counter::OversizedRouted, 1);
-                    rec.event(
-                        round_start * 1e6,
-                        "oversized_routed",
-                        &format!(
-                            "req {} ({}x{}, {} words) exceeds {budget} resident words: \
-                             streaming out-of-core",
-                            p.req.id,
-                            p.req.rows,
-                            p.req.cols,
-                            p.req.data.len()
-                        ),
-                    );
-                    results.push(self.stream_oversized(&p.req, budget, rec)?);
-                    result_arrivals_s.push(p.arrival_s);
-                    continue;
-                }
-            }
             let level = if pos >= shed_start {
                 DegradeLevel::HostShed
             } else if pos >= degrade_start {
@@ -989,7 +946,7 @@ impl Server {
             // per-request autotuning cost the cache exists to amortize.
             let group_plan =
                 if self.cfg.cache_plans { Some(self.lookup_plan(&key, rec)) } else { None };
-            for batch in members.chunks(self.cfg.max_batch) {
+            for batch in members.chunks(MAX_BATCH) {
                 let device = self.next_device;
                 self.next_device = (self.next_device + 1) % self.cfg.devices;
                 let mut kernel_s = 0.0;
@@ -1195,7 +1152,7 @@ impl Server {
     }
 
     /// Plan lookup honoring `cache_plans`; records hit/miss counters.
-    fn lookup_plan<R: Recorder>(&self, key: &PlanKey, rec: &R) -> (Arc<CachedPlan>, bool) {
+    fn lookup_plan<R: Recorder>(&mut self, key: &PlanKey, rec: &R) -> (Arc<CachedPlan>, bool) {
         let build = || {
             build_plan(&self.dev, key.rows, key.cols, &self.cfg.heuristic, &self.cfg.opts, rec)
         };
@@ -1203,7 +1160,7 @@ impl Server {
             self.cache.get_or_build(key, build)
         } else {
             // Baseline mode: replan every time, keeping miss accounting.
-            self.cache.misses.fetch_add(1, Ordering::Relaxed);
+            self.cache.misses += 1;
             (Arc::new(build()), false)
         };
         rec.add(
@@ -1381,49 +1338,6 @@ impl Server {
             service_s,
             engine: "profiled",
         }
-    }
-
-    /// Execute one oversized request through the out-of-core streaming
-    /// executor with `budget` words of simulated device memory. The
-    /// streamed timeline's total becomes the result's `service_s`; the
-    /// chunk journal guarantees the result is exact or the round errors —
-    /// never a torn payload.
-    fn stream_oversized<R: Recorder>(
-        &self,
-        req: &ServeRequest,
-        budget: usize,
-        rec: &R,
-    ) -> Result<ServedResult, TransposeError> {
-        let cfg = crate::stream::StreamConfig {
-            budget_words: budget as u64,
-            opts: self.cfg.opts,
-            policy: self.cfg.policy,
-            heuristic: self.cfg.heuristic,
-        };
-        let (data, report) = crate::stream::stream_transpose_rec(
-            &self.dev,
-            &req.data,
-            req.rows,
-            req.cols,
-            req.elem_bytes / 4,
-            &cfg,
-            &crate::stream::StreamChaos::None,
-            rec,
-        )?;
-        let decision = decide_scheme(req.rows, req.cols, &self.cfg.heuristic);
-        Ok(ServedResult {
-            id: req.id,
-            data,
-            scheme: decision.scheme,
-            cache_hit: false,
-            device: 0,
-            priority: req.priority,
-            degrade: DegradeLevel::Tuned,
-            recovery: RecoveryReport::new(RecoveryPath::Primary),
-            queue_wait_s: 0.0,
-            service_s: report.total_s,
-            engine: "stream",
-        })
     }
 
     /// Shed one request to the host path: exact result, no device launch,
@@ -1610,20 +1524,17 @@ mod tests {
     #[test]
     fn batches_shard_across_devices_and_split_at_max_batch() {
         let dev = DeviceSpec::tesla_k20();
-        let mut cfg = ServeConfig::new(&dev);
-        cfg.max_batch = 2;
-        cfg.devices = 2;
-        let mut srv = Server::new(dev, cfg);
+        let mut srv = Server::new(dev.clone(), ServeConfig::new(&dev));
         let rec = NoopRecorder;
-        for i in 0..6 {
+        for i in 0..17 {
             srv.submit(req(i, 60, 60, 4), &rec).unwrap();
         }
         let round = srv.process_round(&rec).unwrap();
-        assert_eq!(round.batches, 3, "6 same-shape requests at max_batch=2");
-        let devices: std::collections::HashSet<usize> =
-            round.results.iter().map(|r| r.device).collect();
-        assert_eq!(devices.len(), 2, "round-robin must use both devices");
-        assert!((round.mean_occupancy - 2.0).abs() < 1e-12);
+        // Batches of 8, 8 and 1, dealt round-robin to the two devices.
+        assert_eq!(round.batches, 3, "17 same-shape requests at MAX_BATCH = 8");
+        let on = |d| round.results.iter().filter(|r| r.device == d).count();
+        assert_eq!((on(0), on(1)), (9, 8), "round-robin must use both devices");
+        assert!((round.mean_occupancy - 17.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -1651,8 +1562,8 @@ mod tests {
             device: dev.name,
             scheme: Scheme::Staged,
         };
-        let (cached, hit) = srv.cache().get_or_build(&key, || unreachable!("must be cached"));
-        assert!(hit);
+        let entries = srv.cache().entries();
+        let (_, cached) = entries.iter().find(|(k, _)| *k == key).expect("the shape is cached");
         assert_eq!(cached.decision, fresh.decision, "cached ≡ fresh pruned_search plan");
     }
 
@@ -1726,35 +1637,6 @@ mod tests {
         assert_eq!((tuned, conservative, shed), (4, 2, 2));
         assert_eq!(rec.counter("serve", Counter::PlansDegraded), 2);
         assert_eq!(rec.counter("serve", Counter::RequestsShed), 2);
-    }
-
-    #[test]
-    fn oversized_requests_route_to_streaming_executor() {
-        let dev = DeviceSpec::tesla_k20();
-        let mut cfg = ServeConfig::new(&dev);
-        // Anything above 2000 resident words streams; the big request's
-        // 96x40 payload (3840 words) forces multiple chunks.
-        cfg.stream_over_words = Some(2000);
-        let mut srv = Server::new(dev, cfg);
-        let rec = TraceRecorder::new();
-        let big = req(1, 96, 40, 4);
-        let small = req(2, 24, 10, 4);
-        srv.submit(big.clone(), &rec).unwrap();
-        srv.submit(small.clone(), &rec).unwrap();
-        let round = srv.process_round(&rec).unwrap();
-        assert_eq!(round.results.len(), 2);
-        for res in &round.results {
-            let original = if res.id == 1 { &big } else { &small };
-            check_round_trip(res, original);
-            if res.id == 1 {
-                assert_eq!(res.engine, "stream", "oversized payload must stream");
-                assert!(res.service_s > 0.0, "streamed service time comes from the DES");
-                assert_eq!(res.degrade, DegradeLevel::Tuned, "streaming is not degradation");
-            } else {
-                assert_ne!(res.engine, "stream", "small payloads take the batched path");
-            }
-        }
-        assert_eq!(rec.counter("serve", Counter::OversizedRouted), 1);
     }
 
     #[test]

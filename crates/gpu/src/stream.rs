@@ -52,31 +52,24 @@ use serde::Serialize;
 /// visible in the throughput numbers, not hidden.
 const HOST_FALLBACK_GBPS: f64 = 1.0;
 
-/// Configuration of one streaming run.
+/// Configuration of one streaming run. Each chunk runs the device's
+/// §7.4 scheme decision ([`TileHeuristic::default`]) under
+/// [`GpuOptions::tuned_for`] the device, and retries, backs off and falls
+/// back under [`RecoveryPolicy::default`].
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
     /// Usable device global memory, in u32 words. The planner splits this
     /// across two ping-pong chunk buffers.
     pub budget_words: u64,
-    /// Kernel options for the per-chunk device transposition.
-    pub opts: GpuOptions,
-    /// Retry/backoff/fallback policy (chunk retries reuse the PR 1 shape:
-    /// capped exponential backoff with seeded jitter).
-    pub policy: RecoveryPolicy,
-    /// Tile heuristic for per-chunk scheme decisions.
-    pub heuristic: TileHeuristic,
 }
 
 impl StreamConfig {
-    /// Defaults tuned for `dev` with the given memory budget.
+    /// A run with `budget_words` of device memory.
+    // `_dev` is kept only because `benchmark/` passes it; it goes when the
+    // benchmark next changes.
     #[must_use]
-    pub fn new(dev: &DeviceSpec, budget_words: u64) -> Self {
-        Self {
-            budget_words,
-            opts: GpuOptions::tuned_for(dev),
-            policy: RecoveryPolicy::default(),
-            heuristic: TileHeuristic::default(),
-        }
+    pub fn new(_dev: &DeviceSpec, budget_words: u64) -> Self {
+        Self { budget_words }
     }
 }
 
@@ -393,7 +386,6 @@ pub fn stream_transpose_rec<R: Recorder>(
         data,
         &mut out,
         &plan,
-        cfg,
         chaos,
         fault,
         rec,
@@ -457,7 +449,6 @@ pub fn stream_transpose_rec<R: Recorder>(
             data,
             &mut out,
             &plan,
-            cfg,
             chaos,
             fault,
             rec,
@@ -563,7 +554,6 @@ fn process_chunks<R: Recorder>(
     data: &[u32],
     out: &mut [u32],
     plan: &ChunkPlan,
-    cfg: &StreamConfig,
     chaos: &StreamChaos,
     fault: Option<&dyn FaultSource>,
     rec: &R,
@@ -577,6 +567,7 @@ fn process_chunks<R: Recorder>(
     rows: usize,
     elem_words: usize,
 ) -> Result<(), TransposeError> {
+    let policy = RecoveryPolicy::default();
     let mut h2d_seq = 0usize;
     let mut d2h_seq = 0usize;
     for i in from..to {
@@ -590,8 +581,8 @@ fn process_chunks<R: Recorder>(
                 _ => 0,
             };
             match run_chunk_once(
-                dev, band, plan, cfg, chaos, fault, rec, journal, *path, i, nrows, queue,
-                elem_words, &mut h2d_seq, &mut d2h_seq,
+                dev, band, plan, chaos, fault, rec, journal, *path, i, nrows, queue, elem_words,
+                &mut h2d_seq, &mut d2h_seq,
             ) {
                 Ok((chunk_out, k_s, kernel_faults)) => {
                     st.kernel_faults += kernel_faults;
@@ -609,9 +600,9 @@ fn process_chunks<R: Recorder>(
                     journal.rollback(i)?;
                     // Retry with capped-exponential seeded backoff; the
                     // wasted wire time of the failed transfer is charged too.
-                    st.penalty_s += cfg.policy.backoff_s(attempt)
-                        + dev.pcie.transfer_time(chunk_bytes);
-                    if attempt < cfg.policy.max_stage_retries {
+                    st.penalty_s +=
+                        policy.backoff_s(attempt) + dev.pcie.transfer_time(chunk_bytes);
+                    if attempt < policy.max_stage_retries {
                         attempt += 1;
                         st.chunk_retries += 1;
                         rec.add("stream", Counter::StreamChunkRetries, 1);
@@ -626,7 +617,7 @@ fn process_chunks<R: Recorder>(
                             return Err(e);
                         }
                     };
-                    if !cfg.policy.allow_fallback {
+                    if !policy.allow_fallback {
                         return Err(e);
                     }
                     *path = next;
@@ -651,7 +642,6 @@ fn run_chunk_once<R: Recorder>(
     dev: &DeviceSpec,
     band: &[u32],
     plan: &ChunkPlan,
-    cfg: &StreamConfig,
     chaos: &StreamChaos,
     fault: Option<&dyn FaultSource>,
     rec: &R,
@@ -700,7 +690,7 @@ fn run_chunk_once<R: Recorder>(
             sim.set_fault_plan(FaultPlan::exact(*seed, FaultKind::AbortKernel, seed % 64, *seed));
         }
     }
-    let decision = decide_scheme(nrows, plan.cols, &cfg.heuristic);
+    let decision = decide_scheme(nrows, plan.cols, &TileHeuristic::default());
     let (stats, rep) = transpose_scheme_with_recovery_rec(
         &mut sim,
         &mut chunk,
@@ -708,8 +698,8 @@ fn run_chunk_once<R: Recorder>(
         plan.cols,
         elem_words,
         &decision,
-        &cfg.opts,
-        &cfg.policy,
+        &GpuOptions::tuned_for(dev),
+        &RecoveryPolicy::default(),
         rec,
         0.0,
     )?;

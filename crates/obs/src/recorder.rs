@@ -192,9 +192,6 @@ pub enum Counter {
     /// Out-of-core degradation-ladder steps taken (overlapped → serialized
     /// → host-chunk).
     StreamDegradations,
-    /// Oversized requests routed to the streaming path instead of being
-    /// rejected at admission.
-    OversizedRouted,
 }
 
 impl Counter {
@@ -242,7 +239,6 @@ impl Counter {
             Counter::StreamChunkRetries => "stream_chunk_retries",
             Counter::StreamCrashResumes => "stream_crash_resumes",
             Counter::StreamDegradations => "stream_degradations",
-            Counter::OversizedRouted => "oversized_routed",
         }
     }
 
@@ -294,7 +290,6 @@ impl Counter {
             Counter::StreamChunkRetries => "out-of-core chunk-granular retries after faults",
             Counter::StreamCrashResumes => "out-of-core resumes after a mid-stream engine crash",
             Counter::StreamDegradations => "out-of-core degradation-ladder steps taken",
-            Counter::OversizedRouted => "oversized requests routed to the streaming path",
         }
     }
 }

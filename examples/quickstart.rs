@@ -5,9 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use ipt::core::{
-    transpose_in_place, Algorithm, Matrix, StagePlan, TileHeuristic, TransposePerm,
-};
+use ipt::core::{transpose_in_place, Matrix, StagePlan, TileHeuristic, TransposePerm};
 use ipt::gpu::{plan_flag_words, transpose_on_device, GpuOptions};
 use ipt::obs::NoopRecorder;
 use ipt::sim::{DeviceSpec, Sim};
@@ -31,7 +29,7 @@ fn main() {
     let a = Matrix::pattern_f32(rows, cols);
     let expect = a.transposed();
     let t0 = std::time::Instant::now();
-    let t = transpose_in_place(a.clone(), Algorithm::ThreeStage);
+    let t = transpose_in_place(a.clone());
     let host_s = t0.elapsed().as_secs_f64();
     assert_eq!(t, expect);
     println!(

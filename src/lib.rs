@@ -22,12 +22,12 @@
 //! ## Quick start
 //!
 //! ```
-//! use ipt::core::{Matrix, Algorithm, transpose_in_place};
+//! use ipt::core::{Matrix, transpose_in_place};
 //!
 //! let a = Matrix::iota(60, 48);
 //! let expect = a.transposed();
-//! // 3-stage in-place transposition, automatic tile selection:
-//! let t = transpose_in_place(a, Algorithm::ThreeStage);
+//! // 3-stage in-place transposition, tile chosen for the host:
+//! let t = transpose_in_place(a);
 //! assert_eq!(t, expect);
 //! ```
 //!

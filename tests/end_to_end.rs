@@ -6,6 +6,7 @@
 use ipt::baselines::{
     transpose_in_place_gkk, transpose_in_place_pipt, transpose_in_place_seq, transpose_oop_par,
 };
+use ipt::core::full::host_plan;
 use ipt::core::{transpose_in_place, Algorithm, Matrix, StagePlan, TileConfig, TileHeuristic};
 use ipt::gpu::{
     plan_flag_words, run_host_async, run_host_sync, transpose_on_device, GpuOptions,
@@ -21,6 +22,20 @@ fn on_pool<R: Send>(threads: usize, op: impl FnOnce() -> R + Send) -> R {
         .build()
         .expect("shim pools build");
     pool.install(op)
+}
+
+/// `algo`'s plan on [`host_plan`]'s tile, run in place on the caller's
+/// pool. The vectors and squares that `host_plan` leaves out go through
+/// `transpose_in_place`.
+fn host_algo<T: Copy + Send + Sync>(m: Matrix<T>, algo: Algorithm) -> Matrix<T> {
+    let (r, c) = (m.rows(), m.cols());
+    let Some(tile) = host_plan::<T>(r, c).map(|p| p.tile) else {
+        return transpose_in_place(m);
+    };
+    let plan = algo.plan(r, c, tile).expect("the host tile divides the shape");
+    let mut m = m;
+    plan.execute(m.as_mut_slice());
+    m.assume_transposed_shape()
 }
 
 const SHAPES: &[(usize, usize)] = &[
@@ -41,9 +56,11 @@ fn every_host_path_matches_reference() {
     for &(r, c) in SHAPES {
         let m = Matrix::iota(r, c);
         let want = m.transposed();
-        for algo in Algorithm::ALL {
-            for threads in [1, 2] {
-                let got = on_pool(threads, || transpose_in_place(m.clone(), algo));
+        for threads in [1, 2] {
+            let got = on_pool(threads, || transpose_in_place(m.clone()));
+            assert_eq!(got, want, "{r}x{c} on {threads} threads");
+            for algo in Algorithm::ALL {
+                let got = on_pool(threads, || host_algo(m.clone(), algo));
                 assert_eq!(got, want, "{} {r}x{c} on {threads} threads", algo.name());
             }
         }
@@ -135,8 +152,8 @@ fn host_offload_sync_and_async_agree() {
 fn double_transposition_is_identity_everywhere() {
     for &(r, c) in &[(60, 48), (48, 60), (90, 36)] {
         let m = Matrix::pattern_f32(r, c);
-        let t = transpose_in_place(m.clone(), Algorithm::ThreeStage);
-        let back = transpose_in_place(t, Algorithm::FourStage);
+        let t = transpose_in_place(m.clone());
+        let back = host_algo(t, Algorithm::FourStage);
         assert_eq!(back, m, "{r}x{c}");
     }
 }
@@ -167,10 +184,31 @@ fn in_place_means_no_matrix_sized_allocation_on_device() {
 
 #[test]
 fn any_shape_api_handles_awkward_dimensions() {
+    // Every route of `transpose_in_place_any`, on one and two workers, with
+    // every element distinct (indices below 2^24 are exact in f32).
+    use ipt::core::full::{route_for, AnyRoute};
     use ipt::core::transpose_in_place_any;
-    for &(r, c) in &[(127, 61), (97, 128), (2 * 53, 2 * 59), (720, 180), (1, 9), (13, 1)] {
-        let m = Matrix::iota(r, c);
-        assert_eq!(transpose_in_place_any(m.clone()), m.transposed(), "{r}x{c}");
+    fn check<T: Copy + Send + Sync + PartialEq + std::fmt::Debug>(m: &Matrix<T>) {
+        let want = m.transposed();
+        for threads in [1, 2] {
+            let got = on_pool(threads, || transpose_in_place_any(m.clone()));
+            assert!(got == want, "{}x{} on {threads} threads", m.rows(), m.cols());
+        }
+    }
+    let routed = [
+        (998, 1497, AnyRoute::GcdTile),      // gcd 499
+        (1042, 1563, AnyRoute::SingleStage), // gcd 521: a 521² tile is too large
+        (1009, 997, AnyRoute::Coprime),
+        (720, 480, AnyRoute::Staged),
+    ];
+    for (r, c, route) in routed {
+        assert_eq!(route_for(r, c, &TileHeuristic::default()), route, "{r}x{c}");
+    }
+    // Vectors and prime squares go to `transpose_in_place` before routing.
+    let handed_over = [(1, 4099), (4099, 1), (61, 61), (509, 509)];
+    for (r, c) in handed_over.into_iter().chain(routed.map(|(r, c, _)| (r, c))) {
+        check(&Matrix::from_fn(r, c, |i, j| (i * c + j) as f32));
+        check(&Matrix::from_fn(r, c, |i, j| (i * c + j) as f64));
     }
 }
 
@@ -186,9 +224,7 @@ fn any_shape_api_on_two_threads_matches_its_seq_paths() {
         let independent = m.transposed();
         let got = on_pool(2, || transpose_in_place_any(m.clone()));
         let want = match route {
-            AnyRoute::Staged => {
-                on_pool(1, || transpose_in_place(m, Algorithm::ThreeStage)).into_vec()
-            }
+            AnyRoute::Staged => on_pool(1, || transpose_in_place(m)).into_vec(),
             _ => {
                 let mut data = m.into_vec();
                 transpose_coprime_seq(&mut data, r, c);
@@ -220,7 +256,6 @@ fn three_stage_plan_on_both_sides_of_the_scratch_cap_on_one_and_two_threads() {
 
 #[test]
 fn host_plan_for_the_staged_benchmark_shape_is_sized_for_the_host() {
-    use ipt::core::full::host_plan;
     use ipt::core::stages::StageOp;
     use ipt::core::tiles::{HOST_SIDE_MIN_BYTES, HOST_TILE_MAX_BYTES};
     // The `staged` benchmark's 20000×16000 f32 (1.28 GB), planned without
@@ -228,7 +263,7 @@ fn host_plan_for_the_staged_benchmark_shape_is_sized_for_the_host() {
     let (r, c) = (20_000, 16_000);
     let device = TileHeuristic::default().select(r, c).unwrap();
     assert_eq!(device, TileConfig::new(50, 64));
-    let plan = host_plan::<f32>(r, c, Algorithm::ThreeStage).unwrap();
+    let plan = host_plan::<f32>(r, c).unwrap();
     let t = plan.tile;
     assert_ne!(t, device);
     assert!(t.factors_of(r, c).is_ok(), "{t:?}");
@@ -250,22 +285,23 @@ fn host_plan_for_the_staged_benchmark_shape_is_sized_for_the_host() {
 
 #[test]
 fn host_tiled_plans_match_the_reference_on_one_and_two_threads() {
-    use ipt::core::full::host_plan;
     use ipt::core::transpose_in_place_any;
     // 1200×800 (~1M elements): the device tile is 60×50, the host's is
     // 400×160 for f32 and 200×160 for f64.
     let (r, c) = (1200, 800);
     let tile = |plan: Option<StagePlan>| plan.map(|p| p.tile);
     assert_eq!(TileHeuristic::default().select(r, c), Some(TileConfig::new(60, 50)));
-    let f32_tile = tile(host_plan::<f32>(r, c, Algorithm::ThreeStage));
+    let f32_tile = tile(host_plan::<f32>(r, c));
     assert_eq!(f32_tile, Some(TileConfig::new(400, 160)));
-    let f64_tile = tile(host_plan::<f64>(r, c, Algorithm::FourStage));
+    let f64_tile = tile(host_plan::<f64>(r, c));
     assert_eq!(f64_tile, Some(TileConfig::new(200, 160)));
     fn check<T: Copy + Send + Sync + PartialEq + std::fmt::Debug>(m: &Matrix<T>) {
         let want = m.transposed();
         for threads in [1, 2] {
-            for algo in [Algorithm::ThreeStage, Algorithm::FourStage] {
-                let got = on_pool(threads, || transpose_in_place(m.clone(), algo));
+            let got = on_pool(threads, || transpose_in_place(m.clone()));
+            assert!(got == want, "3-stage on {threads} threads");
+            for algo in Algorithm::ALL {
+                let got = on_pool(threads, || host_algo(m.clone(), algo));
                 assert!(got == want, "{} on {threads} threads", algo.name());
             }
             let got = on_pool(threads, || transpose_in_place_any(m.clone()));

@@ -9,8 +9,7 @@ use ipt::core::elementary::parallel::{cycle_shift_par, find_cycle_leaders};
 use ipt::core::elementary::{cycle_shift_oop, cycle_shift_seq, cycle_shift_seq_minimal};
 use ipt::core::layout::StructArray;
 use ipt::core::{
-    transpose_in_place, Algorithm, InstancedTranspose, Matrix, StagePlan, TileConfig,
-    TransposePerm,
+    transpose_in_place, InstancedTranspose, Matrix, StagePlan, TileConfig, TransposePerm,
 };
 use proptest::prelude::*;
 
@@ -107,8 +106,8 @@ proptest! {
     #[test]
     fn transpose_is_involutive(r in 1usize..80, c in 1usize..80) {
         let m = Matrix::pattern_f32(r, c);
-        let t = transpose_in_place(m.clone(), Algorithm::ThreeStage);
-        let back = transpose_in_place(t, Algorithm::ThreeStage);
+        let t = transpose_in_place(m.clone());
+        let back = transpose_in_place(t);
         prop_assert_eq!(back, m);
     }
 
