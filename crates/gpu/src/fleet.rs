@@ -402,6 +402,17 @@ mod tests {
     }
 
     #[test]
+    fn slo_classes_follow_the_priority_index_with_their_budgets() {
+        let f = fleet();
+        let classes: Vec<(&str, f64)> =
+            f.telemetry().classes().iter().map(|c| (c.name.as_str(), c.error_budget)).collect();
+        let by_index = [PriorityClass::Interactive, PriorityClass::Batch, PriorityClass::Background]
+            .map(|p| (p.index(), p.name()));
+        assert_eq!(by_index, [(0, "interactive"), (1, "batch"), (2, "background")]);
+        assert_eq!(classes, [("interactive", 0.001), ("batch", 0.02), ("background", 0.05)]);
+    }
+
+    #[test]
     fn routing_is_shape_stable_and_spreads() {
         let mut f = fleet();
         let rec = NoopRecorder;
