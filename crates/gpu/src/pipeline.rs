@@ -463,15 +463,8 @@ pub fn transpose_on_device<R: Recorder>(
     let stats = run_plan(sim, data, flags, plan, opts, rec)?;
     let result = sim.download_u32(data);
     sim.record_traffic(rec, "sim");
-    // Verify against the definitional permutation.
-    let perm = TransposePerm::new(rows, cols);
-    for (k, &v) in host_data.iter().enumerate() {
-        let d = perm.dest(k);
-        assert_eq!(
-            result[d], v,
-            "device transposition incorrect at source offset {k} (plan {})",
-            plan.name
-        );
+    if let Err(e) = crate::recover::verify_exact(host_data, &result, rows, cols) {
+        panic!("device transposition incorrect (plan {}): {e}", plan.name);
     }
     *host_data = result;
     Ok(stats)

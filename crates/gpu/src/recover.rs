@@ -365,7 +365,8 @@ pub fn multiset_checksum(words: &[u32]) -> (u64, u64) {
 /// Exact element check of `result` against the transposition of `src`.
 ///
 /// # Errors
-/// [`VerifyError`] naming the first mismatching offset.
+/// [`VerifyError`] naming the first mismatching source offset in
+/// row-major order.
 pub fn verify_exact(
     src: &[u32],
     result: &[u32],
@@ -377,7 +378,9 @@ pub fn verify_exact(
 
 /// [`verify_exact`] for super-elements of `elem_words` 32-bit words each
 /// (e.g. 2 for `f64`): the permutation acts on element indices, each
-/// element's words travel together.
+/// element's words travel together. The comparison runs along the same
+/// strip walk as [`host_transpose_elems`]; only a failed one rescans in
+/// source order, to name the first wrong element.
 ///
 /// # Errors
 /// [`VerifyError`] naming the first mismatching element, or the sizes
@@ -404,23 +407,42 @@ pub fn verify_exact_elems(
             ),
         });
     };
-    for (k, chunk) in src.chunks_exact(elem_words).enumerate() {
-        let d = perm.dest(k);
-        let got = &result[d * elem_words..(d + 1) * elem_words];
-        if got != chunk {
-            return Err(VerifyError {
-                stage: None,
-                detail: format!(
-                    "source element {k} should land at {d} with words {chunk:?}, found {got:?}"
-                ),
-            });
-        }
+    let same = match elem_words {
+        1 => runs_match(src, result, rows, cols, 1),
+        2 => runs_match(src, result, rows, cols, 2),
+        w => runs_match(src, result, rows, cols, w),
+    };
+    if same {
+        return Ok(());
     }
-    Ok(())
+    // The walk does not visit elements in source order: name the first
+    // wrong one in that order by Equation (1) itself.
+    let detail = src
+        .chunks_exact(elem_words)
+        .enumerate()
+        .find_map(|(k, chunk)| {
+            let d = perm.dest(k);
+            let got = &result[d * elem_words..(d + 1) * elem_words];
+            (got != chunk).then(|| {
+                format!(
+                    "source element {k} should land at {d} with words {chunk:?}, found {got:?}"
+                )
+            })
+        })
+        .unwrap_or_else(|| "the strip walk and Equation (1) disagree".to_string());
+    Err(VerifyError { stage: None, detail })
 }
 
-/// Sequential host transposition of super-elements of `elem_words` words
-/// each — the reference path, and the recovery chain's last resort.
+/// Host transposition of super-elements of `elem_words` words each, out
+/// of place: one serial walk over strips of 64 source rows, column by
+/// column, with fixed-width element moves for 1- and 2-word elements and
+/// a slice copy for wider ones. It is the recovery chain's last rung,
+/// stream's `HostChunk` rung, and serve's host shed and profiled replay.
+/// A vector (`rows` or `cols` ≤ 1) comes back unchanged, since its
+/// transpose is its own storage.
+///
+/// # Panics
+/// If `src` is not `rows × cols` elements of `elem_words` ≥ 1 words.
 #[must_use]
 pub fn host_transpose_elems(
     src: &[u32],
@@ -428,13 +450,75 @@ pub fn host_transpose_elems(
     cols: usize,
     elem_words: usize,
 ) -> Vec<u32> {
-    let perm = TransposePerm::new(rows, cols);
+    let words = rows.checked_mul(cols).and_then(|n| n.checked_mul(elem_words));
+    assert!(
+        elem_words > 0 && words == Some(src.len()),
+        "{} words are not {rows}×{cols} elements of {elem_words} words",
+        src.len()
+    );
     let mut out = vec![0u32; src.len()];
-    for (k, chunk) in src.chunks_exact(elem_words).enumerate() {
-        let d = perm.dest(k);
-        out[d * elem_words..(d + 1) * elem_words].copy_from_slice(chunk);
+    match elem_words {
+        1 => copy_runs(src, &mut out, rows, cols, 1),
+        2 => copy_runs(src, &mut out, rows, cols, 2),
+        w => copy_runs(src, &mut out, rows, cols, w),
     }
     out
+}
+
+/// Source rows per strip of the host walk. A strip's column touches at
+/// most 64 source lines, which stay in L1 while the walk reads the
+/// strip's columns out one after another, and each output row receives a
+/// contiguous run of 64 elements (256 bytes of `u32`). On the 2880×720
+/// stream matrix, strips of 64 rows outran column strips, 2-D tiles and a
+/// plain column gather (EXPERIMENTS.md, "host reference without a
+/// modulo").
+const STRIP_ROWS: usize = 64;
+
+/// The runs of the host walk over a row-major `rows × cols` matrix, strip
+/// by strip and column by column: `(to, from, n)` says that output
+/// elements `to .. to + n` receive source elements `from`, `from + cols`,
+/// … (`n` of them). Source `(i, j)` lands at `j·rows + i`, which is
+/// Equation (1) with the modulus folded away:
+/// `(i·cols + j)·rows ≡ j·rows + i (mod rows·cols − 1)`.
+fn strip_runs(rows: usize, cols: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+    (0..rows).step_by(STRIP_ROWS).flat_map(move |r0| {
+        let n = STRIP_ROWS.min(rows - r0);
+        (0..cols).map(move |j| (j * rows + r0, r0 * cols + j, n))
+    })
+}
+
+/// Copy `src` into `out` along [`strip_runs`], `w` words per element.
+/// Always inlined, so a call with a constant `w` moves fixed-width
+/// elements instead of calling `memcpy` per element.
+#[inline(always)]
+fn copy_runs(src: &[u32], out: &mut [u32], rows: usize, cols: usize, w: usize) {
+    let stride = cols * w;
+    for (to, from, n) in strip_runs(rows, cols) {
+        let run = &src[from * w..];
+        for (e, dst) in out[to * w..(to + n) * w].chunks_exact_mut(w).enumerate() {
+            let at = e * stride;
+            dst.copy_from_slice(&run[at..at + w]);
+        }
+    }
+}
+
+/// Whether `result` is the transposition of `src`, compared along
+/// [`strip_runs`] word by word (a slice `==` per element calls `memcmp`).
+/// Always inlined, like [`copy_runs`].
+#[inline(always)]
+fn runs_match(src: &[u32], result: &[u32], rows: usize, cols: usize, w: usize) -> bool {
+    let stride = cols * w;
+    for (to, from, n) in strip_runs(rows, cols) {
+        let run = &src[from * w..];
+        let same = result[to * w..(to + n) * w].chunks_exact(w).enumerate().all(|(e, got)| {
+            let at = e * stride;
+            got.iter().zip(&run[at..at + w]).all(|(a, b)| a == b)
+        });
+        if !same {
+            return false;
+        }
+    }
+    true
 }
 
 /// What a successful validated plan run spent on recovery.

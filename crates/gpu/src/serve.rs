@@ -1320,14 +1320,9 @@ impl Server {
         level: DegradeLevel,
         service_s: f64,
     ) -> ServedResult {
-        let data = if req.rows <= 1 || req.cols <= 1 {
-            req.data.clone()
-        } else {
-            host_transpose_elems(&req.data, req.rows, req.cols, req.elem_bytes / 4)
-        };
         ServedResult {
             id: req.id,
-            data,
+            data: host_transpose_elems(&req.data, req.rows, req.cols, req.elem_bytes / 4),
             scheme: plan.decision.scheme,
             cache_hit,
             device,
@@ -1344,15 +1339,10 @@ impl Server {
     /// no queue wait — the degradation ladder's last rung before
     /// rejection.
     fn host_shed(&self, req: &ServeRequest) -> ServedResult {
-        let data = if req.rows <= 1 || req.cols <= 1 {
-            req.data.clone()
-        } else {
-            host_transpose_elems(&req.data, req.rows, req.cols, req.elem_bytes / 4)
-        };
         let decision = decide_scheme(req.rows, req.cols, &self.cfg.heuristic);
         ServedResult {
             id: req.id,
-            data,
+            data: host_transpose_elems(&req.data, req.rows, req.cols, req.elem_bytes / 4),
             scheme: decision.scheme,
             cache_hit: false,
             device: 0,

@@ -50,6 +50,14 @@ use serde::Serialize;
 /// Modelled host-fallback bandwidth for the ladder's last rung, GB/s.
 /// Deliberately far below any device path: landing on `HostChunk` must be
 /// visible in the throughput numbers, not hidden.
+///
+/// This is the simulated cost charged to the rung, not the host's wall
+/// rate: the rung's real work, [`host_transpose_elems`]'s strip walk, runs
+/// 6–9 GB/s on the 2880×720 benchmark matrix on a 2-vCPU VM, and
+/// 2.3–3.0 GB/s when its output pages are freshly mapped. The constant
+/// stays as it is because the deterministic channels (`stream.penalty_us`,
+/// chaos `effective_gbps`, the `outofcore` archives) are computed from
+/// it.
 const HOST_FALLBACK_GBPS: f64 = 1.0;
 
 /// Configuration of one streaming run. Each chunk runs the device's

@@ -390,6 +390,83 @@ fn injected_abort_is_recovered_by_the_chain() {
 }
 
 #[test]
+fn host_reference_and_exact_verify_follow_equation_1() {
+    // `host_transpose_elems` is the oracle of the stream, serve and
+    // recovery tests and `verify_exact_elems` checks every device result,
+    // so both are tied here to the definitional permutation itself. The
+    // shapes give the host walk one partial strip, exact strips of 64
+    // rows, and full strips followed by a partial one.
+    use ipt::core::TransposePerm;
+    use ipt::gpu::recover::{host_transpose_elems, verify_exact_elems};
+
+    // What the definitional loop names: the first source element, in
+    // row-major order, whose words are not at its destination.
+    fn first_wrong(src: &[u32], got: &[u32], perm: &TransposePerm, w: usize) -> Option<String> {
+        (0..perm.len()).find_map(|k| {
+            let d = perm.dest(k);
+            let (want, found) = (&src[k * w..(k + 1) * w], &got[d * w..(d + 1) * w]);
+            (want != found).then(|| {
+                format!(
+                    "source element {k} should land at {d} with words {want:?}, found {found:?}"
+                )
+            })
+        })
+    }
+
+    for (rows, cols) in [(1, 97), (97, 1), (2, 3), (63, 65), (64, 64), (65, 129), (481, 719)] {
+        let perm = TransposePerm::new(rows, cols);
+        let n = rows * cols;
+        for w in 1..=3 {
+            let case = format!("{rows}x{cols} of {w} words");
+            // Distinct, non-zero words: an unwritten or misplaced word shows.
+            let src: Vec<u32> = (1..=(n * w) as u32).map(|x| x.wrapping_mul(0x9e37_79b1)).collect();
+            let mut want = vec![0u32; n * w];
+            for k in 0..n {
+                let d = perm.dest(k);
+                want[d * w..(d + 1) * w].copy_from_slice(&src[k * w..(k + 1) * w]);
+            }
+            assert!(host_transpose_elems(&src, rows, cols, w) == want, "{case}");
+            if let Err(e) = verify_exact_elems(&src, &want, rows, cols, w) {
+                panic!("{case}: {e}");
+            }
+
+            // Each corruption of the right output, by the output element it
+            // hits: the last word flipped at the first and last elements
+            // and on both sides of the first strip boundary (source rows
+            // 63 and 64), two elements swapped, and one element's first two
+            // words swapped.
+            let flip = |e: usize| {
+                let mut v = want.clone();
+                v[e * w + w - 1] ^= 1;
+                v
+            };
+            let mut bad = vec![("first element", flip(0)), ("last element", flip(n - 1))];
+            for (what, i) in [("strip end", 63), ("strip start", 64)] {
+                if i < rows {
+                    bad.push((what, flip(perm.dest(i * cols + cols / 2))));
+                }
+            }
+            let mut swapped = want.clone();
+            for t in 0..w {
+                swapped.swap(n / 3 * w + t, 2 * n / 3 * w + t);
+            }
+            bad.push(("swapped pair", swapped));
+            if w >= 2 {
+                let mut torn = want.clone();
+                torn.swap(n / 2 * w, n / 2 * w + 1);
+                bad.push(("torn element", torn));
+            }
+            for (what, got) in bad {
+                let Err(e) = verify_exact_elems(&src, &got, rows, cols, w) else {
+                    panic!("{case}: {what} passed verification");
+                };
+                assert_eq!(Some(e.detail), first_wrong(&src, &got, &perm, w), "{case}: {what}");
+            }
+        }
+    }
+}
+
+#[test]
 fn multi_gpu_blocks_agree_with_single_device() {
     use ipt::gpu::{run_multi_gpu, LinkTopology};
     let dev = DeviceSpec::tesla_k20();
